@@ -19,8 +19,6 @@ from .fourier import (
     compose_affine,
     dft,
     dft_direct_sum,
-    dft_prime_fast,
-    dft_prime_naive,
     inverse_dft,
     wiener_norm,
 )

@@ -17,6 +17,7 @@ from .energy import additive_dimension, t_k_direct, t_k_spectral
 from .errors import BudgetError, FileFormatError
 from .fileio import (
     dump_records,
+    dump_scan_csv,
     read_function_file,
     report_header,
     write_report_file,
@@ -99,11 +100,7 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     cfg = _config_from(args)
     f = read_function_file(args.input)
-    records = [
-        report_header(
-            __version__, {"mode": args.mode, "input": args.input, "seed": args.seed}
-        )
-    ]
+    records = [report_header(__version__, {"mode": args.mode, "input": args.input})]
     if args.mode == "line":
         result = find_balanced_line(
             f.support, f.ctx, min_density_const=args.min_density_const
@@ -190,12 +187,7 @@ def cmd_scan(args) -> int:
     if args.output:
         write_scan_csv(args.output, rows)
     else:
-        sys.stdout.write(",".join(["p", "size", "structure", "wiener_norm", "log_size", "ratio"]) + "\n")
-        for row in rows:
-            ratio = "" if row.ratio is None else f"{row.ratio:.17g}"
-            sys.stdout.write(
-                f"{row.p},{row.size},{row.structure},{row.wiener_norm:.17g},{row.log_size:.17g},{ratio}\n"
-            )
+        sys.stdout.write(dump_scan_csv(rows))
     return 0
 
 
@@ -228,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="Wiener norm and spectrum summary of a function file")
     p_eval.add_argument("input")
     p_eval.add_argument("--spectrum", help="write the full spectrum to this report file")
-    p_eval.add_argument("--method", choices=["auto", "naive", "fast"], default="auto")
+    p_eval.add_argument("--method", choices=["fast", "naive"], default="fast")
     p_eval.add_argument("--budget", type=int)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -244,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("mode", choices=["line", "separating-map", "dirichlet"])
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--output")
-    p_reduce.add_argument("--seed", type=int, default=0)
     p_reduce.add_argument("--min-density-const", type=float, default=None,
                           help="override the density hypothesis constant for line mode")
     p_reduce.set_defaults(func=cmd_reduce)
@@ -254,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--sizes", required=True, help="comma-separated list")
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--method", choices=["auto", "naive", "fast"], default="auto")
+    p_scan.add_argument("--method", choices=["fast", "naive"], default="fast")
     p_scan.add_argument("--output")
     p_scan.set_defaults(func=cmd_scan)
 

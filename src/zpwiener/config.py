@@ -10,7 +10,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class ToolConfig:
     dense_budget: int = 1 << 24       # max p^d allowed for dense spectral tables
-    fast_min_p: int = 64              # primes above this take the Rader fast path
     norm_tol: float = 1e-9            # norm identities and norm inequalities
     energy_tol: float = 1e-6          # T_k comparisons
     zero_clamp: float = 1e-10         # inverse-transform sparsification threshold

@@ -81,7 +81,7 @@ def t_k_int_set(points: Iterable[int], k: int, **kw) -> float:
 def t_k_spectral(
     g: SparseFunction,
     k: int,
-    method: str = "auto",
+    method: str = "fast",
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> float:
     """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}."""
@@ -280,13 +280,6 @@ class LevelSetDecomposition:
     """S_j = {x : 2^{j-1} <= |f(x)| < 2^j}, j = 1 .. floor(log2 M) + 1."""
 
     levels: dict[int, frozenset[Point]]
-
-    @property
-    def max_level(self) -> int:
-        return max(self.levels, default=0)
-
-    def level_points(self, j: int) -> frozenset[Point]:
-        return self.levels.get(j, frozenset())
 
 
 def level_index(a: float) -> int:

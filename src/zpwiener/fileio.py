@@ -6,6 +6,7 @@ output never lands at the target path.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -123,12 +124,10 @@ def read_report_file(path: str) -> list[dict]:
 SCAN_HEADER = ["p", "size", "structure", "wiener_norm", "log_size", "ratio"]
 
 
-def write_scan_csv(path: str, rows) -> None:
+def dump_scan_csv(rows) -> str:
     """CSV table of scan rows; undefined ratios render as empty cells."""
-    import io
-
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCAN_HEADER)
     for row in rows:
         writer.writerow(
@@ -141,4 +140,8 @@ def write_scan_csv(path: str, rows) -> None:
                 "" if row.ratio is None else f"{row.ratio:.17g}",
             ]
         )
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def write_scan_csv(path: str, rows) -> None:
+    _atomic_write(path, dump_scan_csv(rows))

@@ -6,17 +6,16 @@ Conventions, fixed everywhere:
     f(x)     = sum_xi fhat(xi) * exp(+2*pi*i * (xi . x) / p)
     wiener_norm(f) = sum_xi |fhat(xi)|
 
-The quadratic-time transform is the correctness oracle.  Large prime lengths
-go through a Rader reindexing: the nonzero frequencies become a cyclic
-convolution of length p-1 over the multiplicative group, which is embedded in
-a zero-padded power-of-two transform of length >= 2(p-1)-1 and evaluated with
-an in-house iterative radix-2 kernel.  Both paths reduce every phase exponent
-mod p before touching floating point, so angles stay in (-2*pi, 0].
+The fast path is numpy's pocketfft (`np.fft.fftn`), which transforms every
+axis in one call at any length.  The quadratic-time transform, tensorized
+axis by axis, is the `method="naive"` oracle that tests compare against; it
+reduces every phase exponent mod p before touching floating point, so angles
+stay in (-2*pi, 0].
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import cmath
 from types import MappingProxyType
 
 import numpy as np
@@ -36,6 +35,8 @@ class SparseFunction:
         for x, v in items:
             pt = ctx.point(x)
             z = complex(v)
+            if not cmath.isfinite(z):
+                raise ValueError(f"non-finite value {z} at point {pt}")
             if z == 0:
                 continue
             if pt in table:
@@ -55,7 +56,8 @@ class SparseFunction:
         if arr.shape != (ctx.p,) * ctx.d:
             raise ValueError(f"dense array shape {arr.shape} does not match {ctx}")
         entries = {}
-        for idx in np.argwhere(np.abs(arr) > zero_clamp):
+        # NaN fails `<=` too, so it is kept here and rejected by __init__.
+        for idx in np.argwhere(~(np.abs(arr) <= zero_clamp)):
             pt = tuple(int(i) for i in idx)
             entries[pt] = complex(arr[tuple(idx)])
         return cls(ctx, entries)
@@ -154,109 +156,14 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# power-of-two kernel
+# transforms
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _bitrev(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(n.bit_length() - 1):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-@lru_cache(maxsize=64)
-def _twiddle(size: int) -> np.ndarray:
-    return np.exp(-2j * np.pi * np.arange(size // 2) / size)
-
-
-def _fft_pow2(a: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DFT along the last axis; length must be a power of two."""
-    n = a.shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
-    x = np.ascontiguousarray(a, dtype=np.complex128)[..., _bitrev(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        w = _twiddle(size)
-        xv = x.reshape(x.shape[:-1] + (n // size, size))
-        t = xv[..., half:] * w
-        xv[..., half:] = xv[..., :half] - t
-        xv[..., :half] += t
-        size *= 2
-    return x
-
-
-def _ifft_pow2(a: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(a))) / a.shape[-1]
-
-
-# ---------------------------------------------------------------------------
-# prime-length transforms (unnormalized: X[k] = sum_n v[n] w^{kn})
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _smallest_primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root found; {p} is not prime")
-
-
-@lru_cache(maxsize=32)
-def _rader_plan(p: int):
-    g = _smallest_primitive_root(p)
-    n = p - 1
-    pow_g = np.empty(n, dtype=np.int64)
-    v = 1
-    for m in range(n):
-        pow_g[m] = v
-        v = v * g % p
-    # gather order for a_q = v[g^{-q} mod p]
-    inv_idx = pow_g[(n - np.arange(n)) % n]
-    conv_len = 1
-    while conv_len < 2 * n - 1:
-        conv_len *= 2
-    omega = np.exp(-2j * np.pi * np.arange(p) / p)
-    kernel = np.zeros(conv_len, dtype=np.complex128)
-    kernel[:n] = omega[pow_g]
-    return pow_g, inv_idx, conv_len, _fft_pow2(kernel)
 
 
 def _dft1d_fast(values: np.ndarray) -> np.ndarray:
-    """Rader transform of prime length p along the last axis.
-
-    Nonzero frequencies X[g^m] = v[0] + (a * b)[m], a cyclic convolution of
-    length p-1 computed as a zero-padded linear convolution folded back.
-    """
-    p = values.shape[-1]
-    pow_g, inv_idx, conv_len, kernel_hat = _rader_plan(p)
-    n = p - 1
-    a = np.zeros(values.shape[:-1] + (conv_len,), dtype=np.complex128)
-    a[..., :n] = values[..., inv_idx]
-    lin = _ifft_pow2(_fft_pow2(a) * kernel_hat)
-    cyc = lin[..., :n].copy()
-    cyc[..., : n - 1] += lin[..., n : 2 * n - 1]
-    out = np.empty(values.shape[:-1] + (p,), dtype=np.complex128)
-    out[..., 0] = values.sum(axis=-1)
-    out[..., pow_g] = values[..., 0][..., None] + cyc
-    return out
+    """Unnormalized transform along the last axis: X[k] = sum_n v[n] w^{kn}."""
+    # Only the acceptance ladder calls this; `dft` transforms all axes at once.
+    return np.fft.fft(values, axis=-1)
 
 
 def _dft1d_naive(values: np.ndarray) -> np.ndarray:
@@ -273,45 +180,29 @@ def _dft1d_naive(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dft1d(values: np.ndarray, method: str, fast_min_p: int) -> np.ndarray:
-    p = values.shape[-1]
-    if method == "naive" or (method == "auto" and p <= fast_min_p):
-        return _dft1d_naive(values)
-    if method in ("fast", "auto"):
-        return _dft1d_fast(values)
-    raise ValueError(f"unknown method {method!r}")
+def _dft_naive(arr: np.ndarray) -> np.ndarray:
+    """The quadratic oracle tensorized axis by axis (unnormalized)."""
+    for axis in range(arr.ndim):
+        arr = np.moveaxis(_dft1d_naive(np.moveaxis(arr, axis, -1)), -1, axis)
+    return arr
 
 
-def dft_prime_fast(values: np.ndarray) -> np.ndarray:
-    """Normalized fast transform of a dense length-p table (p an odd prime)."""
-    values = np.asarray(values, dtype=np.complex128)
-    p = values.shape[-1]
-    return _dft1d_fast(values) / p
-
-
-def dft_prime_naive(values: np.ndarray) -> np.ndarray:
-    """Normalized quadratic-time oracle for the 1-d transform."""
-    values = np.asarray(values, dtype=np.complex128)
-    p = values.shape[-1]
-    return _dft1d_naive(values) / p
-
-
-# ---------------------------------------------------------------------------
-# public transforms
-# ---------------------------------------------------------------------------
+def _check_method(method: str) -> None:
+    if method not in ("fast", "naive"):
+        raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
 
 
 def dft(
     f: SparseFunction,
-    method: str = "auto",
-    fast_min_p: int = DEFAULT_CONFIG.fast_min_p,
+    method: str = "fast",
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> Spectrum:
-    """Forward transform, tensorized axis by axis for d > 1."""
+    """Forward transform over all d axes; method is "fast" or "naive" (the oracle)."""
+    _check_method(method)
     arr = f.to_dense(budget)
-    for axis in range(f.ctx.d):
-        arr = np.moveaxis(_dft1d(np.moveaxis(arr, axis, -1), method, fast_min_p), -1, axis)
-    return Spectrum(f.ctx, arr / f.ctx.size)
+    if method == "naive":
+        return Spectrum(f.ctx, _dft_naive(arr) / f.ctx.size)
+    return Spectrum(f.ctx, np.fft.fftn(arr, norm="forward"))
 
 
 def dft_direct_sum(f: SparseFunction) -> Spectrum:
@@ -333,27 +224,27 @@ def dft_direct_sum(f: SparseFunction) -> Spectrum:
 def inverse_dft(
     spectrum: Spectrum,
     zero_clamp: float = DEFAULT_CONFIG.zero_clamp,
-    method: str = "auto",
-    fast_min_p: int = DEFAULT_CONFIG.fast_min_p,
+    method: str = "fast",
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> SparseFunction:
     """Inverse transform; values below zero_clamp are dropped from the result."""
+    _check_method(method)
     ctx = spectrum.ctx
     ctx.check_dense_budget(budget)
-    arr = np.conj(spectrum.coefficients)
-    for axis in range(ctx.d):
-        arr = np.moveaxis(_dft1d(np.moveaxis(arr, axis, -1), method, fast_min_p), -1, axis)
-    return SparseFunction.from_dense(ctx, np.conj(arr), zero_clamp=zero_clamp)
+    if method == "naive":
+        arr = np.conj(_dft_naive(np.conj(spectrum.coefficients)))
+    else:
+        arr = np.fft.ifftn(spectrum.coefficients, norm="forward")
+    return SparseFunction.from_dense(ctx, arr, zero_clamp=zero_clamp)
 
 
 def wiener_norm(
     f: SparseFunction,
-    method: str = "auto",
-    fast_min_p: int = DEFAULT_CONFIG.fast_min_p,
+    method: str = "fast",
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> float:
     """l1 norm of the Fourier transform."""
-    return dft(f, method=method, fast_min_p=fast_min_p, budget=budget).l1
+    return dft(f, method=method, budget=budget).l1
 
 
 def compose_affine(f: SparseFunction, t) -> SparseFunction:

@@ -106,9 +106,6 @@ class GroupContext:
     def signed(self, x: int) -> int:
         return signed_rep(x, self.p)
 
-    def signed_point(self, a: Point) -> tuple[int, ...]:
-        return tuple(signed_rep(x, self.p) for x in a)
-
 
 def enumerate_directions(
     ctx: GroupContext, cap: int = DEFAULT_CONFIG.direction_cap
@@ -213,13 +210,6 @@ class AffineMap:
             tuple(q if i == j else 0 for j in range(ctx.d)) for i in range(ctx.d)
         )
         return cls(ctx, rows)
-
-    @classmethod
-    def translation(cls, ctx: GroupContext, shift) -> "AffineMap":
-        return cls.identity(ctx)._replace_shift(ctx.point(shift))
-
-    def _replace_shift(self, shift: Point) -> "AffineMap":
-        return AffineMap(self.ctx, self.matrix, shift)
 
     def __call__(self, x) -> Point:
         pt = self.ctx.point(x)

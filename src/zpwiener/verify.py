@@ -574,7 +574,7 @@ def monitor(name: str, instance: dict, config: ToolConfig = DEFAULT_CONFIG) -> M
 # ---------------------------------------------------------------------------
 
 
-def ap_scan(p: int, ns: list[int], method: str = "auto") -> list[ScanRow]:
+def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
     """Wiener norms of symmetric progressions A = {-n..n} mod p.
 
     Requires |A| = 2n+1 < p/2 for every n; rows report norm / ln|A| (None for
@@ -597,7 +597,7 @@ def ap_scan(p: int, ns: list[int], method: str = "auto") -> list[ScanRow]:
 
 
 def random_set_scan(
-    p: int, sizes: list[int], seed: int = 0, method: str = "auto"
+    p: int, sizes: list[int], seed: int = 0, method: str = "fast"
 ) -> list[ScanRow]:
     """Same row shape for uniform random subsets of Z_p."""
     ctx = GroupContext(p)

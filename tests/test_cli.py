@@ -46,6 +46,29 @@ def test_function_file_parse_errors(tmp_path):
     assert main(["eval", str(missing)]) == 2
 
 
+def test_non_finite_values_exit_2(tmp_path, capsys):
+    nan = tmp_path / "nan.txt"
+    nan.write_text("zpwiener-function 1\np 5 d 1\n0 nan 0\n")
+    assert main(["eval", str(nan)]) == 2
+    inf = tmp_path / "inf.txt"
+    inf.write_text("zpwiener-function 1\np 5 d 1\n1 1 0\n2 inf 0\n")
+    assert main(["energy", "--input", str(inf), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite value" in captured.err
+
+
+def test_method_choices(tmp_path, capsys):
+    path = write_file(tmp_path, "f.txt", GroupContext(5), {0: 1.0, 1: 1.0})
+    for method in ("fast", "naive"):
+        assert main(["eval", path, "--method", method]) == 0
+        assert "wiener_norm 1.294427191000" in capsys.readouterr().out
+    for argv in (["eval", path], ["scan", "ap", "--p", "101", "--sizes", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--method", "auto"])
+        assert exc.value.code == 2
+
+
 def test_eval_subgroup_prints_one(tmp_path, capsys):
     ctx = GroupContext(3, 2)
     path = write_file(tmp_path, "v.txt", ctx, {(t, t): 1.0 for t in range(3)})
@@ -151,13 +174,17 @@ def test_reduce_line(tmp_path, capsys):
     assert line["norm_before"] >= line["norm_after"] - 1e-9
 
 
-def test_scan_ap_csv(tmp_path):
+def test_scan_ap_csv(tmp_path, capfdbinary):
     out = tmp_path / "scan.csv"
     assert main(["scan", "ap", "--p", "101", "--sizes", "1,5,10",
                  "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "p,size,structure,wiener_norm,log_size,ratio"
     assert len(lines) == 4
+    capfdbinary.readouterr()
+    assert main(["scan", "ap", "--p", "101", "--sizes", "1,5,10"]) == 0
+    sys.stdout.flush()
+    assert capfdbinary.readouterr().out == out.read_bytes()
 
     assert main(["scan", "ap", "--p", "101", "--sizes", "30"]) == 2  # |A| >= p/2
 

@@ -12,8 +12,6 @@ from zpwiener.fourier import (
     compose_affine,
     dft,
     dft_direct_sum,
-    dft_prime_fast,
-    dft_prime_naive,
     inverse_dft,
     wiener_norm,
     _dft1d_fast,
@@ -102,11 +100,11 @@ def test_zero_clamp_drops_noise():
 
 
 def test_prime_fast_examples():
-    out = dft_prime_fast(np.array([1, 0, 0, 0, 0], dtype=complex))
+    out = _dft1d_fast(np.array([1, 0, 0, 0, 0], dtype=complex)) / 5
     assert np.allclose(out, np.full(5, 1 / 5))
     rng = np.random.default_rng(0)
     x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    assert np.allclose(dft_prime_fast(x), dft_prime_naive(x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(_dft1d_fast(x) / 7, _dft1d_naive(x) / 7, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1009])
@@ -117,7 +115,7 @@ def test_fast_matches_naive_ladder(p):
     assert np.linalg.norm(fast - naive) <= 1e-9 * np.linalg.norm(naive)
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (101, 1), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,d", [(7, 1), (101, 1), (5, 2), (7, 2), (101, 2), (5, 3), (11, 3)])
 def test_dft_method_paths_agree(p, d):
     ctx = GroupContext(p, d)
     rng = np.random.default_rng(p * d)
@@ -130,6 +128,19 @@ def test_dft_method_paths_agree(p, d):
     a = dft(f, method="naive").coefficients
     b = dft(f, method="fast").coefficients
     assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(a)
+    spec = Spectrum(ctx, a)
+    back = inverse_dft(spec, method="naive")
+    assert back.support == inverse_dft(spec, method="fast").support == f.support
+    assert max(abs(back[x] - f[x]) for x in f.support) <= 1e-9 * f.l2_norm
+
+
+def test_unknown_method_raises():
+    f = SparseFunction.indicator(GroupContext(5), [0, 1])
+    for bad in ("auto", "rader", ""):
+        with pytest.raises(ValueError):
+            dft(f, method=bad)
+        with pytest.raises(ValueError):
+            inverse_dft(dft(f), method=bad)
 
 
 def test_multidim_examples():
@@ -150,15 +161,15 @@ def test_multidim_examples():
 
 
 def test_multidim_matches_direct_sum_oracle():
-    ctx = GroupContext(5, 2)
     rng = np.random.default_rng(11)
-    flat = rng.choice(25, 6, replace=False)
-    pts = [tuple(int(c) for c in divmod(int(i), 5)) for i in flat]
-    vals = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    f = SparseFunction(ctx, dict(zip(pts, vals)))
-    a = dft(f).coefficients
-    b = dft_direct_sum(f).coefficients
-    assert np.abs(a - b).max() < 1e-9
+    for ctx in (GroupContext(5, 2), GroupContext(5, 3)):
+        flat = rng.choice(ctx.size, 6, replace=False)
+        pts = [tuple(int(c) for c in np.unravel_index(int(i), (5,) * ctx.d)) for i in flat]
+        vals = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        f = SparseFunction(ctx, dict(zip(pts, vals)))
+        a = dft(f).coefficients
+        b = dft_direct_sum(f).coefficients
+        assert np.abs(a - b).max() < 1e-9
 
 
 @given(f=sparse_functions())
@@ -215,3 +226,16 @@ def test_entries_reject_duplicates_and_drop_zeros():
     assert f.support_size == 1
     with pytest.raises(ValueError):
         SparseFunction(ctx, [((0,), 1.0), ((0,), 2.0)])
+
+
+def test_entries_reject_non_finite_values():
+    ctx = GroupContext(7)
+    for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
+        with pytest.raises(ValueError, match=r"\(1,\)"):
+            SparseFunction(ctx, {1: bad})
+    arr = np.zeros(7, dtype=complex)
+    arr[3] = float("nan")
+    with pytest.raises(ValueError):
+        SparseFunction.from_dense(ctx, arr)
+    with pytest.raises(ValueError):
+        SparseFunction(ctx, {1: 1e308}).scale(1e10)
