@@ -103,7 +103,8 @@ def cmd_reduce(args) -> int:
     records = [report_header(__version__, {"mode": args.mode, "input": args.input})]
     if args.mode == "line":
         result = find_balanced_line(
-            f.support, f.ctx, min_density_const=args.min_density_const
+            f.support, f.ctx, min_density_const=args.min_density_const,
+            budget=cfg.dense_budget,
         )
         for step in result.steps:
             records.append(
@@ -238,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--output")
     p_reduce.add_argument("--min-density-const", type=float, default=None,
                           help="override the density hypothesis constant for line mode")
+    p_reduce.add_argument("--budget", type=int,
+                          help="max p^d for the dense table of line mode's hyperplane scan")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_scan = sub.add_parser("scan", help="Wiener-norm growth scan to CSV")

@@ -22,3 +22,8 @@ class ToolConfig:
 
 
 DEFAULT_CONFIG = ToolConfig()
+
+# elements in one temporary of the chunked array kernels (256 KiB of int64):
+# large enough that numpy's per-call cost is amortised, small enough that
+# the temporaries do not raise a process's peak memory
+ARRAY_CHUNK = 1 << 15

@@ -13,13 +13,16 @@ kept as a micro-oracle for supports of size at most 8.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .config import DEFAULT_CONFIG
+import numpy as np
+
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG
 from .errors import BudgetError
 from .fourier import SparseFunction, dft
 from .groups import GroupContext, Point, signed_rep
@@ -28,13 +31,72 @@ from .groups import GroupContext, Point, signed_rep
 # once the reachable-sum set would exceed this
 _SUMS_CAP = 1 << 18
 
+# the sum of two int64 codes must not overflow
+_CODE_LIMIT = 1 << 62
+
+# T_k tables whose first round forms at most this many sums, (k - 1) |supp|^2,
+# are built in a dict: below it numpy's per-call cost loses to the loop
+# (measured crossover: |supp| = 4 at k = 2, |supp| = 3 at k = 3; T_1 always)
+_LOOP_TK_WORK = 20
+
+
+# ---------------------------------------------------------------------------
+# points as int64 codes
+# ---------------------------------------------------------------------------
+
+
+def _check_codes(ctx: GroupContext) -> None:
+    if ctx.size >= _CODE_LIMIT:
+        raise BudgetError(
+            f"points of Z_p^d are packed into int64 codes, which needs p^d < 2^62; "
+            f"got p^d = {ctx.size}"
+        )
+
+
+def _codes(ctx: GroupContext, pts) -> np.ndarray:
+    """int64 codes x_0 p^{d-1} + ... + x_{d-1} of reduced points.
+
+    The code order is the lexicographic order of the points, so tie-breaks
+    made on codes are the ones made on tuples.
+    """
+    _check_codes(ctx)
+    arr = np.array(pts, dtype=np.int64).reshape(len(pts), ctx.d)
+    if ctx.d == 1:
+        return arr.ravel()
+    return arr @ ctx.p ** np.arange(ctx.d - 1, -1, -1, dtype=np.int64)
+
+
+def _add_codes(ctx: GroupContext, a: np.ndarray, b) -> np.ndarray:
+    """Codes of the sums, coordinate-wise mod p, of broadcastable code arrays."""
+    p = ctx.p
+    if ctx.d == 1:
+        return (a + b) % p
+    out = a + b
+    w = 1
+    for _ in range(ctx.d):
+        out -= (a // w % p + b // w % p >= p) * (w * p)
+        w *= p
+    return out
+
 
 # ---------------------------------------------------------------------------
 # T_k energies
 # ---------------------------------------------------------------------------
 
 
+def _group(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the sum of the values under each."""
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return keys[starts], np.add.reduceat(vals, starts)
+
+
 def _tk_from_entries(entries: dict, add, k: int, op_budget: int) -> float:
+    """The dict form of _tk_table, for supports below _LOOP_TK_WORK."""
     table = dict(entries)
     work = 0
     for _ in range(k - 1):
@@ -50,6 +112,37 @@ def _tk_from_entries(entries: dict, add, k: int, op_budget: int) -> float:
     return float(sum(abs(v) ** 2 for v in table.values()))
 
 
+def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int, op_budget: int) -> float:
+    """sum_s |R_k(s)|^2 for the function keys -> vals, R_k its k-fold convolution.
+
+    Each of the k - 1 rounds forms the outer sum of the table's keys with the
+    base keys and the outer product of the values, a chunk of table rows at a
+    time, and groups equal keys.  The work count and budget are those of
+    _tk_from_entries.
+    """
+    if not vals.imag.any():
+        vals = vals.real
+    rows = max(1, ARRAY_CHUNK // len(keys))
+    tkeys, tvals = keys, vals
+    work = 0
+    for _ in range(k - 1):
+        work += len(tkeys) * len(keys)
+        if work > op_budget:
+            raise BudgetError(f"T_k convolution work {work} exceeds budget {op_budget}")
+        parts = [
+            _group(
+                add(tkeys[i : i + rows, None], keys).ravel(),
+                (tvals[i : i + rows, None] * vals).ravel(),
+            )
+            for i in range(0, len(tkeys), rows)
+        ]
+        if len(parts) == 1:
+            tkeys, tvals = parts[0]
+        else:
+            tkeys, tvals = _group(*(np.concatenate(part) for part in zip(*parts)))
+    return float(np.vdot(tvals, tvals).real)
+
+
 def t_k_direct(
     g: SparseFunction, k: int, op_budget: int = DEFAULT_CONFIG.op_budget
 ) -> float:
@@ -58,7 +151,13 @@ def t_k_direct(
         raise ValueError("k must be >= 1")
     if not len(g):
         return 0.0
-    return _tk_from_entries(dict(g.entries), g.ctx.add, k, op_budget)
+    ctx = g.ctx
+    _check_codes(ctx)
+    if (k - 1) * len(g) ** 2 <= _LOOP_TK_WORK:
+        return _tk_from_entries(dict(g.entries), ctx.add, k, op_budget)
+    keys = _codes(ctx, list(g.entries))
+    vals = np.array(list(g.entries.values()), dtype=np.complex128)
+    return _tk_table(keys, vals, functools.partial(_add_codes, ctx), k, op_budget)
 
 
 def t_k_int(
@@ -70,7 +169,15 @@ def t_k_int(
     entries = {int(x): complex(v) for x, v in values.items() if complex(v) != 0}
     if not entries:
         return 0.0
-    return _tk_from_entries(entries, operator.add, k, op_budget)
+    if k * max(abs(x) for x in entries) >= _CODE_LIMIT:
+        raise BudgetError(
+            f"k-fold sums of these integers reach 2^62 and do not fit in int64 (k = {k})"
+        )
+    if (k - 1) * len(entries) ** 2 <= _LOOP_TK_WORK:
+        return _tk_from_entries(entries, operator.add, k, op_budget)
+    keys = np.array(list(entries), dtype=np.int64)
+    vals = np.array(list(entries.values()), dtype=np.complex128)
+    return _tk_table(keys, vals, np.add, k, op_budget)
 
 
 def t_k_int_set(points: Iterable[int], k: int, **kw) -> float:
@@ -88,8 +195,11 @@ def t_k_spectral(
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = dft(g, method=method, budget=budget)
+    # |G| is folded into each coefficient first: |G|^{2k-1} alone can exceed
+    # the float range when the sum itself does not
+    size = g.ctx.size
     mags = abs(spec.coefficients.ravel(order="C"))
-    return float(g.ctx.size ** (2 * k - 1) * (mags ** (2 * k)).sum())
+    return float(((size * mags) ** (2 * k)).sum() / size)
 
 
 def t_k_enumerated(g: SparseFunction, k: int, support_cap: int = 8) -> float:
@@ -142,22 +252,18 @@ class DissociationCertificate:
             raise ValueError("dissociated verdict must not carry a witness")
 
 
-def _half_sums(ctx: GroupContext, pts: list[Point]):
-    """All signed sums of a half: map sum -> first sign pattern producing it."""
-    table: dict[Point, tuple[int, ...]] = {}
-    zero_nonzero = None
-    for eps in itertools.product((-1, 0, 1), repeat=len(pts)):
-        acc = ctx.zero()
-        for e, pt in zip(eps, pts):
-            if e == 1:
-                acc = ctx.add(acc, pt)
-            elif e == -1:
-                acc = ctx.sub(acc, pt)
-        if acc not in table:
-            table[acc] = eps
-        if acc == ctx.zero() and any(eps) and zero_nonzero is None:
-            zero_nonzero = eps
-    return table, zero_nonzero
+def _signed_sums(ctx: GroupContext, pts: list[Point]) -> np.ndarray:
+    """Codes of all signed sums of pts, in itertools.product((-1, 0, 1), ...) order."""
+    steps = _codes(ctx, [y for x in pts for y in (ctx.neg(x), ctx.zero(), x)])
+    sums = np.zeros(1, dtype=np.int64)
+    for step in steps.reshape(len(pts), 3):
+        sums = _add_codes(ctx, sums[:, None], step).ravel()
+    return sums
+
+
+def _pattern(index: int, m: int) -> tuple[int, ...]:
+    """Entry `index` of itertools.product((-1, 0, 1), repeat=m)."""
+    return tuple(index // 3 ** (m - 1 - i) % 3 - 1 for i in range(m))
 
 
 def is_dissociated(
@@ -166,34 +272,42 @@ def is_dissociated(
     """Search all nonzero {-1,0,1} patterns for one summing to zero.
 
     Meet-in-the-middle over the two halves of the (sorted) set, so the cost is
-    O(3^{n/2}) rather than O(3^n).
+    O(3^{n/2}) rather than O(3^n).  The witness is the first zero-sum pattern
+    of the left half, or else the first right pattern (in product order)
+    whose negated sum is a left sum, paired with the first left pattern
+    reaching that sum.
     """
     pts = sorted({ctx.point(x) for x in points})
     n = len(pts)
     if n > cap:
         raise BudgetError(f"dissociation search capped at {cap} elements, got {n}")
     left, right = pts[: n // 2], pts[n // 2 :]
-    ltable, lzero = _half_sums(ctx, left)
-    if lzero is not None:
-        witness = {pt: e for pt, e in zip(left, lzero)}
+    lsums = _signed_sums(ctx, left)
+    # the all-zero pattern sits in the middle of the product order
+    zeros = np.flatnonzero(lsums == 0)
+    zeros = zeros[zeros != (3 ** len(left) - 1) // 2]
+    if zeros.size:
+        witness = dict(zip(left, _pattern(int(zeros[0]), len(left))))
         witness.update({pt: 0 for pt in right})
         return DissociationCertificate(False, witness)
-    for eps in itertools.product((-1, 0, 1), repeat=len(right)):
-        acc = ctx.zero()
-        for e, pt in zip(eps, right):
-            if e == 1:
-                acc = ctx.add(acc, pt)
-            elif e == -1:
-                acc = ctx.sub(acc, pt)
-        target = ctx.neg(acc)
-        if target in ltable:
-            leps = ltable[target]
-            if not any(leps) and not any(eps):
-                continue
-            witness = {pt: e for pt, e in zip(left, leps)}
-            witness.update({pt: e for pt, e in zip(right, eps)})
-            return DissociationCertificate(False, witness)
-    return DissociationCertificate(True)
+    # a stable sort keeps equal sums in product order, so the leftmost match
+    # of a target is its first left pattern
+    order = np.argsort(lsums, kind="stable")
+    lkeys = lsums[order]
+    # negating a pattern mirrors its index, so these are the negated right sums
+    targets = _signed_sums(ctx, right)[::-1]
+    pos = np.minimum(np.searchsorted(lkeys, targets), len(lkeys) - 1)
+    hit = lkeys[pos] == targets
+    # all-zero on both sides is no relation; the only zero-sum left pattern
+    # is all-zero here, so that pair is the all-zero right pattern's hit
+    hit[(3 ** len(right) - 1) // 2] = False
+    hits = np.flatnonzero(hit)
+    if not hits.size:
+        return DissociationCertificate(True)
+    j = int(hits[0])
+    witness = dict(zip(left, _pattern(int(order[pos[j]]), len(left))))
+    witness.update(zip(right, _pattern(j, len(right))))
+    return DissociationCertificate(False, witness)
 
 
 def verify_witness(witness: dict[Point, int], ctx: GroupContext) -> bool:
@@ -208,23 +322,6 @@ def verify_witness(witness: dict[Point, int], ctx: GroupContext) -> bool:
     return acc == ctx.zero()
 
 
-def _grow_sums(ctx: GroupContext, sums: set[Point], x: Point) -> Optional[set[Point]]:
-    out = set(sums)
-    for s in sums:
-        out.add(ctx.add(s, x))
-        out.add(ctx.sub(s, x))
-    if len(out) > _SUMS_CAP:
-        return None
-    return out
-
-
-def _extends(ctx: GroupContext, chosen: list[Point], sums, x: Point) -> bool:
-    """Whether chosen + [x] stays dissociated, given chosen already is."""
-    if sums is not None:
-        return x not in sums
-    return is_dissociated(chosen + [x], ctx, cap=len(chosen) + 1).dissociated
-
-
 def additive_dimension(
     points: Iterable,
     ctx: GroupContext,
@@ -236,23 +333,44 @@ def additive_dimension(
     exact: maximum cardinality by depth-first branch and bound (first maximum
     in lexicographic inclusion order wins ties).  greedy: lexicographic scan,
     returning an inclusion-maximal subset, a lower bound for the exact value.
+    A dissociated subset extends by x iff x is not one of its signed sums;
+    those are kept as a sorted code array while they number at most
+    _SUMS_CAP, and meet-in-the-middle decides beyond that.
     """
     pts = sorted({ctx.point(x) for x in points})
-    if mode == "greedy":
-        chosen: list[Point] = []
-        sums: Optional[set[Point]] = {ctx.zero()}
-        for x in pts:
-            if _extends(ctx, chosen, sums, x):
-                chosen.append(x)
-                if sums is not None:
-                    sums = _grow_sums(ctx, sums, x)
-        return len(chosen), tuple(chosen)
-    if mode != "exact":
+    if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if len(pts) > exact_cap:
+    if mode == "exact" and len(pts) > exact_cap:
         raise BudgetError(
             f"exact dimension capped at {exact_cap} elements, got {len(pts)}"
         )
+    codes = _codes(ctx, pts)
+    negs = _codes(ctx, [ctx.neg(x) for x in pts])
+
+    def grow(sums: Optional[np.ndarray], i: int) -> Optional[np.ndarray]:
+        if sums is None:
+            return None
+        out = np.sort(
+            np.concatenate((sums, _add_codes(ctx, sums, codes[i]), _add_codes(ctx, sums, negs[i])))
+        )
+        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+        return None if len(out) > _SUMS_CAP else out
+
+    def extends(chosen: list[Point], sums: Optional[np.ndarray], i: int) -> bool:
+        if sums is None:
+            return is_dissociated(chosen + [pts[i]], ctx, cap=len(chosen) + 1).dissociated
+        j = np.searchsorted(sums, codes[i])
+        return j == len(sums) or sums[j] != codes[i]
+
+    empty_sums = np.zeros(1, dtype=np.int64)  # {0}, the signed sums of no points
+    if mode == "greedy":
+        chosen: list[Point] = []
+        sums: Optional[np.ndarray] = empty_sums
+        for i, x in enumerate(pts):
+            if extends(chosen, sums, i):
+                chosen.append(x)
+                sums = grow(sums, i)
+        return len(chosen), tuple(chosen)
     best: list[Point] = []
 
     def dfs(i: int, chosen: list[Point], sums) -> None:
@@ -261,12 +379,11 @@ def additive_dimension(
             best = list(chosen)
         if i == len(pts) or len(chosen) + (len(pts) - i) <= len(best):
             return
-        x = pts[i]
-        if _extends(ctx, chosen, sums, x):
-            dfs(i + 1, chosen + [x], None if sums is None else _grow_sums(ctx, sums, x))
+        if extends(chosen, sums, i):
+            dfs(i + 1, chosen + [pts[i]], grow(sums, i))
         dfs(i + 1, chosen, sums)
 
-    dfs(0, [], {ctx.zero()})
+    dfs(0, [], empty_sums)
     return len(best), tuple(best)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG
 from .errors import BudgetError
 from .fourier import SparseFunction, wiener_norm
 from .groups import (
@@ -55,6 +55,63 @@ def _normalize_set(points: Iterable, ctx: GroupContext) -> list[Point]:
     return sorted({ctx.point(x) for x in points})
 
 
+def _balance_report(ctx: GroupContext, size: int, eta, u: int, count: int) -> BalanceReport:
+    """The report for the hyperplane {x . eta = u} holding count of size points."""
+    p, d = ctx.p, ctx.d
+    density = size / ctx.size
+    target = density * p ** (d - 1)
+    bound = math.sqrt(density) * p ** ((d - 1) / 2)
+    dev = abs(count - target)
+    return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
+
+
+def _scan_hyperplanes(
+    arr: np.ndarray, ctx: GroupContext, direction_cap: int, budget: int
+) -> BalanceReport:
+    """Exhaustive mode of find_balanced_hyperplane on distinct points arr.
+
+    Projection-slice: with F the transform of the indicator of A, the count
+    of A on {x . eta = u} is the inverse transform over t of t -> F(t eta)
+    at u, so one dense transform gives every count.  Directions go in
+    chunks, and the first minimiser of the flattened (direction, u) table
+    is the lexicographically first one.
+    """
+    p, d = ctx.p, ctx.d
+    dirs = np.array(enumerate_directions(ctx, cap=direction_cap), dtype=np.int64)
+    try:
+        ctx.check_dense_budget(budget)
+    except BudgetError as exc:
+        raise BudgetError(
+            f"{exc}; the exhaustive hyperplane scan transforms the whole group: "
+            f"raise the budget (--budget) or use mode=\"sampled\""
+        ) from None
+    indicator = np.zeros((p,) * d)
+    indicator[tuple(arr.T)] = 1.0
+    spectrum = np.fft.fftn(indicator).ravel()
+    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    t = np.arange(p, dtype=np.int64)
+    n = len(arr)
+    target = n / ctx.size * p ** (d - 1)
+    best = None
+    rows = max(1, ARRAY_CHUNK // (2 * p))  # complex entries take two int64 slots
+    for start in range(0, len(dirs), rows):
+        block = dirs[start : start + rows]
+        flat = sum((np.outer(block[:, i], t) % p) * weights[i] for i in range(d))
+        exact = np.fft.ifft(spectrum[flat], axis=1)
+        counts = np.rint(exact.real)
+        if np.abs(exact - counts).max() > 1e-6:
+            raise RuntimeError("hyperplane counts from the transform are not integers")
+        counts = counts.astype(np.int64)
+        if (counts.sum(axis=1) != n).any():
+            raise RuntimeError("hyperplane counts along a direction do not sum to |A|")
+        dev = np.abs(counts - target)
+        j = int(dev.argmin())
+        if best is None or dev.flat[j] < best[0]:
+            best = (dev.flat[j], start + j // p, j % p, int(counts.flat[j]))
+    _, row, u, count = best
+    return _balance_report(ctx, n, tuple(int(c) for c in dirs[row]), u, count)
+
+
 def find_balanced_hyperplane(
     points: Iterable,
     ctx: GroupContext,
@@ -62,41 +119,25 @@ def find_balanced_hyperplane(
     seed: Optional[int] = None,
     max_draws: int = 100_000,
     direction_cap: int = DEFAULT_CONFIG.direction_cap,
+    budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> BalanceReport:
     """A hyperplane whose |A intersect L| deviates least from density * p^{d-1}.
 
     Exhaustive mode scans every (direction, u) pair in lexicographic order and
     returns the first minimizer; the returned deviation is always at most the
-    bound.  Sampled mode draws uniform pairs until one meets the bound.
+    bound.  It transforms a dense p^d table, so p^d must not exceed budget.
+    Sampled mode draws uniform pairs until one meets the bound.
     """
     if ctx.d < 2:
         raise ValueError("hyperplane balancing needs d >= 2")
     pts = _normalize_set(points, ctx)
     if not pts:
         raise ValueError("point set must be nonempty")
-    p = ctx.p
-    density = len(pts) / ctx.size
-    target = density * p ** (ctx.d - 1)
-    bound = math.sqrt(density) * p ** ((ctx.d - 1) / 2)
     arr = np.array(pts, dtype=np.int64)
-
-    def counts_for(eta: Point) -> np.ndarray:
-        dots = (arr @ np.array(eta, dtype=np.int64)) % p
-        return np.bincount(dots, minlength=p)
-
     if mode == "exhaustive":
-        best: Optional[tuple[float, Point, int, int]] = None
-        for eta in enumerate_directions(ctx, cap=direction_cap):
-            counts = counts_for(eta)
-            for u in range(p):
-                dev = abs(float(counts[u]) - target)
-                if best is None or dev < best[0]:
-                    best = (dev, eta, u, int(counts[u]))
-        dev, eta, u, count = best
-        return BalanceReport(
-            Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound
-        )
+        return _scan_hyperplanes(arr, ctx, direction_cap, budget)
     if mode == "sampled":
+        p = ctx.p
         rng = np.random.default_rng(seed)
         for _ in range(max_draws):
             vec = tuple(int(c) for c in rng.integers(0, p, size=ctx.d))
@@ -104,12 +145,10 @@ def find_balanced_hyperplane(
                 continue
             eta = canonical_direction(ctx, vec)
             u = int(rng.integers(0, p))
-            count = int(counts_for(eta)[u])
-            dev = abs(count - target)
-            if dev <= bound:
-                return BalanceReport(
-                    Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound
-                )
+            count = int(np.count_nonzero((arr @ np.array(eta, dtype=np.int64)) % p == u))
+            report = _balance_report(ctx, len(pts), eta, u, count)
+            if report.deviation <= report.bound:
+                return report
         raise RuntimeError(f"sampled mode found no balanced hyperplane in {max_draws} draws")
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -126,7 +165,8 @@ def _flatten_map(ctx: GroupContext, hyperplane: Hyperplane) -> AffineMap:
     rows.append(hyperplane.eta)
     shift = (0,) * (d - 1) + ((-hyperplane.u) % p,)
     out = AffineMap(ctx, tuple(rows), shift)
-    assert out.is_invertible()
+    if not out.is_invertible():
+        raise RuntimeError(f"the flattening map of {hyperplane} is singular")
     return out
 
 
@@ -147,6 +187,7 @@ def find_balanced_line(
     ctx: GroupContext,
     min_density_const: Optional[float] = DEFAULT_CONFIG.line_density_const,
     direction_cap: int = DEFAULT_CONFIG.direction_cap,
+    budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> LineSearchResult:
     """Iterate balanced-hyperplane steps down to a line in Z_p^d.
 
@@ -155,6 +196,7 @@ def find_balanced_line(
     final chart line back to original coordinates.  Every step's report obeys
     theta <= 1, and the line's density deviates from the base density by at
     most the sum of per-step bounds (tracked exactly, no asymptotics).
+    Each step is an exhaustive hyperplane scan, so p^d must not exceed budget.
     """
     if ctx.d < 2:
         raise ValueError("line search needs d >= 2")
@@ -170,23 +212,24 @@ def find_balanced_line(
 
     steps: list[BalanceReport] = []
     flatten_maps: list[AffineMap] = []
-    cur_pts = pts
+    arr = np.array(pts, dtype=np.int64)
+    cur = arr
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
         cur_ctx = GroupContext(p, dim)
-        report = find_balanced_hyperplane(
-            cur_pts, cur_ctx, mode="exhaustive", direction_cap=direction_cap
-        )
+        report = _scan_hyperplanes(cur, cur_ctx, direction_cap, budget)
         steps.append(report)
         composed_bound += report.bound / p ** (dim - 1)
         if dim == 2:
             break
         flat = _flatten_map(cur_ctx, report.found)
         flatten_maps.append(flat)
-        cur_pts = sorted(
-            flat(x)[: dim - 1] for x in cur_pts if report.found.contains(x)
-        )
-        if not cur_pts:
+        # the points on the hyperplane, moved onto {last coordinate = 0};
+        # they stay distinct, and the scans do not depend on their order
+        on = cur @ np.array(report.found.eta) % p == report.found.u
+        cur = (cur[on] @ np.array(flat.matrix).T + flat.shift) % p
+        cur = cur[:, : dim - 1]
+        if not len(cur):
             raise ValueError("balanced hyperplane missed the whole set; density too low")
 
     # parametrize the final chart hyperplane of Z_p^2 as a line
@@ -206,8 +249,15 @@ def find_balanced_line(
         c = inv(c + (0,))
     line = Line(ctx, b, c)
 
-    count = sum(1 for x in pts if line.contains(x))
-    assert count == steps[-1].count
+    # x is on the line iff x = s * direction + base for the s its pivot gives
+    pivot = next(i for i, c in enumerate(line.direction) if c != 0)
+    s = (arr[:, pivot] - line.base[pivot]) * pow(line.direction[pivot], -1, p) % p
+    on_line = ((s[:, None] * np.array(line.direction) + line.base) % p == arr).all(axis=1)
+    count = int(on_line.sum())
+    if count != steps[-1].count:
+        raise RuntimeError(
+            f"the lifted line holds {count} points, the last step counted {steps[-1].count}"
+        )
     return LineSearchResult(
         line, tuple(steps), count, base_density, count / p, composed_bound
     )
@@ -354,7 +404,8 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
     pairs, completed to an invertible matrix by standard basis rows.
 
     Requires |A|^2 < 2p, which makes the number of pairs smaller than p and
-    guarantees a valid t exists.
+    guarantees a valid t exists.  Candidate rows are tested a chunk at a
+    time, in lexicographic order, against every pair at once.
     """
     if ctx.d < 2:
         raise ValueError("coordinate separation needs d >= 2")
@@ -364,15 +415,28 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
         raise ValueError(
             f"|A| = {n} violates the smallness hypothesis |A| < sqrt(2p) for p = {ctx.p}"
         )
-    deltas = [ctx.sub(a, b) for a, b in itertools.combinations(pts, 2)]
+    p, d = ctx.p, ctx.d
+    if d * (p - 1) ** 2 >= 1 << 63:
+        raise BudgetError(f"row-pair dot products mod p = {p} overflow int64 in d = {d}")
+    arr = np.array(pts, dtype=np.int64).reshape(n, d)
+    left, right = np.triu_indices(n, 1)
+    deltas = (arr[left] - arr[right]) % p
+    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    # a difference whose last nonzero coordinate is i fails every row with
+    # t_0 = ... = t_i = 0, the rows coded below p^(d-1-i); code 0 is the zero row
+    last = d - 1 - (deltas[:, ::-1] != 0).argmax(axis=1)
+    first_code = p ** (d - 1 - int(last.min())) if len(deltas) else 1
+    chunk = max(1, ARRAY_CHUNK // max(len(deltas), d))
     row = None
-    for t in ctx.points():
-        if all(c == 0 for c in t):
-            continue
-        if all(ctx.dot(t, delta) != 0 for delta in deltas):
-            row = t
+    for start in range(first_code, ctx.size, chunk):
+        codes = np.arange(start, min(start + chunk, ctx.size), dtype=np.int64)
+        cand = codes[:, None] // weights % p
+        good = np.flatnonzero((cand @ deltas.T % p != 0).all(axis=1))
+        if good.size:
+            row = tuple(int(c) for c in cand[good[0]])
             break
-    assert row is not None, "a separating row must exist under the hypothesis"
+    if row is None:
+        raise RuntimeError(f"no separating row for {n} points, although |A|^2 < 2p")
     pivot = next(i for i, c in enumerate(row) if c != 0)
     rows = [row] + [
         tuple(1 if j == i else 0 for j in range(ctx.d))
@@ -380,9 +444,11 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
         if i != pivot
     ]
     tmap = AffineMap(ctx, tuple(rows))
-    assert tmap.is_invertible()
+    if not tmap.is_invertible():
+        raise RuntimeError(f"the separating map with first row {row} is singular")
     first = tuple(ctx.dot(row, a) for a in pts)
-    assert len(set(first)) == n
+    if len(set(first)) != n:
+        raise RuntimeError(f"row {row} leaves two first coordinates equal")
     return SeparatingMap(tmap, row, first)
 
 

@@ -415,7 +415,7 @@ def _gen_line_monotone(rng, count):
 
 def _eval_hyperplane_balance(inst, cfg):
     ctx, pts = _points_from(inst)
-    report = find_balanced_hyperplane(pts, ctx)
+    report = find_balanced_hyperplane(pts, ctx, budget=cfg.dense_budget)
     return _one_sided(
         "hyperplane-balance", report.bound, report.deviation, cfg.norm_tol, inst
     )

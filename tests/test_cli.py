@@ -1,9 +1,11 @@
+import math
 import subprocess
 import sys
 
 import pytest
 
 from zpwiener.cli import main
+from zpwiener.config import DEFAULT_CONFIG
 from zpwiener.fileio import (
     read_function_file,
     read_report_file,
@@ -174,6 +176,16 @@ def test_reduce_line(tmp_path, capsys):
     assert line["norm_before"] >= line["norm_after"] - 1e-9
 
 
+def test_reduce_line_budget(tmp_path, capsys):
+    ctx = GroupContext(3, 3)
+    path = write_file(tmp_path, "cube.txt", ctx, {x: 1.0 for x in ctx.points()})
+    assert main(["reduce", "line", "--input", path, "--min-density-const", "1.0",
+                 "--budget", "10"]) == 3
+    assert "budget error" in capsys.readouterr().err
+    assert main(["reduce", "line", "--input", path, "--min-density-const", "1.0",
+                 "--budget", "27"]) == 0
+
+
 def test_scan_ap_csv(tmp_path, capfdbinary):
     out = tmp_path / "scan.csv"
     assert main(["scan", "ap", "--p", "101", "--sizes", "1,5,10",
@@ -211,6 +223,17 @@ def test_energy_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t2_direct 6" in out
     assert "t2_spectral 6" in out
+
+
+def test_energy_spectral_at_large_k(tmp_path, capsys):
+    # |G|^{2k-1} = 10007^79 alone does not fit in a float
+    path = write_file(tmp_path, "s.txt", GroupContext(10007), {3: 1.0, 500: 1.0})
+    assert main(["energy", "--input", path, "--k", "40", "--method", "spectral"]) == 0
+    spectral = float(capsys.readouterr().out.split()[1])
+    assert main(["energy", "--input", path, "--k", "40", "--method", "direct"]) == 0
+    direct = float(capsys.readouterr().out.split()[1])
+    assert direct == pytest.approx(math.comb(80, 40), rel=1e-11)  # printed to 12 digits
+    assert spectral == pytest.approx(direct, rel=DEFAULT_CONFIG.energy_tol)
 
 
 def test_console_entry_point_runs():

@@ -1,11 +1,14 @@
 import itertools
 import math
+import operator
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpwiener import energy
 from zpwiener.energy import (
     additive_dimension,
     build_scattered_family,
@@ -16,6 +19,7 @@ from zpwiener.energy import (
     scattered_energy_bound,
     t_k_direct,
     t_k_enumerated,
+    t_k_int,
     t_k_int_set,
     t_k_spectral,
     verify_witness,
@@ -37,6 +41,23 @@ def brute_dissociated(pts, ctx):
         if acc == ctx.zero():
             return False
     return True
+
+
+def brute_dimension(pts, ctx):
+    """Independent oracle: the first dissociated subset of largest size, in
+    lexicographic order of sorted subsets (the exact search's tie-break)."""
+    pts = sorted({ctx.point(x) for x in pts})
+    for size in range(len(pts), -1, -1):
+        for subset in itertools.combinations(pts, size):
+            if brute_dissociated(subset, ctx):
+                return size, subset
+
+
+def random_points(rng, ctx, size):
+    flat = rng.choice(ctx.size, size, replace=False)
+    return [
+        tuple(int(c) for c in np.unravel_index(int(i), (ctx.p,) * ctx.d)) for i in flat
+    ]
 
 
 def test_t_k_examples():
@@ -95,8 +116,68 @@ def test_enumerated_micro_oracle_matches_convolution():
         f = SparseFunction(ctx, dict(zip(pts, vals)))
         for k in (1, 2):
             assert t_k_enumerated(f, k) == pytest.approx(t_k_direct(f, k), rel=1e-9)
+    # both table paths, d = 2 and k = 3; indicator counts agree exactly
+    for trial in range(12):
+        ctx = (GroupContext(3, 2), GroupContext(5, 2), GroupContext(7))[trial % 3]
+        size = int(rng.integers(1, 6))
+        pts = random_points(rng, ctx, size)
+        vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        f = SparseFunction(ctx, dict(zip(pts, vals)))
+        ind = SparseFunction.indicator(ctx, pts)
+        for k in (2, 3):
+            assert t_k_enumerated(f, k) == pytest.approx(t_k_direct(f, k), rel=1e-9)
+            assert t_k_enumerated(ind, k) == t_k_direct(ind, k)
     with pytest.raises(BudgetError):
         t_k_enumerated(SparseFunction.indicator(GroupContext(11), range(9)), 2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_t_k_loop_and_array_paths_agree(k):
+    # supports on both sides of the crossover that picks the dict loop
+    rng = np.random.default_rng(k)
+    for ctx in (GroupContext(101), GroupContext(7, 2), GroupContext(3, 3)):
+        for size in range(1, 9):
+            pts = random_points(rng, ctx, min(size, ctx.size))
+            vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+            keys = energy._codes(ctx, pts)
+            for v in (vals, np.ones(len(pts), dtype=complex)):
+                loop = energy._tk_from_entries(dict(zip(pts, v)), ctx.add, k, 1 << 24)
+                array = energy._tk_table(keys, v, partial(energy._add_codes, ctx), k, 1 << 24)
+                if v is vals:
+                    assert array == pytest.approx(loop, rel=1e-12)
+                else:
+                    assert array == loop
+    for size in (2, 3, 6, 12):
+        xs = [int(x) for x in rng.choice(np.arange(-50, 50), size, replace=False)]
+        vals = dict(zip(xs, rng.standard_normal(size)))
+        loop = energy._tk_from_entries(vals, operator.add, k, 1 << 24)
+        assert t_k_int(vals, k) == pytest.approx(loop, rel=1e-12)
+
+
+def test_t_k_work_budget_on_both_paths():
+    ctx = GroupContext(101)
+    for size in (3, 20):
+        f = SparseFunction.indicator(ctx, range(size))
+        with pytest.raises(BudgetError, match="work"):
+            t_k_direct(f, 3, op_budget=size * size)
+        assert t_k_direct(f, 2, op_budget=size * size) > 0
+
+
+def test_int64_code_limits():
+    huge = GroupContext(2147483647, 3)  # p^3 >= 2^62
+    with pytest.raises(BudgetError, match="int64"):
+        t_k_direct(SparseFunction.indicator(huge, [(1, 2, 3)]), 2)
+    with pytest.raises(BudgetError, match="int64"):
+        is_dissociated([(1, 2, 3)], huge)
+    with pytest.raises(BudgetError, match="int64"):
+        additive_dimension([(1, 2, 3)], huge)
+    with pytest.raises(BudgetError, match="int64"):
+        t_k_int({2**61: 1.0, 1: 1.0}, 2)
+    assert t_k_int({2**60: 1.0, 1: 1.0}, 2) == 6.0
+    big = GroupContext(2147483647)
+    assert t_k_direct(SparseFunction.indicator(big, [2147483646, 5, 9]), 3) == t_k_enumerated(
+        SparseFunction.indicator(big, [2147483646, 5, 9]), 3
+    )
 
 
 def test_dissociated_examples():
@@ -111,15 +192,41 @@ def test_dissociated_examples():
 
 
 def test_dissociation_matches_brute_oracle():
-    ctx = GroupContext(11)
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        size = int(rng.integers(0, 6))
-        pts = [(int(i),) for i in rng.choice(11, size, replace=False)]
+    for ctx in (GroupContext(11), GroupContext(5, 2)):
+        for _ in range(40):
+            size = int(rng.integers(0, 9))
+            pts = random_points(rng, ctx, size)
+            cert = is_dissociated(pts, ctx)
+            assert cert.dissociated == brute_dissociated(pts, ctx)
+            if not cert.dissociated:
+                assert verify_witness(cert.witness, ctx)
+                assert set(cert.witness) == set(pts)
+
+
+def test_dissociation_witnesses_are_pinned():
+    # recorded from the tuple-by-tuple search: left-half relations, relations
+    # across the halves and right-half relations keep their first witness
+    cases = [
+        (GroupContext(11), [1, 2, 3], {(1,): -1, (2,): -1, (3,): 1}),
+        (GroupContext(101), [1, 2, 3, 50, 60, 70],
+         {(1,): -1, (2,): -1, (3,): 1, (50,): 0, (60,): 0, (70,): 0}),
+        (GroupContext(101), [1, 5, 20, 26, 40, 77],
+         {(1,): 1, (5,): 1, (20,): 1, (26,): -1, (40,): 0, (77,): 0}),
+        (GroupContext(101), [10, 30, 31, 62, 90, 95, 99],
+         {(10,): -1, (30,): 1, (31,): 1, (62,): -1, (90,): -1, (95,): 0, (99,): 0}),
+        (GroupContext(101), [1, 2, 40, 50, 90],
+         {(1,): 0, (2,): 0, (40,): -1, (50,): -1, (90,): 1}),
+        (GroupContext(101), [0, 5], {(0,): -1, (5,): 0}),
+        (GroupContext(5, 2), [(0, 1), (1, 0), (1, 1), (2, 3), (4, 4)],
+         {(0, 1): 0, (1, 0): -1, (1, 1): -1, (2, 3): -1, (4, 4): 1}),
+        (GroupContext(2147483647), [2**i for i in range(15)] + [2**15 - 1],
+         {**{(2**i,): -1 for i in range(15)}, (2**15 - 1,): 1}),
+    ]
+    for ctx, pts, witness in cases:
         cert = is_dissociated(pts, ctx)
-        assert cert.dissociated == brute_dissociated(pts, ctx)
-        if not cert.dissociated:
-            assert verify_witness(cert.witness, ctx)
+        assert not cert.dissociated
+        assert cert.witness == witness
 
 
 def test_dissociation_cap():
@@ -133,6 +240,32 @@ def test_dimension_examples():
     assert additive_dimension([1, 2, 3], ctx7, "exact") == (2, ((1,), (2,)))
     assert additive_dimension([4], ctx7, "exact") == (1, ((4,),))
     assert additive_dimension([], ctx7, "exact") == (0, ())
+
+
+def test_exact_dimension_matches_subset_brute_force():
+    rng = np.random.default_rng(12)
+    for ctx in (GroupContext(11), GroupContext(5, 2)):
+        for _ in range(25):
+            pts = random_points(rng, ctx, int(rng.integers(0, 8)))
+            assert additive_dimension(pts, ctx, "exact") == brute_dimension(pts, ctx)
+
+
+def test_dimension_subsets_are_pinned():
+    # recorded from the set-based search: (exact, greedy) per seeded set
+    cases = [
+        (GroupContext(23), 1, 8, (4, ((3,), (13,), (18,), (22,))), (3, ((3,), (7,), (8,)))),
+        (GroupContext(23), 2, 9, (4, ((1,), (2,), (4,), (9,))), (4, ((1,), (2,), (4,), (9,)))),
+        (GroupContext(5, 2), 4, 8, (4, ((0, 2), (2, 0), (3, 4), (4, 0))),
+         (4, ((0, 2), (2, 0), (3, 4), (4, 0)))),
+        (GroupContext(7, 2), 5, 9, (4, ((1, 6), (3, 0), (3, 2), (5, 0))),
+         (4, ((1, 6), (3, 0), (3, 2), (5, 0)))),
+        (GroupContext(101), 6, 10, (6, ((32,), (37,), (40,), (44,), (48,), (99,))),
+         (5, ((32,), (35,), (37,), (44,), (48,)))),
+    ]
+    for ctx, seed, size, exact, greedy in cases:
+        pts = random_points(np.random.default_rng(seed), ctx, size)
+        assert additive_dimension(pts, ctx, "exact") == exact
+        assert additive_dimension(pts, ctx, "greedy") == greedy
 
 
 @given(data=st.data())

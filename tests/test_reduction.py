@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction, wiener_norm
-from zpwiener.groups import GroupContext, Line, enumerate_directions
+from zpwiener.groups import AffineMap, GroupContext, Hyperplane, Line, enumerate_directions
 from zpwiener.reduction import (
     find_balanced_hyperplane,
     find_balanced_line,
@@ -92,6 +93,51 @@ def test_balanced_hyperplane_sampled_mode_is_seeded():
     assert a.deviation <= a.bound + 1e-9
 
 
+def test_hyperplane_scan_matches_brute_force():
+    # every Hyperplane(ctx, eta, u), eta then u in lexicographic order
+    rng = np.random.default_rng(10)
+    for p, d in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]:
+        ctx = GroupContext(p, d)
+        for _ in range(4):
+            pts = random_points(rng, ctx, int(rng.integers(1, ctx.size + 1)))
+            target = len(pts) / p
+            best = None
+            for eta in enumerate_directions(ctx):
+                for u in range(p):
+                    count = sum(Hyperplane(ctx, eta, u).contains(x) for x in pts)
+                    if best is None or abs(count - target) < abs(best[2] - target):
+                        best = (eta, u, count)
+            report = find_balanced_hyperplane(pts, ctx)
+            assert (report.found.eta, report.found.u, report.count) == best
+
+
+def test_balanced_hyperplanes_are_pinned():
+    # (eta, u, count) recorded from the per-direction scan, seeded sets
+    cases = [
+        (5, 2, 1, 7, (0, 1), 4, 1),
+        (7, 3, 2, 60, (0, 0, 1), 4, 9),
+        (31, 3, 3, 5958, (0, 1, 1), 12, 192),
+        (11, 4, 4, 5856, (0, 0, 1, 0), 7, 532),
+        (13, 2, 5, 40, (0, 1), 3, 3),
+    ]
+    for p, d, seed, size, eta, u, count in cases:
+        ctx = GroupContext(p, d)
+        report = find_balanced_hyperplane(random_points(np.random.default_rng(seed), ctx, size), ctx)
+        assert (report.found.eta, report.found.u, report.count) == (eta, u, count)
+
+
+def test_exhaustive_scan_needs_the_dense_budget():
+    ctx = GroupContext(7, 3)
+    pts = random_points(np.random.default_rng(0), ctx, 100)
+    with pytest.raises(BudgetError, match="sampled"):
+        find_balanced_hyperplane(pts, ctx, budget=ctx.size - 1)
+    with pytest.raises(BudgetError, match="budget"):
+        find_balanced_line(pts, ctx, min_density_const=None, budget=ctx.size - 1)
+    assert find_balanced_hyperplane(pts, ctx, budget=ctx.size).theta <= 1.0
+    sampled = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=3, budget=1)
+    assert sampled.deviation <= sampled.bound
+
+
 def test_line_search_d2_is_single_step():
     ctx = GroupContext(5, 2)
     rng = np.random.default_rng(2)
@@ -124,6 +170,22 @@ def test_line_search_density_hypothesis():
     ctx = GroupContext(5, 3)
     with pytest.raises(ValueError, match="density"):
         find_balanced_line([(0, 0, 0)], ctx)  # default constant 4 demands 4/p
+
+
+def test_balanced_lines_are_pinned():
+    # recorded from the tuple-based search: direction, base, count and steps
+    cases = [
+        (5, 3, 1, 110, (4, 0, 0), (0, 3, 0), 4, [((0, 0, 1), 0), ((0, 1), 3)]),
+        (7, 3, 2, 200, (6, 0, 0), (0, 0, 2), 4, [((0, 0, 1), 2), ((0, 1), 0)]),
+        (5, 4, 3, 520, (4, 0, 0, 0), (0, 0, 0, 0), 4,
+         [((0, 0, 1, 1), 0), ((0, 1, 0), 0), ((0, 1), 0)]),
+        (11, 3, 4, 600, (10, 0, 0), (0, 8, 3), 5, [((0, 1, 5), 1), ((0, 1), 3)]),
+    ]
+    for p, d, seed, size, direction, base, count, steps in cases:
+        ctx = GroupContext(p, d)
+        result = find_balanced_line(random_points(np.random.default_rng(seed), ctx, size), ctx)
+        assert (result.line.direction, result.line.base, result.count) == (direction, base, count)
+        assert [(s.found.eta, s.found.u) for s in result.steps] == steps
 
 
 def test_line_pipeline_norm_monotone_end_to_end():
@@ -275,6 +337,57 @@ def test_separating_map_examples():
     sep2 = find_separating_map([(1, 0), (2, 0), (3, 0)], ctx11)
     assert sep2.row == (1, 0)
     assert sorted(sep2.first_coords) == [1, 2, 3]
+
+
+def test_separating_row_matches_brute_force():
+    rng = np.random.default_rng(11)
+    for p, d in [(11, 2), (13, 2), (7, 3), (5, 3), (5, 4)]:
+        ctx = GroupContext(p, d)
+        max_size = math.isqrt(2 * p - 1)
+        for trial in range(12):
+            pts = random_points(rng, ctx, int(rng.integers(1, max_size + 1)))
+            if trial % 2 and len(pts) >= 2:
+                # a pair agreeing on the last d - 1 - trial % d coordinates
+                keep = d - 1 - trial % d
+                pts[1] = pts[1][: d - keep] + pts[0][d - keep :]
+                pts = list(dict.fromkeys(pts))
+            deltas = [ctx.sub(a, b) for a in pts for b in pts if a != b]
+            want = next(
+                t for t in ctx.points()
+                if any(t) and all(ctx.dot(t, delta) for delta in deltas)
+            )
+            assert find_separating_map(pts, ctx).row == want
+
+
+def test_separating_rows_are_pinned():
+    # recorded from the row-at-a-time scan; the paired sets hold two points
+    # that differ only in coordinate 0
+    cases = [
+        (13, 2, 1, 5, (0, 1), (1, 2)),
+        (101, 2, 2, 14, (0, 1), (1, 4)),
+        (101, 3, 3, 14, (0, 0, 1), (1, 0, 0)),
+        (7, 3, 4, 3, (0, 0, 1), (1, 0, 0)),
+        (1009, 2, 5, 40, (1, 0), (1, 1)),
+    ]
+    for p, d, seed, size, row, paired_row in cases:
+        ctx = GroupContext(p, d)
+        rng = np.random.default_rng(seed)
+        pts = random_points(rng, ctx, size)
+        tail = tuple(int(c) for c in rng.integers(0, p, size=d - 1))
+        paired = [(0,) + tail, (1,) + tail] + [x for x in pts if x[1:] != tail][: size - 2]
+        assert find_separating_map(pts, ctx).row == row
+        assert find_separating_map(paired, ctx).row == paired_row
+    ctx = GroupContext(101, 3)
+    assert find_separating_map([(0, 0, 5), (1, 1, 5), (2, 7, 3)], ctx).row == (0, 1, 0)
+    assert find_separating_map([(0, 0, 5), (1, 1, 5), (2, 7, 3), (0, 1, 5)], ctx).row == (1, 1, 0)
+
+
+def test_singular_maps_raise_without_asserts(monkeypatch):
+    monkeypatch.setattr(AffineMap, "is_invertible", lambda self: False)
+    with pytest.raises(RuntimeError, match="singular"):
+        find_separating_map([(0, 1), (2, 3)], GroupContext(11, 2))
+    with pytest.raises(RuntimeError, match="singular"):
+        find_balanced_line(GroupContext(3, 3).points(), GroupContext(3, 3), min_density_const=None)
 
 
 def test_separating_map_hypothesis_enforced():
