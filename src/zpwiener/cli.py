@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
-from .config import DEFAULT_CONFIG, ToolConfig
+from .config import DEFAULT_CONFIG, LINE_DENSITY_CONST, ToolConfig
 from .energy import additive_dimension, t_k_direct, t_k_spectral
 from .errors import BudgetError, FileFormatError
 from .fileio import (
@@ -41,11 +42,7 @@ def _config_from(args) -> ToolConfig:
     if getattr(args, "tolerance", None) is not None:
         overrides["norm_tol"] = args.tolerance
         overrides["energy_tol"] = args.tolerance
-    if overrides:
-        from dataclasses import replace
-
-        return replace(DEFAULT_CONFIG, **overrides)
-    return DEFAULT_CONFIG
+    return replace(DEFAULT_CONFIG, **overrides)
 
 
 def _emit(records, output) -> None:
@@ -237,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("mode", choices=["line", "separating-map", "dirichlet"])
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--output")
-    p_reduce.add_argument("--min-density-const", type=float, default=None,
-                          help="override the density hypothesis constant for line mode")
+    p_reduce.add_argument("--min-density-const", type=float, default=LINE_DENSITY_CONST,
+                          help="density hypothesis constant c of line mode (density >= c/p)")
     p_reduce.add_argument("--budget", type=int,
                           help="max p^d for the dense table of line mode's hyperplane scan")
     p_reduce.set_defaults(func=cmd_reduce)

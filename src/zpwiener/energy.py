@@ -22,61 +22,27 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, DEFAULT_CONFIG
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG, DISSOCIATION_CAP
 from .errors import BudgetError
 from .fourier import SparseFunction, dft
-from .groups import GroupContext, Point, signed_rep
+from .groups import (
+    _CODE_LIMIT,
+    GroupContext,
+    Point,
+    _add_codes,
+    _check_codes,
+    _codes,
+    signed_rep,
+)
 
 # dissociation searches fall back from sum-set growth to meet-in-the-middle
 # once the reachable-sum set would exceed this
 _SUMS_CAP = 1 << 18
 
-# the sum of two int64 codes must not overflow
-_CODE_LIMIT = 1 << 62
-
 # T_k tables whose first round forms at most this many sums, (k - 1) |supp|^2,
 # are built in a dict: below it numpy's per-call cost loses to the loop
 # (measured crossover: |supp| = 4 at k = 2, |supp| = 3 at k = 3; T_1 always)
 _LOOP_TK_WORK = 20
-
-
-# ---------------------------------------------------------------------------
-# points as int64 codes
-# ---------------------------------------------------------------------------
-
-
-def _check_codes(ctx: GroupContext) -> None:
-    if ctx.size >= _CODE_LIMIT:
-        raise BudgetError(
-            f"points of Z_p^d are packed into int64 codes, which needs p^d < 2^62; "
-            f"got p^d = {ctx.size}"
-        )
-
-
-def _codes(ctx: GroupContext, pts) -> np.ndarray:
-    """int64 codes x_0 p^{d-1} + ... + x_{d-1} of reduced points.
-
-    The code order is the lexicographic order of the points, so tie-breaks
-    made on codes are the ones made on tuples.
-    """
-    _check_codes(ctx)
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), ctx.d)
-    if ctx.d == 1:
-        return arr.ravel()
-    return arr @ ctx.p ** np.arange(ctx.d - 1, -1, -1, dtype=np.int64)
-
-
-def _add_codes(ctx: GroupContext, a: np.ndarray, b) -> np.ndarray:
-    """Codes of the sums, coordinate-wise mod p, of broadcastable code arrays."""
-    p = ctx.p
-    if ctx.d == 1:
-        return (a + b) % p
-    out = a + b
-    w = 1
-    for _ in range(ctx.d):
-        out -= (a // w % p + b // w % p >= p) * (w * p)
-        w *= p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +218,13 @@ class DissociationCertificate:
             raise ValueError("dissociated verdict must not carry a witness")
 
 
-def _signed_sums(ctx: GroupContext, pts: list[Point]) -> np.ndarray:
-    """Codes of all signed sums of pts, in itertools.product((-1, 0, 1), ...) order."""
-    steps = _codes(ctx, [y for x in pts for y in (ctx.neg(x), ctx.zero(), x)])
+def _signed_sums(ctx: GroupContext, arr: np.ndarray) -> np.ndarray:
+    """Codes of all signed sums of the rows of a point array, in
+    itertools.product((-1, 0, 1), ...) order."""
+    codes = _codes(ctx, arr)
+    steps = np.stack((_codes(ctx, -arr % ctx.p), np.zeros_like(codes), codes), axis=1)
     sums = np.zeros(1, dtype=np.int64)
-    for step in steps.reshape(len(pts), 3):
+    for step in steps:
         sums = _add_codes(ctx, sums[:, None], step).ravel()
     return sums
 
@@ -267,7 +235,7 @@ def _pattern(index: int, m: int) -> tuple[int, ...]:
 
 
 def is_dissociated(
-    points: Iterable, ctx: GroupContext, cap: int = DEFAULT_CONFIG.dissociation_cap
+    points: Iterable, ctx: GroupContext, cap: int = DISSOCIATION_CAP
 ) -> DissociationCertificate:
     """Search all nonzero {-1,0,1} patterns for one summing to zero.
 
@@ -277,12 +245,13 @@ def is_dissociated(
     whose negated sum is a left sum, paired with the first left pattern
     reaching that sum.
     """
-    pts = sorted({ctx.point(x) for x in points})
-    n = len(pts)
+    arr = ctx.point_array(points)
+    n = len(arr)
     if n > cap:
         raise BudgetError(f"dissociation search capped at {cap} elements, got {n}")
+    pts = list(map(tuple, arr.tolist()))
     left, right = pts[: n // 2], pts[n // 2 :]
-    lsums = _signed_sums(ctx, left)
+    lsums = _signed_sums(ctx, arr[: n // 2])
     # the all-zero pattern sits in the middle of the product order
     zeros = np.flatnonzero(lsums == 0)
     zeros = zeros[zeros != (3 ** len(left) - 1) // 2]
@@ -295,7 +264,7 @@ def is_dissociated(
     order = np.argsort(lsums, kind="stable")
     lkeys = lsums[order]
     # negating a pattern mirrors its index, so these are the negated right sums
-    targets = _signed_sums(ctx, right)[::-1]
+    targets = _signed_sums(ctx, arr[n // 2 :])[::-1]
     pos = np.minimum(np.searchsorted(lkeys, targets), len(lkeys) - 1)
     hit = lkeys[pos] == targets
     # all-zero on both sides is no relation; the only zero-sum left pattern
@@ -337,15 +306,16 @@ def additive_dimension(
     those are kept as a sorted code array while they number at most
     _SUMS_CAP, and meet-in-the-middle decides beyond that.
     """
-    pts = sorted({ctx.point(x) for x in points})
+    arr = ctx.point_array(points)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and len(pts) > exact_cap:
+    if mode == "exact" and len(arr) > exact_cap:
         raise BudgetError(
-            f"exact dimension capped at {exact_cap} elements, got {len(pts)}"
+            f"exact dimension capped at {exact_cap} elements, got {len(arr)}"
         )
-    codes = _codes(ctx, pts)
-    negs = _codes(ctx, [ctx.neg(x) for x in pts])
+    pts = list(map(tuple, arr.tolist()))
+    codes = _codes(ctx, arr)
+    negs = _codes(ctx, -arr % ctx.p)
 
     def grow(sums: Optional[np.ndarray], i: int) -> Optional[np.ndarray]:
         if sums is None:
@@ -517,15 +487,15 @@ def rudin_ratio(
     points: Iterable,
     ctx: GroupContext,
     k: int,
-    cap: int = DEFAULT_CONFIG.dissociation_cap,
+    cap: int = DISSOCIATION_CAP,
 ) -> float:
     """Empirical constant T_k(set)^{1/k} / (k |set|) for a dissociated set.
 
     Reported as data only; no absolute constant is asserted against it.
     """
-    pts = sorted({ctx.point(x) for x in points})
-    cert = is_dissociated(pts, ctx, cap=cap)
+    arr = ctx.point_array(points)
+    cert = is_dissociated(arr, ctx, cap=cap)
     if not cert.dissociated:
         raise ValueError("rudin_ratio requires a dissociated set")
-    tk = t_k_direct(SparseFunction.indicator(ctx, pts), k)
-    return tk ** (1.0 / k) / (k * len(pts))
+    tk = t_k_direct(SparseFunction.indicator(ctx, arr.tolist()), k)
+    return tk ** (1.0 / k) / (k * len(arr))

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, ZERO_CLAMP
 from .errors import BudgetError
 from .groups import GroupContext, Point
 
@@ -90,10 +90,6 @@ class SparseFunction:
     @property
     def l2_norm(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self._entries.values())))
-
-    @property
-    def density(self) -> float:
-        return self.support_size / self.ctx.size
 
     def to_dense(self, budget: int = DEFAULT_CONFIG.dense_budget) -> np.ndarray:
         self.ctx.check_dense_budget(budget)
@@ -223,7 +219,7 @@ def dft_direct_sum(f: SparseFunction) -> Spectrum:
 
 def inverse_dft(
     spectrum: Spectrum,
-    zero_clamp: float = DEFAULT_CONFIG.zero_clamp,
+    zero_clamp: float = ZERO_CLAMP,
     method: str = "fast",
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> SparseFunction:

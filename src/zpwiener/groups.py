@@ -1,8 +1,11 @@
 """Arithmetic over Z_p^d: canonical residues, direction enumeration, affine maps,
-lines and hyperplanes.
+lines and hyperplanes, and the array form of point sets.
 
-Points of Z_p^d are plain tuples of residues in [0, p); every public operation
-returns fully reduced tuples so mixed representations never circulate.
+Points of Z_p^d are plain tuples of residues in [0, p) at the API; every
+public operation returns fully reduced tuples.  Inside, the array kernels take
+a point set as the (N, d) int64 array of `GroupContext.point_array` (reduced,
+distinct, lexicographic), and pack a row into one int64 code where they need
+one integer per point (`_codes`, which keeps that order).
 """
 
 from __future__ import annotations
@@ -10,12 +13,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator
+from typing import Iterator, Optional
 
-from .config import DEFAULT_CONFIG
+import numpy as np
+
+from .config import DEFAULT_CONFIG, DIRECTION_CAP
 from .errors import BudgetError, SingularMapError
 
 Point = tuple[int, ...]
+
+# the sum of two int64 codes must not overflow
+_CODE_LIMIT = 1 << 62
 
 
 def is_odd_prime(n: int) -> bool:
@@ -78,6 +86,26 @@ class GroupContext:
             raise ValueError(f"point {x!r} has {len(coords)} coords, expected {self.d}")
         return coords
 
+    def point_array(self, points) -> np.ndarray:
+        """The distinct points of an iterable, reduced and sorted, as an (N, d)
+        int64 array; each point is read as `point` reads it, errors included.
+        """
+        pts = list(points)
+        try:
+            arr = np.asarray(pts)
+        except (ValueError, OverflowError):  # ragged, or ints mixed with tuples
+            arr = np.empty(0, dtype=object)
+        if self.d == 1 and arr.ndim == 1:
+            arr = arr[:, None]
+        if arr.dtype.kind in "iu" and arr.shape[1:] == (self.d,):
+            arr = (arr % self.p).astype(np.int64)
+        else:  # big or odd coordinates, and what `point` rejects
+            arr = np.array([self.point(x) for x in pts], dtype=np.int64).reshape(-1, self.d)
+        arr = arr[np.lexsort(arr.T[::-1])]
+        keep = np.ones(len(arr), dtype=bool)
+        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        return arr[keep]
+
     def points(self) -> Iterator[Point]:
         """All p^d points in lexicographic order."""
         return itertools.product(range(self.p), repeat=self.d)
@@ -91,25 +119,76 @@ class GroupContext:
     def sub(self, a: Point, b: Point) -> Point:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a: Point) -> Point:
-        return tuple((-x) % self.p for x in a)
-
     def scale(self, c: int, a: Point) -> Point:
         return tuple((c * x) % self.p for x in a)
 
     def dot(self, a: Point, b: Point) -> int:
         return sum(x * y for x, y in zip(a, b)) % self.p
 
-    def abs(self, x: int) -> int:
-        return canonical_abs(x, self.p)
-
     def signed(self, x: int) -> int:
         return signed_rep(x, self.p)
 
 
-def enumerate_directions(
-    ctx: GroupContext, cap: int = DEFAULT_CONFIG.direction_cap
-) -> list[Point]:
+# ---------------------------------------------------------------------------
+# point arrays: int64 codes and dot products
+# ---------------------------------------------------------------------------
+
+
+def _check_codes(ctx: GroupContext) -> None:
+    if ctx.size >= _CODE_LIMIT:
+        raise BudgetError(
+            f"points of Z_p^d are packed into int64 codes, which needs p^d < 2^62; "
+            f"got p^d = {ctx.size}"
+        )
+
+
+def _weights(ctx: GroupContext) -> np.ndarray:
+    """The place values p^{d-1}, ..., p, 1 of a code's digits."""
+    return ctx.p ** np.arange(ctx.d - 1, -1, -1, dtype=np.int64)
+
+
+def _codes(ctx: GroupContext, pts) -> np.ndarray:
+    """int64 codes x_0 p^{d-1} + ... + x_{d-1} of reduced points, the last
+    axis of pts running over coordinates.
+
+    The code order is the lexicographic order of the points, so tie-breaks
+    made on codes are the ones made on tuples.
+    """
+    _check_codes(ctx)
+    arr = np.asarray(pts, dtype=np.int64)
+    if ctx.d == 1:
+        return arr[..., 0]
+    return arr @ _weights(ctx)
+
+
+def _decode(ctx: GroupContext, codes) -> np.ndarray:
+    """The (N, d) points of a 1-d array of codes; the inverse of _codes."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // _weights(ctx) % ctx.p
+
+
+def _add_codes(ctx: GroupContext, a: np.ndarray, b) -> np.ndarray:
+    """Codes of the sums, coordinate-wise mod p, of broadcastable code arrays."""
+    p = ctx.p
+    if ctx.d == 1:
+        return (a + b) % p
+    out = a + b
+    w = 1
+    for _ in range(ctx.d):
+        out -= (a // w % p + b // w % p >= p) * (w * p)
+        w *= p
+    return out
+
+
+def _dots(ctx: GroupContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod p for arrays of reduced coordinates, contracting over d."""
+    if ctx.d * (ctx.p - 1) ** 2 >= 1 << 63:
+        raise BudgetError(
+            f"dot products of points mod p = {ctx.p} overflow int64 in d = {ctx.d}"
+        )
+    return a @ b % ctx.p
+
+
+def enumerate_directions(ctx: GroupContext, cap: int = DIRECTION_CAP) -> list[Point]:
     """One canonical representative per projective direction of Z_p^d.
 
     Returns exactly (p^d - 1)/(p - 1) vectors, each with first nonzero
@@ -139,43 +218,27 @@ def canonical_direction(ctx: GroupContext, v: Point) -> Point:
     raise ValueError("zero vector has no direction")
 
 
-def _det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant over Z_p by Gaussian elimination with first-nonzero pivoting."""
-    m = [row[:] for row in rows]
-    n = len(m)
+def _gauss_jordan(rows: list[list[int]], p: int) -> tuple[int, Optional[list[list[int]]]]:
+    """Determinant over Z_p and, when it is nonzero, the inverse matrix, by
+    Gauss-Jordan elimination of [M | I] with first-nonzero pivoting."""
+    n = len(rows)
+    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
     det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
         if pivot is None:
-            return 0
+            return 0, None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = (-det) % p
+            det = -det
         det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % p
-            if factor:
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
-
-
-def _inv_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Matrix inverse over Z_p by Gauss-Jordan; raises SingularMapError."""
-    n = len(rows)
-    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
-        if pivot is None:
-            raise SingularMapError("matrix is singular mod p")
-        m[col], m[pivot] = m[pivot], m[col]
         inv = pow(m[col][col], -1, p)
         m[col] = [a * inv % p for a in m[col]]
         for r in range(n):
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    return det, [row[n:] for row in m]
 
 
 @dataclass(frozen=True)
@@ -212,12 +275,7 @@ class AffineMap:
         return cls(ctx, rows)
 
     def __call__(self, x) -> Point:
-        pt = self.ctx.point(x)
-        p = self.ctx.p
-        return tuple(
-            (sum(r * c for r, c in zip(row, pt)) + s) % p
-            for row, s in zip(self.matrix, self.shift)
-        )
+        return self.ctx.add(self.apply_linear(x), self.shift)
 
     def apply_linear(self, x) -> Point:
         """Matrix part only (directions transform without the shift)."""
@@ -226,14 +284,16 @@ class AffineMap:
         return tuple(sum(r * c for r, c in zip(row, pt)) % p for row in self.matrix)
 
     def determinant(self) -> int:
-        return _det_mod([list(row) for row in self.matrix], self.ctx.p)
+        return _gauss_jordan([list(row) for row in self.matrix], self.ctx.p)[0]
 
     def is_invertible(self) -> bool:
         return self.determinant() != 0
 
     def inverse(self) -> "AffineMap":
         """The map sending matrix@x + shift back to x; raises if singular."""
-        inv = _inv_mod([list(row) for row in self.matrix], self.ctx.p)
+        _, inv = _gauss_jordan([list(row) for row in self.matrix], self.ctx.p)
+        if inv is None:
+            raise SingularMapError("matrix is singular mod p")
         p = self.ctx.p
         inv_shift = tuple(
             (-sum(r * s for r, s in zip(row, self.shift))) % p for row in inv
@@ -301,7 +361,17 @@ class Line:
         return [self.point_at(u) for u in range(self.ctx.p)]
 
     def contains(self, x) -> bool:
-        pt = self.ctx.point(x)
+        return bool(self.parameters([self.ctx.point(x)])[0] >= 0)
+
+    def parameters(self, arr) -> np.ndarray:
+        """For each row x of an (N, d) array of reduced points, the s with
+        x = s * direction + base (the one s the pivot coordinate allows), or -1
+        where x is off the line."""
+        p = self.ctx.p
+        # products of two residues stay below 2^63 in int64 while p < 2^31
+        arr = np.asarray(arr, dtype=np.int64 if p < 1 << 31 else object)
+        arr = arr.reshape(len(arr), self.ctx.d)
         pivot = next(i for i, c in enumerate(self.direction) if c != 0)
-        u = (pt[pivot] - self.base[pivot]) * pow(self.direction[pivot], -1, self.ctx.p)
-        return self.point_at(u % self.ctx.p) == pt
+        s = (arr[:, pivot] - self.base[pivot]) * pow(self.direction[pivot], -1, p) % p
+        on = (s[:, None] * np.array(self.direction) + self.base) % p == arr
+        return np.where(on.all(axis=1), s, -1)

@@ -12,14 +12,13 @@ is too large to scan.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, DEFAULT_CONFIG
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG, DIRECTION_CAP, LINE_DENSITY_CONST
 from .errors import BudgetError
 from .fourier import SparseFunction, wiener_norm
 from .groups import (
@@ -28,6 +27,9 @@ from .groups import (
     Hyperplane,
     Line,
     Point,
+    _codes,
+    _decode,
+    _dots,
     canonical_abs,
     canonical_direction,
     enumerate_directions,
@@ -49,10 +51,6 @@ class BalanceReport:
     deviation: float
     bound: float
     theta: float
-
-
-def _normalize_set(points: Iterable, ctx: GroupContext) -> list[Point]:
-    return sorted({ctx.point(x) for x in points})
 
 
 def _balance_report(ctx: GroupContext, size: int, eta, u: int, count: int) -> BalanceReport:
@@ -88,7 +86,6 @@ def _scan_hyperplanes(
     indicator = np.zeros((p,) * d)
     indicator[tuple(arr.T)] = 1.0
     spectrum = np.fft.fftn(indicator).ravel()
-    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
     t = np.arange(p, dtype=np.int64)
     n = len(arr)
     target = n / ctx.size * p ** (d - 1)
@@ -96,7 +93,7 @@ def _scan_hyperplanes(
     rows = max(1, ARRAY_CHUNK // (2 * p))  # complex entries take two int64 slots
     for start in range(0, len(dirs), rows):
         block = dirs[start : start + rows]
-        flat = sum((np.outer(block[:, i], t) % p) * weights[i] for i in range(d))
+        flat = _codes(ctx, block[:, None, :] * t[:, None] % p)
         exact = np.fft.ifft(spectrum[flat], axis=1)
         counts = np.rint(exact.real)
         if np.abs(exact - counts).max() > 1e-6:
@@ -118,7 +115,7 @@ def find_balanced_hyperplane(
     mode: str = "exhaustive",
     seed: Optional[int] = None,
     max_draws: int = 100_000,
-    direction_cap: int = DEFAULT_CONFIG.direction_cap,
+    direction_cap: int = DIRECTION_CAP,
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> BalanceReport:
     """A hyperplane whose |A intersect L| deviates least from density * p^{d-1}.
@@ -130,10 +127,9 @@ def find_balanced_hyperplane(
     """
     if ctx.d < 2:
         raise ValueError("hyperplane balancing needs d >= 2")
-    pts = _normalize_set(points, ctx)
-    if not pts:
+    arr = ctx.point_array(points)
+    if not len(arr):
         raise ValueError("point set must be nonempty")
-    arr = np.array(pts, dtype=np.int64)
     if mode == "exhaustive":
         return _scan_hyperplanes(arr, ctx, direction_cap, budget)
     if mode == "sampled":
@@ -145,8 +141,8 @@ def find_balanced_hyperplane(
                 continue
             eta = canonical_direction(ctx, vec)
             u = int(rng.integers(0, p))
-            count = int(np.count_nonzero((arr @ np.array(eta, dtype=np.int64)) % p == u))
-            report = _balance_report(ctx, len(pts), eta, u, count)
+            count = int(np.count_nonzero(_dots(ctx, arr, np.array(eta)) == u))
+            report = _balance_report(ctx, len(arr), eta, u, count)
             if report.deviation <= report.bound:
                 return report
         raise RuntimeError(f"sampled mode found no balanced hyperplane in {max_draws} draws")
@@ -185,8 +181,8 @@ class LineSearchResult:
 def find_balanced_line(
     points: Iterable,
     ctx: GroupContext,
-    min_density_const: Optional[float] = DEFAULT_CONFIG.line_density_const,
-    direction_cap: int = DEFAULT_CONFIG.direction_cap,
+    min_density_const: Optional[float] = LINE_DENSITY_CONST,
+    direction_cap: int = DIRECTION_CAP,
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> LineSearchResult:
     """Iterate balanced-hyperplane steps down to a line in Z_p^d.
@@ -200,11 +196,11 @@ def find_balanced_line(
     """
     if ctx.d < 2:
         raise ValueError("line search needs d >= 2")
-    pts = _normalize_set(points, ctx)
-    if not pts:
+    arr = ctx.point_array(points)
+    if not len(arr):
         raise ValueError("point set must be nonempty")
     p = ctx.p
-    base_density = len(pts) / ctx.size
+    base_density = len(arr) / ctx.size
     if min_density_const is not None and base_density < min_density_const / p:
         raise ValueError(
             f"density {base_density:.6g} below required {min_density_const}/p"
@@ -212,7 +208,6 @@ def find_balanced_line(
 
     steps: list[BalanceReport] = []
     flatten_maps: list[AffineMap] = []
-    arr = np.array(pts, dtype=np.int64)
     cur = arr
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
@@ -226,7 +221,7 @@ def find_balanced_line(
         flatten_maps.append(flat)
         # the points on the hyperplane, moved onto {last coordinate = 0};
         # they stay distinct, and the scans do not depend on their order
-        on = cur @ np.array(report.found.eta) % p == report.found.u
+        on = _dots(cur_ctx, cur, np.array(report.found.eta)) == report.found.u
         cur = (cur[on] @ np.array(flat.matrix).T + flat.shift) % p
         cur = cur[:, : dim - 1]
         if not len(cur):
@@ -235,12 +230,10 @@ def find_balanced_line(
     # parametrize the final chart hyperplane of Z_p^2 as a line
     last = steps[-1].found
     eta, u = last.eta, last.u
-    chart_ctx = GroupContext(p, 2)
-    direction = ((-eta[1]) % p, eta[0])
     pivot = next(i for i, c in enumerate(eta) if c != 0)
     base = [0, 0]
     base[pivot] = u * pow(eta[pivot], -1, p) % p
-    b, c = chart_ctx.point(direction), chart_ctx.point(base)
+    b, c = ((-eta[1]) % p, eta[0]), tuple(base)
 
     # lift back through the recorded coordinate changes, innermost first
     for flat in reversed(flatten_maps):
@@ -249,11 +242,7 @@ def find_balanced_line(
         c = inv(c + (0,))
     line = Line(ctx, b, c)
 
-    # x is on the line iff x = s * direction + base for the s its pivot gives
-    pivot = next(i for i, c in enumerate(line.direction) if c != 0)
-    s = (arr[:, pivot] - line.base[pivot]) * pow(line.direction[pivot], -1, p) % p
-    on_line = ((s[:, None] * np.array(line.direction) + line.base) % p == arr).all(axis=1)
-    count = int(on_line.sum())
+    count = int(np.count_nonzero(line.parameters(arr) >= 0))
     if count != steps[-1].count:
         raise RuntimeError(
             f"the lifted line holds {count} points, the last step counted {steps[-1].count}"
@@ -268,15 +257,9 @@ def restrict_to_line(f: SparseFunction, line: Line) -> SparseFunction:
     ctx = f.ctx
     if line.ctx != ctx:
         raise ValueError("line and function live on different groups")
-    p = ctx.p
-    pivot = next(i for i, c in enumerate(line.direction) if c != 0)
-    inv = pow(line.direction[pivot], -1, p)
-    out = {}
-    for x, v in f.entries.items():
-        u = (x[pivot] - line.base[pivot]) * inv % p
-        if line.point_at(u) == x:
-            out[(u,)] = v
-    return SparseFunction(GroupContext(p, 1), out)
+    params = line.parameters(list(f.entries))
+    out = {(int(s),): v for s, v in zip(params, f.entries.values()) if s >= 0}
+    return SparseFunction(GroupContext(ctx.p, 1), out)
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +392,15 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
     """
     if ctx.d < 2:
         raise ValueError("coordinate separation needs d >= 2")
-    pts = _normalize_set(points, ctx)
-    n = len(pts)
+    arr = ctx.point_array(points)
+    n = len(arr)
     if n * n >= 2 * ctx.p:
         raise ValueError(
             f"|A| = {n} violates the smallness hypothesis |A| < sqrt(2p) for p = {ctx.p}"
         )
     p, d = ctx.p, ctx.d
-    if d * (p - 1) ** 2 >= 1 << 63:
-        raise BudgetError(f"row-pair dot products mod p = {p} overflow int64 in d = {d}")
-    arr = np.array(pts, dtype=np.int64).reshape(n, d)
     left, right = np.triu_indices(n, 1)
     deltas = (arr[left] - arr[right]) % p
-    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
     # a difference whose last nonzero coordinate is i fails every row with
     # t_0 = ... = t_i = 0, the rows coded below p^(d-1-i); code 0 is the zero row
     last = d - 1 - (deltas[:, ::-1] != 0).argmax(axis=1)
@@ -430,23 +409,19 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
     row = None
     for start in range(first_code, ctx.size, chunk):
         codes = np.arange(start, min(start + chunk, ctx.size), dtype=np.int64)
-        cand = codes[:, None] // weights % p
-        good = np.flatnonzero((cand @ deltas.T % p != 0).all(axis=1))
+        cand = _decode(ctx, codes)
+        good = np.flatnonzero((_dots(ctx, cand, deltas.T) != 0).all(axis=1))
         if good.size:
             row = tuple(int(c) for c in cand[good[0]])
             break
     if row is None:
         raise RuntimeError(f"no separating row for {n} points, although |A|^2 < 2p")
     pivot = next(i for i, c in enumerate(row) if c != 0)
-    rows = [row] + [
-        tuple(1 if j == i else 0 for j in range(ctx.d))
-        for i in range(ctx.d)
-        if i != pivot
-    ]
+    rows = [row] + [tuple(1 if j == i else 0 for j in range(d)) for i in range(d) if i != pivot]
     tmap = AffineMap(ctx, tuple(rows))
     if not tmap.is_invertible():
         raise RuntimeError(f"the separating map with first row {row} is singular")
-    first = tuple(ctx.dot(row, a) for a in pts)
+    first = tuple(_dots(ctx, arr, np.array(row)).tolist())
     if len(set(first)) != n:
         raise RuntimeError(f"row {row} leaves two first coordinates equal")
     return SeparatingMap(tmap, row, first)
@@ -484,18 +459,22 @@ def separated_projection_bound(f: SparseFunction) -> SeparationBound:
     """
     ctx = f.ctx
     sep = find_separating_map(f.support, ctx)
+    norm = wiener_norm(f)
     h = pushforward(f, sep.map)
     p = ctx.p
-    by_first = {a[0]: a for a in h.support}
-    line_ctx = GroupContext(p, 1)
+    arr = np.array(list(h.entries), dtype=np.int64).reshape(len(h), ctx.d)
+    vals = np.array(list(h.entries.values()), dtype=np.complex128)
+    # row r of a block is the projection twisted by xi_rest = the r-th point
+    # of Z_p^{d-1} in product order: x_0 -> h(a) e(-a_rest . xi_rest / p)
+    rest_ctx = GroupContext(p, ctx.d - 1)
+    rows = max(1, ARRAY_CHUNK // (2 * p))  # complex entries take two int64 slots
     inner = []
-    for xi_rest in itertools.product(range(p), repeat=ctx.d - 1):
-        entries = {}
-        for x, a in by_first.items():
-            phase = sum(ai * xi for ai, xi in zip(a[1:], xi_rest)) % p
-            entries[(x,)] = h[a] * np.exp(-2j * np.pi * phase / p)
-        inner.append(wiener_norm(SparseFunction(line_ctx, entries)))
-    norm = wiener_norm(f)
+    for start in range(0, rest_ctx.size, rows):
+        xi = _decode(rest_ctx, np.arange(start, min(start + rows, rest_ctx.size)))
+        phase = _dots(ctx, xi, arr[:, 1:].T)
+        table = np.zeros((len(xi), p), dtype=np.complex128)
+        table[:, arr[:, 0]] = vals * np.exp(-2j * np.pi * phase / p)
+        inner.extend(np.abs(np.fft.fft(table, norm="forward")).sum(axis=1).tolist())
     return SeparationBound(
         sep, norm, min(inner), sum(inner) / len(inner), tuple(inner)
     )

@@ -30,7 +30,7 @@ from .energy import (
     scattered_energy_bound,
 )
 from .fourier import SparseFunction, wiener_norm
-from .groups import GroupContext, Line
+from .groups import GroupContext, Line, _decode, enumerate_directions
 from .reduction import find_balanced_hyperplane, restrict_to_line
 
 
@@ -149,11 +149,9 @@ def _points_from(inst: dict, key: str = "points") -> tuple[GroupContext, list]:
 
 
 def _rand_points(rng, ctx: GroupContext, size: int) -> list[tuple[int, ...]]:
-    flat = rng.choice(ctx.size, size=size, replace=False)
-    return sorted(
-        tuple(int(c) for c in np.unravel_index(int(i), (ctx.p,) * ctx.d))
-        for i in flat
-    )
+    # codes sort as their points do, so the decoded rows come out sorted
+    codes = np.sort(rng.choice(ctx.size, size=size, replace=False))
+    return list(map(tuple, _decode(ctx, codes).tolist()))
 
 
 def _rand_values(rng, size: int, kind: str) -> list[complex]:
@@ -175,6 +173,11 @@ def _rand_values(rng, size: int, kind: str) -> list[complex]:
     raise ValueError(f"unknown value kind {kind!r}")
 
 
+def _rand_function(rng, ctx: GroupContext, size: int, kind: str) -> SparseFunction:
+    pts = _rand_points(rng, ctx, size)
+    return SparseFunction(ctx, dict(zip(pts, _rand_values(rng, size, kind))))
+
+
 def random_instance(kind: str, seed: int, **params) -> dict:
     """Deterministic generator for the public instance kinds."""
     rng = np.random.default_rng(seed)
@@ -183,25 +186,15 @@ def random_instance(kind: str, seed: int, **params) -> dict:
     size = params.get("size", 5)
     ctx = GroupContext(p, d)
     if kind == "indicator":
-        pts = _rand_points(rng, ctx, size)
-        f = SparseFunction.indicator(ctx, pts)
-        return _fn_instance(f, kind=kind)
+        return _fn_instance(_rand_function(rng, ctx, size, "indicator"), kind=kind)
     if kind == "unimodular-function":
-        pts = _rand_points(rng, ctx, size)
-        f = SparseFunction(ctx, dict(zip(pts, _rand_values(rng, size, "unimodular"))))
-        return _fn_instance(f, kind=kind)
+        return _fn_instance(_rand_function(rng, ctx, size, "unimodular"), kind=kind)
     if kind == "dissociated-candidate":
         pts = _rand_points(rng, ctx, size)
         return {"p": p, "d": d, "points": [list(x) for x in pts], "kind": kind}
     if kind == "product-pair":
-        fa = SparseFunction(
-            ctx,
-            dict(zip(_rand_points(rng, ctx, size), _rand_values(rng, size, "gaussian"))),
-        )
-        gb = SparseFunction(
-            ctx,
-            dict(zip(_rand_points(rng, ctx, size), _rand_values(rng, size, "gaussian"))),
-        )
+        fa = _rand_function(rng, ctx, size, "gaussian")
+        gb = _rand_function(rng, ctx, size, "gaussian")
         return {"kind": kind, "f": _fn_instance(fa), "g": _fn_instance(gb)}
     raise ValueError(f"unknown instance kind {kind!r}")
 
@@ -228,9 +221,7 @@ def _gen_functions(kind: str, sizes=(2, 8)):
             p = int(_PRIMES[i % len(_PRIMES)])
             ctx = GroupContext(p)
             size = int(rng.integers(sizes[0], min(sizes[1], p) + 1))
-            pts = _rand_points(rng, ctx, size)
-            f = SparseFunction(ctx, dict(zip(pts, _rand_values(rng, size, kind))))
-            out.append(_fn_instance(f))
+            out.append(_fn_instance(_rand_function(rng, ctx, size, kind)))
         return out
 
     return gen
@@ -248,13 +239,9 @@ def _gen_banach(rng, count):
     for i in range(count):
         p = int(_PRIMES[i % len(_PRIMES)])
         ctx = GroupContext(p)
-        size = int(rng.integers(1, min(8, p) + 1))
-        fa = SparseFunction(
-            ctx, dict(zip(_rand_points(rng, ctx, size), _rand_values(rng, size, "gaussian")))
-        )
-        size2 = int(rng.integers(1, min(8, p) + 1))
-        gb = SparseFunction(
-            ctx, dict(zip(_rand_points(rng, ctx, size2), _rand_values(rng, size2, "gaussian")))
+        fa, gb = (
+            _rand_function(rng, ctx, int(rng.integers(1, min(8, p) + 1)), "gaussian")
+            for _ in range(2)
         )
         out.append({"f": _fn_instance(fa), "g": _fn_instance(gb)})
     return out
@@ -397,15 +384,11 @@ def _eval_line_monotone(inst, cfg):
 
 
 def _gen_line_monotone(rng, count):
-    from .groups import enumerate_directions
-
     out = []
     for i in range(count):
         p = (3, 5)[i % 2]
         ctx = GroupContext(p, 2)
-        size = int(rng.integers(1, p * p // 2 + 1))
-        pts = _rand_points(rng, ctx, size)
-        f = SparseFunction(ctx, dict(zip(pts, _rand_values(rng, size, "gaussian"))))
+        f = _rand_function(rng, ctx, int(rng.integers(1, p * p // 2 + 1)), "gaussian")
         dirs = enumerate_directions(ctx)
         b = dirs[int(rng.integers(0, len(dirs)))]
         c = tuple(int(v) for v in rng.integers(0, p, size=2))

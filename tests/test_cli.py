@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -129,6 +130,15 @@ def test_verify_reports_are_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_all_stdout_is_pinned(capsys):
+    # sha256 of the report recorded before point sets moved to the array form
+    assert main(["verify", "all", "--seed", "1", "--count", "20"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44bd8a79e20bef3353679a2ad7171508e93303df321689d5883ce157e595eb22"
+    )
+
+
 def test_reduce_dirichlet(tmp_path, capsys):
     path = write_file(tmp_path, "lam.txt", GroupContext(101), {1: 1.0, 35: 1.0})
     out = tmp_path / "red.jsonl"
@@ -184,6 +194,15 @@ def test_reduce_line_budget(tmp_path, capsys):
     assert "budget error" in capsys.readouterr().err
     assert main(["reduce", "line", "--input", path, "--min-density-const", "1.0",
                  "--budget", "27"]) == 0
+
+
+def test_reduce_line_checks_density_by_default(tmp_path, capsys):
+    ctx = GroupContext(31, 2)
+    path = write_file(tmp_path, "sparse.txt", ctx, {(0, 0): 1.0, (1, 2): 1.0, (5, 7): 1.0})
+    assert main(["reduce", "line", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below required 4.0/p" in captured.err
 
 
 def test_scan_ap_csv(tmp_path, capfdbinary):

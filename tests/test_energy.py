@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpwiener import energy
+from zpwiener import energy, groups
 from zpwiener.energy import (
     additive_dimension,
     build_scattered_family,
@@ -139,10 +139,10 @@ def test_t_k_loop_and_array_paths_agree(k):
         for size in range(1, 9):
             pts = random_points(rng, ctx, min(size, ctx.size))
             vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
-            keys = energy._codes(ctx, pts)
+            keys = groups._codes(ctx, pts)
             for v in (vals, np.ones(len(pts), dtype=complex)):
                 loop = energy._tk_from_entries(dict(zip(pts, v)), ctx.add, k, 1 << 24)
-                array = energy._tk_table(keys, v, partial(energy._add_codes, ctx), k, 1 << 24)
+                array = energy._tk_table(keys, v, partial(groups._add_codes, ctx), k, 1 << 24)
                 if v is vals:
                     assert array == pytest.approx(loop, rel=1e-12)
                 else:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,6 +149,71 @@ def test_line_contains_matches_enumeration():
     members = set(line.points())
     for x in ctx.points():
         assert line.contains(x) == (x in members)
+
+
+def test_line_parameters_invert_point_at():
+    ctx = GroupContext(5, 3)
+    line = Line(ctx, (0, 2, 1), (1, 4, 0))
+    pts = list(ctx.points())
+    params = line.parameters(pts)
+    assert sorted(int(s) for s in params if s >= 0) == list(range(5))
+    for x, s in zip(pts, params):
+        assert (line.point_at(int(s)) == x) if s >= 0 else not line.contains(x)
+    # past p = 2^31 the products of residues leave int64
+    p = 4294967291
+    ctx = GroupContext(p, 2)
+    line = Line(ctx, (3, p - 2), (p - 1, 5))
+    for s in (0, 1, 12345, p - 1):
+        x = line.point_at(s)
+        assert line.parameters([x]).tolist() == [s]
+        assert line.contains(x)
+        assert not line.contains(ctx.add(x, (1, 0)))
+
+
+@st.composite
+def point_lists(draw):
+    p = draw(st.sampled_from([3, 5, 7, 101]))
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3 * p, 3 * p) | st.integers(-(2**70), 2**70)
+    point = st.tuples(*[coord] * d) | st.lists(coord, min_size=d, max_size=d)
+    if d == 1:
+        point = point | coord
+    pts = draw(st.lists(point, max_size=12))
+    if pts:
+        pts += draw(st.lists(st.sampled_from(pts), max_size=4))  # duplicates
+    if draw(st.integers(0, 4)) == 0:
+        wrong = st.lists(coord, max_size=4).filter(lambda x: len(x) != d)
+        if d > 1:
+            wrong = wrong | coord
+        pts.insert(draw(st.integers(0, len(pts))), draw(wrong))
+    return p, d, pts
+
+
+@given(point_lists())
+def test_point_array_matches_point(case):
+    p, d, pts = case
+    ctx = GroupContext(p, d)
+    try:
+        want = sorted({ctx.point(x) for x in pts})
+    except ValueError:
+        with pytest.raises(ValueError):
+            ctx.point_array(pts)
+        return
+    arr = ctx.point_array(pts)
+    assert arr.dtype == np.int64 and arr.shape == (len(want), d)
+    assert list(map(tuple, arr.tolist())) == want
+
+
+def test_point_array_reads_arrays_and_rejects_like_point():
+    ctx = GroupContext(7, 2)
+    arr = ctx.point_array(np.array([[8, -1], [1, 6], [0, 0]]))
+    assert arr.tolist() == [[0, 0], [1, 6]]
+    assert ctx.point_array(iter([])).shape == (0, 2)
+    with pytest.raises(ValueError, match="scalar point"):
+        ctx.point_array([1, 2])
+    with pytest.raises(ValueError, match="has 3 coords"):
+        ctx.point_array([(1, 2, 3)])
+    assert GroupContext(7).point_array(np.arange(-3, 10)).ravel().tolist() == list(range(7))
 
 
 def test_nonzero_constraints():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -382,6 +383,21 @@ def test_separating_rows_are_pinned():
     assert find_separating_map([(0, 0, 5), (1, 1, 5), (2, 7, 3), (0, 1, 5)], ctx).row == (1, 1, 0)
 
 
+def test_separating_row_past_int64_codes():
+    # p^d is about 2^90 here; the row was recorded before point sets moved
+    # to the array form
+    ctx = GroupContext(1073741789, 3)
+    assert find_separating_map([(0, 0, 0), (1, 0, 0), (0, 1, 5)], ctx).row == (1, 0, 1)
+
+
+def test_sampled_hyperplane_refuses_int64_overflow():
+    # dot products of residues near p = 4294967291 leave int64
+    p = 4294967291
+    pts = [(p - 1, p - 2), (p - 3, 1), (2, p - 5)]
+    with pytest.raises(BudgetError, match="overflow int64"):
+        find_balanced_hyperplane(pts, GroupContext(p, 2), mode="sampled", seed=0)
+
+
 def test_singular_maps_raise_without_asserts(monkeypatch):
     monkeypatch.setattr(AffineMap, "is_invertible", lambda self: False)
     with pytest.raises(RuntimeError, match="singular"):
@@ -431,3 +447,25 @@ def test_separated_projection_bound_small():
         assert bound.norm >= bound.min_inner - 1e-9
         # the norm is exactly the average of the twisted projections
         assert bound.norm == pytest.approx(bound.mean_inner, abs=1e-9)
+
+
+@pytest.mark.parametrize("p,d", [(11, 2), (13, 2), (11, 3), (13, 3)])
+def test_separated_projection_inner_norms_match_per_row(p, d):
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p * d)
+    size = int(math.isqrt(2 * p - 1))
+    pts = random_points(rng, ctx, size)
+    vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    f = SparseFunction(ctx, dict(zip(pts, vals)))
+    bound = separated_projection_bound(f)
+    h = pushforward(f, bound.separating.map)
+    want = []
+    for xi_rest in itertools.product(range(p), repeat=d - 1):
+        twisted = {
+            (a[0],): v * np.exp(-2j * np.pi * (sum(ai * xi for ai, xi in zip(a[1:], xi_rest)) % p) / p)
+            for a, v in h.entries.items()
+        }
+        want.append(wiener_norm(SparseFunction(GroupContext(p), twisted)))
+    assert np.allclose(bound.inner_norms, want, rtol=0, atol=1e-12)
+    assert bound.norm == wiener_norm(f)
+    assert bound.norm == pytest.approx(bound.mean_inner, abs=1e-9)
