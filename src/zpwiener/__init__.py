@@ -16,7 +16,6 @@ from .groups import (
 from .fourier import (
     SparseFunction,
     Spectrum,
-    compose_affine,
     dft,
     dft_direct_sum,
     inverse_dft,

@@ -117,7 +117,8 @@ def cmd_reduce(args) -> int:
                 }
             )
         restricted = restrict_to_line(f, result.line)
-        before, after = wiener_norm(f), wiener_norm(restricted)
+        before = wiener_norm(f, budget=cfg.dense_budget)
+        after = wiener_norm(restricted, budget=cfg.dense_budget)
         records.append(
             {
                 "record": "line",
@@ -135,7 +136,8 @@ def cmd_reduce(args) -> int:
     elif args.mode == "separating-map":
         sep = find_separating_map(f.support, f.ctx)
         h = pushforward(f, sep.map)
-        before, after = wiener_norm(f), wiener_norm(h)
+        before = wiener_norm(f, budget=cfg.dense_budget)
+        after = wiener_norm(h, budget=cfg.dense_budget)
         records.append(
             {
                 "record": "separating-map",
@@ -152,7 +154,8 @@ def cmd_reduce(args) -> int:
             print("error: dirichlet mode needs a d = 1 input", file=sys.stderr)
             return 2
         rescaled = rescale_to_short_interval(f, scan_cap=cfg.q_scan_cap)
-        before, after = wiener_norm(f), wiener_norm(rescaled.function)
+        before = wiener_norm(f, budget=cfg.dense_budget)
+        after = wiener_norm(rescaled.function, budget=cfg.dense_budget)
         records.append(
             {
                 "record": "dirichlet",
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--min-density-const", type=float, default=LINE_DENSITY_CONST,
                           help="density hypothesis constant c of line mode (density >= c/p)")
     p_reduce.add_argument("--budget", type=int,
-                          help="max p^d for the dense table of line mode's hyperplane scan")
+                          help="max p^d for dense tables: the Wiener norms, and line "
+                               "mode's hyperplane scan")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_scan = sub.add_parser("scan", help="Wiener-norm growth scan to CSV")

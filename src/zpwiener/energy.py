@@ -61,6 +61,13 @@ def _group(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.add.reduceat(vals, starts)
 
 
+def _work_error(work: int, op_budget: int) -> BudgetError:
+    return BudgetError(
+        f"T_k convolution work {work} exceeds budget {op_budget} "
+        f"by {work - op_budget}; raise op_budget"
+    )
+
+
 def _tk_from_entries(entries: dict, add, k: int, op_budget: int) -> float:
     """The dict form of _tk_table, for supports below _LOOP_TK_WORK."""
     table = dict(entries)
@@ -68,7 +75,7 @@ def _tk_from_entries(entries: dict, add, k: int, op_budget: int) -> float:
     for _ in range(k - 1):
         work += len(table) * len(entries)
         if work > op_budget:
-            raise BudgetError(f"T_k convolution work {work} exceeds budget {op_budget}")
+            raise _work_error(work, op_budget)
         nxt: dict = {}
         for z, vz in table.items():
             for x, vx in entries.items():
@@ -94,7 +101,7 @@ def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int, op_budget: int) -
     for _ in range(k - 1):
         work += len(tkeys) * len(keys)
         if work > op_budget:
-            raise BudgetError(f"T_k convolution work {work} exceeds budget {op_budget}")
+            raise _work_error(work, op_budget)
         parts = [
             _group(
                 add(tkeys[i : i + rows, None], keys).ravel(),
@@ -146,9 +153,9 @@ def t_k_int(
     return _tk_table(keys, vals, np.add, k, op_budget)
 
 
-def t_k_int_set(points: Iterable[int], k: int, **kw) -> float:
+def t_k_int_set(points: Iterable[int], k: int) -> float:
     """T_k of the indicator of a set of integers."""
-    return t_k_int({int(x): 1.0 for x in set(points)}, k, **kw)
+    return t_k_int({int(x): 1.0 for x in set(points)}, k)
 
 
 def t_k_spectral(
@@ -168,12 +175,15 @@ def t_k_spectral(
     return float(((size * mags) ** (2 * k)).sum() / size)
 
 
-def t_k_enumerated(g: SparseFunction, k: int, support_cap: int = 8) -> float:
-    """Micro-oracle: literal enumeration of all 2k-tuples; |supp g| <= 8."""
-    if g.support_size > support_cap:
-        raise BudgetError(
-            f"literal enumeration capped at support {support_cap}, got {g.support_size}"
-        )
+def t_k_enumerated(g: SparseFunction, k: int) -> float:
+    """Micro-oracle: literal enumeration of all 2k-tuples; |supp g| <= 8.
+
+    Each right-hand k-tuple's sum and conjugate product is formed once; the
+    left and right tuples are still walked in product order, so the terms
+    enter the total in the order of the plain double loop.
+    """
+    if g.support_size > 8:
+        raise BudgetError(f"literal enumeration capped at support 8, got {g.support_size}")
     ctx = g.ctx
     pts = sorted(g.support)
     total = 0j
@@ -184,18 +194,20 @@ def t_k_enumerated(g: SparseFunction, k: int, support_cap: int = 8) -> float:
             acc = ctx.add(acc, t)
         return acc
 
+    rights = []
+    for right in itertools.product(pts, repeat=k):
+        vr = 1.0 + 0j
+        for t in right:
+            vr *= g[t].conjugate()
+        rights.append((ksum(right), vr))
     for left in itertools.product(pts, repeat=k):
         sl = ksum(left)
         vl = 1.0 + 0j
         for t in left:
             vl *= g[t]
-        for right in itertools.product(pts, repeat=k):
-            if ksum(right) != sl:
-                continue
-            vr = 1.0 + 0j
-            for t in right:
-                vr *= g[t].conjugate()
-            total += vl * vr
+        for sr, vr in rights:
+            if sr == sl:
+                total += vl * vr
     return float(total.real)
 
 
@@ -248,7 +260,10 @@ def is_dissociated(
     arr = ctx.point_array(points)
     n = len(arr)
     if n > cap:
-        raise BudgetError(f"dissociation search capped at {cap} elements, got {n}")
+        raise BudgetError(
+            f"dissociation search capped at {cap} elements, got {n} "
+            f"({n - cap} over); raise DISSOCIATION_CAP"
+        )
     pts = list(map(tuple, arr.tolist()))
     left, right = pts[: n // 2], pts[n // 2 :]
     lsums = _signed_sums(ctx, arr[: n // 2])
@@ -311,7 +326,8 @@ def additive_dimension(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and len(arr) > exact_cap:
         raise BudgetError(
-            f"exact dimension capped at {exact_cap} elements, got {len(arr)}"
+            f"exact dimension capped at {exact_cap} elements, got {len(arr)} "
+            f"({len(arr) - exact_cap} over); raise exact_dim_cap"
         )
     pts = list(map(tuple, arr.tolist()))
     codes = _codes(ctx, arr)
@@ -483,18 +499,13 @@ def scattered_energy_bound(k: int, shell_count: int, shell_size: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def rudin_ratio(
-    points: Iterable,
-    ctx: GroupContext,
-    k: int,
-    cap: int = DISSOCIATION_CAP,
-) -> float:
+def rudin_ratio(points: Iterable, ctx: GroupContext, k: int) -> float:
     """Empirical constant T_k(set)^{1/k} / (k |set|) for a dissociated set.
 
     Reported as data only; no absolute constant is asserted against it.
     """
     arr = ctx.point_array(points)
-    cert = is_dissociated(arr, ctx, cap=cap)
+    cert = is_dissociated(arr, ctx)
     if not cert.dissociated:
         raise ValueError("rudin_ratio requires a dissociated set")
     tk = t_k_direct(SparseFunction.indicator(ctx, arr.tolist()), k)

@@ -116,9 +116,6 @@ class SparseFunction:
             self.ctx, {pt: v for pt, v in self._entries.items() if pt in keep}
         )
 
-    def scale(self, c: complex) -> "SparseFunction":
-        return SparseFunction(self.ctx, {pt: c * v for pt, v in self._entries.items()})
-
     def __repr__(self) -> str:
         return (
             f"SparseFunction(p={self.ctx.p}, d={self.ctx.d}, "
@@ -145,10 +142,6 @@ class Spectrum:
     def l1(self) -> float:
         """The Wiener norm; accumulated in fixed C order for reproducibility."""
         return float(np.abs(self.coefficients.ravel(order="C")).sum())
-
-    @property
-    def l2_sq(self) -> float:
-        return float((np.abs(self.coefficients.ravel(order="C")) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +234,3 @@ def wiener_norm(
 ) -> float:
     """l1 norm of the Fourier transform."""
     return dft(f, method=method, budget=budget).l1
-
-
-def compose_affine(f: SparseFunction, t) -> SparseFunction:
-    """f after t, i.e. x -> f(t(x)), for an invertible affine map t."""
-    tinv = t.inverse()
-    return SparseFunction(f.ctx, {tinv(x): v for x, v in f.entries.items()})

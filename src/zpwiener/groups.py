@@ -72,7 +72,9 @@ class GroupContext:
     def check_dense_budget(self, budget: int = DEFAULT_CONFIG.dense_budget) -> None:
         if self.size > budget:
             raise BudgetError(
-                f"dense table of size p^d = {self.size} exceeds budget {budget}"
+                f"dense table of size p^d = {self.size} exceeds budget {budget} "
+                f"by {self.size - budget}; raise dense_budget "
+                f"(--budget on eval, reduce, energy)"
             )
 
     def point(self, x) -> Point:
@@ -116,17 +118,11 @@ class GroupContext:
     def add(self, a: Point, b: Point) -> Point:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a: Point, b: Point) -> Point:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def scale(self, c: int, a: Point) -> Point:
         return tuple((c * x) % self.p for x in a)
 
     def dot(self, a: Point, b: Point) -> int:
         return sum(x * y for x, y in zip(a, b)) % self.p
-
-    def signed(self, x: int) -> int:
-        return signed_rep(x, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,12 @@ def _check_codes(ctx: GroupContext) -> None:
 
 
 def _weights(ctx: GroupContext) -> np.ndarray:
-    """The place values p^{d-1}, ..., p, 1 of a code's digits."""
+    """The place values p^{d-1}, ..., p, 1 of a code's digits, in int64."""
+    if ctx.p ** (ctx.d - 1) >= 1 << 63:
+        raise BudgetError(
+            f"the place value p^(d-1) = {ctx.p ** (ctx.d - 1)} of int64 codes "
+            f"overflows int64 (p = {ctx.p}, d = {ctx.d})"
+        )
     return ctx.p ** np.arange(ctx.d - 1, -1, -1, dtype=np.int64)
 
 
@@ -162,8 +163,17 @@ def _codes(ctx: GroupContext, pts) -> np.ndarray:
 
 
 def _decode(ctx: GroupContext, codes) -> np.ndarray:
-    """The (N, d) points of a 1-d array of codes; the inverse of _codes."""
-    return np.asarray(codes, dtype=np.int64)[:, None] // _weights(ctx) % ctx.p
+    """The (N, d) int64 points of a 1-d array of codes; the inverse of _codes.
+
+    Codes given as an object array of Python ints are decoded exactly, so
+    codes past int64 work too.
+    """
+    codes = np.asarray(codes)
+    if codes.dtype == object:
+        weights = np.array([ctx.p**i for i in range(ctx.d - 1, -1, -1)], dtype=object)
+    else:
+        codes, weights = codes.astype(np.int64), _weights(ctx)
+    return (codes[:, None] // weights % ctx.p).astype(np.int64)
 
 
 def _add_codes(ctx: GroupContext, a: np.ndarray, b) -> np.ndarray:
@@ -198,7 +208,9 @@ def enumerate_directions(ctx: GroupContext, cap: int = DIRECTION_CAP) -> list[Po
     p, d = ctx.p, ctx.d
     r = (p**d - 1) // (p - 1)
     if r > cap:
-        raise BudgetError(f"direction count {r} exceeds cap {cap}")
+        raise BudgetError(
+            f"direction count {r} exceeds the cap {cap} (DIRECTION_CAP) by {r - cap}"
+        )
     out: list[Point] = []
     # Vectors with more leading zeros sort first, so emit blocks by the
     # position of the leading 1, from the last coordinate backwards.
@@ -258,22 +270,6 @@ class AffineMap:
         shift = self.ctx.zero() if self.shift is None else self.ctx.point(self.shift)
         object.__setattr__(self, "shift", shift)
 
-    @classmethod
-    def identity(cls, ctx: GroupContext) -> "AffineMap":
-        eye = tuple(
-            tuple(1 if i == j else 0 for j in range(ctx.d)) for i in range(ctx.d)
-        )
-        return cls(ctx, eye)
-
-    @classmethod
-    def dilation(cls, ctx: GroupContext, q: int) -> "AffineMap":
-        """x -> q*x (q times the identity matrix), the 1x1 case being x -> qx."""
-        q = q % ctx.p
-        rows = tuple(
-            tuple(q if i == j else 0 for j in range(ctx.d)) for i in range(ctx.d)
-        )
-        return cls(ctx, rows)
-
     def __call__(self, x) -> Point:
         return self.ctx.add(self.apply_linear(x), self.shift)
 
@@ -300,19 +296,6 @@ class AffineMap:
         )
         return AffineMap(self.ctx, tuple(tuple(row) for row in inv), inv_shift)
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x -> self(other(x))."""
-        p = self.ctx.p
-        rows = tuple(
-            tuple(
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(self.ctx.d))
-                % p
-                for j in range(self.ctx.d)
-            )
-            for i in range(self.ctx.d)
-        )
-        return AffineMap(self.ctx, rows, self(other.shift))
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -331,11 +314,6 @@ class Hyperplane:
 
     def contains(self, x) -> bool:
         return self.ctx.dot(self.ctx.point(x), self.eta) == self.u
-
-    def points(self) -> list[Point]:
-        """All p^(d-1) points; intended for desk-scale exhaustive checks."""
-        self.ctx.check_dense_budget()
-        return [x for x in self.ctx.points() if self.contains(x)]
 
 
 @dataclass(frozen=True)

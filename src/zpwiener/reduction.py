@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, DEFAULT_CONFIG, DIRECTION_CAP, LINE_DENSITY_CONST
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG, LINE_DENSITY_CONST
 from .errors import BudgetError
 from .fourier import SparseFunction, wiener_norm
 from .groups import (
@@ -35,6 +35,9 @@ from .groups import (
     enumerate_directions,
     signed_rep,
 )
+
+# sampled hyperplane mode gives up after this many (direction, u) draws
+_MAX_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,7 @@ def _balance_report(ctx: GroupContext, size: int, eta, u: int, count: int) -> Ba
     return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
 
 
-def _scan_hyperplanes(
-    arr: np.ndarray, ctx: GroupContext, direction_cap: int, budget: int
-) -> BalanceReport:
+def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext, budget: int) -> BalanceReport:
     """Exhaustive mode of find_balanced_hyperplane on distinct points arr.
 
     Projection-slice: with F the transform of the indicator of A, the count
@@ -75,13 +76,13 @@ def _scan_hyperplanes(
     is the lexicographically first one.
     """
     p, d = ctx.p, ctx.d
-    dirs = np.array(enumerate_directions(ctx, cap=direction_cap), dtype=np.int64)
+    dirs = np.array(enumerate_directions(ctx), dtype=np.int64)
     try:
         ctx.check_dense_budget(budget)
     except BudgetError as exc:
         raise BudgetError(
-            f"{exc}; the exhaustive hyperplane scan transforms the whole group: "
-            f"raise the budget (--budget) or use mode=\"sampled\""
+            f"{exc}, or use mode=\"sampled\": the exhaustive hyperplane scan "
+            f"transforms the whole group"
         ) from None
     indicator = np.zeros((p,) * d)
     indicator[tuple(arr.T)] = 1.0
@@ -114,8 +115,6 @@ def find_balanced_hyperplane(
     ctx: GroupContext,
     mode: str = "exhaustive",
     seed: Optional[int] = None,
-    max_draws: int = 100_000,
-    direction_cap: int = DIRECTION_CAP,
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> BalanceReport:
     """A hyperplane whose |A intersect L| deviates least from density * p^{d-1}.
@@ -131,11 +130,11 @@ def find_balanced_hyperplane(
     if not len(arr):
         raise ValueError("point set must be nonempty")
     if mode == "exhaustive":
-        return _scan_hyperplanes(arr, ctx, direction_cap, budget)
+        return _scan_hyperplanes(arr, ctx, budget)
     if mode == "sampled":
         p = ctx.p
         rng = np.random.default_rng(seed)
-        for _ in range(max_draws):
+        for _ in range(_MAX_DRAWS):
             vec = tuple(int(c) for c in rng.integers(0, p, size=ctx.d))
             if all(c == 0 for c in vec):
                 continue
@@ -145,7 +144,7 @@ def find_balanced_hyperplane(
             report = _balance_report(ctx, len(arr), eta, u, count)
             if report.deviation <= report.bound:
                 return report
-        raise RuntimeError(f"sampled mode found no balanced hyperplane in {max_draws} draws")
+        raise RuntimeError(f"sampled mode found no balanced hyperplane in {_MAX_DRAWS} draws")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -182,7 +181,6 @@ def find_balanced_line(
     points: Iterable,
     ctx: GroupContext,
     min_density_const: Optional[float] = LINE_DENSITY_CONST,
-    direction_cap: int = DIRECTION_CAP,
     budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> LineSearchResult:
     """Iterate balanced-hyperplane steps down to a line in Z_p^d.
@@ -212,7 +210,7 @@ def find_balanced_line(
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
         cur_ctx = GroupContext(p, dim)
-        report = _scan_hyperplanes(cur, cur_ctx, direction_cap, budget)
+        report = _scan_hyperplanes(cur, cur_ctx, budget)
         steps.append(report)
         composed_bound += report.bound / p ** (dim - 1)
         if dim == 2:
@@ -311,7 +309,11 @@ def find_dirichlet_q(
                 q, max_abs, bound,
                 tuple(sorted(signed_rep(q * l, p) for l in vals)),
             )
-    raise BudgetError(f"no dilation found scanning q < {limit}")
+    raise BudgetError(
+        f"no dilation found scanning q < {limit}: the smallest q lies in "
+        f"[{limit}, {p - 1}], past q_scan_cap = {scan_cap} by up to {p - scan_cap}; "
+        f"raise q_scan_cap"
+    )
 
 
 @dataclass(frozen=True)
@@ -406,9 +408,11 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
     last = d - 1 - (deltas[:, ::-1] != 0).argmax(axis=1)
     first_code = p ** (d - 1 - int(last.min())) if len(deltas) else 1
     chunk = max(1, ARRAY_CHUNK // max(len(deltas), d))
+    # past int64 the codes are Python ints, decoded exactly
+    dtype = np.int64 if ctx.size <= 1 << 63 else object
     row = None
     for start in range(first_code, ctx.size, chunk):
-        codes = np.arange(start, min(start + chunk, ctx.size), dtype=np.int64)
+        codes = np.arange(start, min(start + chunk, ctx.size), dtype=dtype)
         cand = _decode(ctx, codes)
         good = np.flatnonzero((_dots(ctx, cand, deltas.T) != 0).all(axis=1))
         if good.size:

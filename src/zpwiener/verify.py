@@ -229,8 +229,8 @@ def _gen_functions(kind: str, sizes=(2, 8)):
 
 def _eval_banach(inst, cfg):
     f, g = _fn_from(inst["f"]), _fn_from(inst["g"])
-    lhs = wiener_norm(f) * wiener_norm(g)
-    rhs = wiener_norm(f.pointwise_mul(g))
+    lhs = wiener_norm(f, budget=cfg.dense_budget) * wiener_norm(g, budget=cfg.dense_budget)
+    rhs = wiener_norm(f.pointwise_mul(g), budget=cfg.dense_budget)
     return _one_sided("banach", lhs, rhs, cfg.norm_tol, inst)
 
 
@@ -249,20 +249,22 @@ def _gen_banach(rng, count):
 
 def _eval_inversion(inst, cfg):
     f = _fn_from(inst)
-    return _one_sided("inversion", wiener_norm(f), f.max_abs, cfg.norm_tol, inst)
+    lhs = wiener_norm(f, budget=cfg.dense_budget)
+    return _one_sided("inversion", lhs, f.max_abs, cfg.norm_tol, inst)
 
 
 def _eval_parseval_upper(inst, cfg):
     f = _fn_from(inst)
-    return _one_sided("parseval-upper", f.l2_norm, wiener_norm(f), cfg.norm_tol, inst)
+    rhs = wiener_norm(f, budget=cfg.dense_budget)
+    return _one_sided("parseval-upper", f.l2_norm, rhs, cfg.norm_tol, inst)
 
 
 def _eval_complement(inst, cfg):
     ctx, pts = _points_from(inst)
     a = SparseFunction.indicator(ctx, pts)
     comp = SparseFunction.indicator(ctx, set(ctx.points()) - set(a.support))
-    lhs = wiener_norm(a)
-    rhs = wiener_norm(comp) + 2 * len(pts) / ctx.size - 1
+    lhs = wiener_norm(a, budget=cfg.dense_budget)
+    rhs = wiener_norm(comp, budget=cfg.dense_budget) + 2 * len(pts) / ctx.size - 1
     return _identity("complement-identity", lhs, rhs, cfg.norm_tol, inst)
 
 
@@ -279,9 +281,9 @@ def _gen_complement(rng, count):
 def _eval_tk_identity(inst, cfg):
     f = _fn_from(inst)
     k = inst["k"]
-    return _identity(
-        "tk-identity", t_k_direct(f, k), t_k_spectral(f, k), cfg.energy_tol, inst
-    )
+    lhs = t_k_direct(f, k, op_budget=cfg.op_budget)
+    rhs = t_k_spectral(f, k, budget=cfg.dense_budget)
+    return _identity("tk-identity", lhs, rhs, cfg.energy_tol, inst)
 
 
 def _gen_tk(rng, count):
@@ -298,8 +300,8 @@ def _eval_energy_lower(inst, cfg):
     q_pts = [tuple(x) for x in inst["q_points"]]
     g = f.restrict(q_pts)
     level = min(abs(g[x]) for x in q_pts)
-    big_k = wiener_norm(f)
-    lhs = t_k_direct(g, k)
+    big_k = wiener_norm(f, budget=cfg.dense_budget)
+    lhs = t_k_direct(g, k, op_budget=cfg.op_budget)
     rhs = (
         len(q_pts) ** (2 * k)
         * level ** (4 * k)
@@ -337,9 +339,9 @@ def _eval_superadditivity(inst, cfg):
     f = _fn_from(inst)
     decomposition = level_sets(f)
     support_ind = SparseFunction.indicator(f.ctx, f.support)
-    lhs = t_k_direct(support_ind, 2)
+    lhs = t_k_direct(support_ind, 2, op_budget=cfg.op_budget)
     rhs = sum(
-        t_k_direct(SparseFunction.indicator(f.ctx, pts), 2)
+        t_k_direct(SparseFunction.indicator(f.ctx, pts), 2, op_budget=cfg.op_budget)
         for _, pts in sorted(decomposition.levels.items())
     )
     return _one_sided("superadditivity-T2", lhs, rhs, cfg.energy_tol, inst)
@@ -378,8 +380,8 @@ def _gen_scattered(rng, count):
 def _eval_line_monotone(inst, cfg):
     f = _fn_from(inst)
     line = Line(f.ctx, tuple(inst["line"]["b"]), tuple(inst["line"]["c"]))
-    lhs = wiener_norm(f)
-    rhs = wiener_norm(restrict_to_line(f, line))
+    lhs = wiener_norm(f, budget=cfg.dense_budget)
+    rhs = wiener_norm(restrict_to_line(f, line), budget=cfg.dense_budget)
     return _one_sided("line-monotone", lhs, rhs, cfg.norm_tol, inst)
 
 
@@ -499,9 +501,9 @@ def run_suite(
 def _mon_dim_bound(inst, cfg):
     """dim(supp f) relative to K^2 (1 + log(||f||_2 / K))."""
     f = _fn_from(inst)
-    big_k = wiener_norm(f)
+    big_k = wiener_norm(f, budget=cfg.dense_budget)
     mode = "exact" if f.support_size <= cfg.exact_dim_cap else "greedy"
-    dim, _ = additive_dimension(f.support, f.ctx, mode=mode)
+    dim, _ = additive_dimension(f.support, f.ctx, mode=mode, exact_cap=cfg.exact_dim_cap)
     denom = big_k**2 * (1 + math.log(max(f.l2_norm / big_k, 1.0)))
     return MonitorRecord(
         "dim-bound", dim / denom, {"dim": dim, "mode": mode, "K": big_k}, digest(inst)
@@ -522,7 +524,7 @@ def _mon_log_support(inst, cfg):
         raise ValueError("log-support ratio needs |S| >= 2")
     return MonitorRecord(
         "log-support",
-        wiener_norm(f) / math.log(f.support_size),
+        wiener_norm(f, budget=cfg.dense_budget) / math.log(f.support_size),
         {"size": f.support_size},
         digest(inst),
     )
@@ -532,8 +534,8 @@ def _mon_t2_lower(inst, cfg):
     """T_2(S) * M * K^2 / |S|^3, the scale-free form of the T_2 lower bound."""
     f = _fn_from(inst)
     support_ind = SparseFunction.indicator(f.ctx, f.support)
-    t2 = t_k_direct(support_ind, 2)
-    big_k = wiener_norm(f)
+    t2 = t_k_direct(support_ind, 2, op_budget=cfg.op_budget)
+    big_k = wiener_norm(f, budget=cfg.dense_budget)
     ratio = t2 * f.max_abs * big_k**2 / f.support_size**3
     return MonitorRecord("t2-lower", ratio, {"T2": t2, "K": big_k}, digest(inst))
 

@@ -3,17 +3,22 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zpwiener.cli import main
 from zpwiener.config import DEFAULT_CONFIG
+from zpwiener.energy import additive_dimension, is_dissociated, t_k_direct
+from zpwiener.errors import BudgetError
 from zpwiener.fileio import (
     read_function_file,
     read_report_file,
     write_function_file,
 )
 from zpwiener.fourier import SparseFunction
-from zpwiener.groups import GroupContext
+from zpwiener.groups import GroupContext, enumerate_directions
+from zpwiener.reduction import find_dirichlet_q
+from zpwiener.verify import _rand_points
 
 
 def write_file(tmp_path, name, ctx, entries):
@@ -165,15 +170,41 @@ def test_reduce_separating_map_hypothesis_error(tmp_path):
     assert main(["reduce", "separating-map", "--input", path]) == 2
 
 
+def test_reduce_separating_map_past_int64(tmp_path, capsys):
+    # the row scan passes code 2^63; the report's Wiener norms then need a
+    # dense table of p^4 cells, which the budget refuses with exit code 3
+    ctx = GroupContext(1073741789, 4)
+    pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
+    path = write_file(tmp_path, "far.txt", ctx, {x: 1.0 for x in pts})
+    assert main(["reduce", "separating-map", "--input", path]) == 3
+    assert "raise dense_budget (--budget on eval, reduce, energy)" in capsys.readouterr().err
+
+
+def test_budget_errors_name_their_knob():
+    ctx = GroupContext(101)
+    cases = [
+        (lambda: GroupContext(101, 2).check_dense_budget(100),
+         r"budget 100 by 10101; raise dense_budget \(--budget on eval"),
+        (lambda: t_k_direct(SparseFunction.indicator(ctx, range(20)), 3, op_budget=10),
+         "work 400 exceeds budget 10 by 390; raise op_budget"),
+        (lambda: additive_dimension(range(1, 18), ctx),
+         r"got 17 \(1 over\); raise exact_dim_cap"),
+        (lambda: find_dirichlet_q([1, 35], ctx, scan_cap=2),
+         "past q_scan_cap = 2 by up to 99; raise q_scan_cap"),
+        (lambda: enumerate_directions(GroupContext(101, 4), cap=10),
+         r"cap 10 \(DIRECTION_CAP\) by 1040594"),
+        (lambda: is_dissociated(range(1, 25), ctx),
+         r"got 24 \(4 over\); raise DISSOCIATION_CAP"),
+    ]
+    for call, message in cases:
+        with pytest.raises(BudgetError, match=message):
+            call()
+
+
 def test_reduce_line(tmp_path, capsys):
     ctx = GroupContext(5, 3)
-    import numpy as np
-
     rng = np.random.default_rng(1)
-    pts = {
-        tuple(int(c) for c in np.unravel_index(int(i), (5, 5, 5))): 1.0
-        for i in rng.choice(125, 25, replace=False)
-    }
+    pts = {x: 1.0 for x in _rand_points(rng, ctx, 25)}
     path = write_file(tmp_path, "cube.txt", ctx, pts)
     out = tmp_path / "line.jsonl"
     assert main(["reduce", "line", "--input", path, "--output", str(out),

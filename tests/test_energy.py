@@ -27,6 +27,7 @@ from zpwiener.energy import (
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction
 from zpwiener.groups import GroupContext
+from zpwiener.verify import _rand_points
 
 
 def brute_dissociated(pts, ctx):
@@ -51,13 +52,6 @@ def brute_dimension(pts, ctx):
         for subset in itertools.combinations(pts, size):
             if brute_dissociated(subset, ctx):
                 return size, subset
-
-
-def random_points(rng, ctx, size):
-    flat = rng.choice(ctx.size, size, replace=False)
-    return [
-        tuple(int(c) for c in np.unravel_index(int(i), (ctx.p,) * ctx.d)) for i in flat
-    ]
 
 
 def test_t_k_examples():
@@ -85,7 +79,7 @@ def test_spectral_matches_direct(p, k):
     ctx = GroupContext(p)
     rng = np.random.default_rng(p * 10 + k)
     size = min(6, p - 1)
-    pts = [(int(i),) for i in rng.choice(p, size, replace=False)]
+    pts = _rand_points(rng, ctx, size)
     vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     f = SparseFunction(ctx, dict(zip(pts, vals)))
     direct = t_k_direct(f, k)
@@ -111,7 +105,7 @@ def test_enumerated_micro_oracle_matches_convolution():
         p = (5, 7, 11)[trial % 3]
         ctx = GroupContext(p)
         size = int(rng.integers(1, min(8, p) + 1))
-        pts = [(int(i),) for i in rng.choice(p, size, replace=False)]
+        pts = _rand_points(rng, ctx, size)
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         f = SparseFunction(ctx, dict(zip(pts, vals)))
         for k in (1, 2):
@@ -120,7 +114,7 @@ def test_enumerated_micro_oracle_matches_convolution():
     for trial in range(12):
         ctx = (GroupContext(3, 2), GroupContext(5, 2), GroupContext(7))[trial % 3]
         size = int(rng.integers(1, 6))
-        pts = random_points(rng, ctx, size)
+        pts = _rand_points(rng, ctx, size)
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         f = SparseFunction(ctx, dict(zip(pts, vals)))
         ind = SparseFunction.indicator(ctx, pts)
@@ -137,7 +131,7 @@ def test_t_k_loop_and_array_paths_agree(k):
     rng = np.random.default_rng(k)
     for ctx in (GroupContext(101), GroupContext(7, 2), GroupContext(3, 3)):
         for size in range(1, 9):
-            pts = random_points(rng, ctx, min(size, ctx.size))
+            pts = _rand_points(rng, ctx, min(size, ctx.size))
             vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
             keys = groups._codes(ctx, pts)
             for v in (vals, np.ones(len(pts), dtype=complex)):
@@ -196,7 +190,7 @@ def test_dissociation_matches_brute_oracle():
     for ctx in (GroupContext(11), GroupContext(5, 2)):
         for _ in range(40):
             size = int(rng.integers(0, 9))
-            pts = random_points(rng, ctx, size)
+            pts = _rand_points(rng, ctx, size)
             cert = is_dissociated(pts, ctx)
             assert cert.dissociated == brute_dissociated(pts, ctx)
             if not cert.dissociated:
@@ -246,7 +240,7 @@ def test_exact_dimension_matches_subset_brute_force():
     rng = np.random.default_rng(12)
     for ctx in (GroupContext(11), GroupContext(5, 2)):
         for _ in range(25):
-            pts = random_points(rng, ctx, int(rng.integers(0, 8)))
+            pts = _rand_points(rng, ctx, int(rng.integers(0, 8)))
             assert additive_dimension(pts, ctx, "exact") == brute_dimension(pts, ctx)
 
 
@@ -263,7 +257,7 @@ def test_dimension_subsets_are_pinned():
          (5, ((32,), (35,), (37,), (44,), (48,)))),
     ]
     for ctx, seed, size, exact, greedy in cases:
-        pts = random_points(np.random.default_rng(seed), ctx, size)
+        pts = _rand_points(np.random.default_rng(seed), ctx, size)
         assert additive_dimension(pts, ctx, "exact") == exact
         assert additive_dimension(pts, ctx, "greedy") == greedy
 
@@ -359,7 +353,7 @@ def test_superadditivity_of_t2_over_level_sets():
     ctx = GroupContext(11)
     for _ in range(20):
         size = int(rng.integers(2, 8))
-        pts = [(int(i),) for i in rng.choice(11, size, replace=False)]
+        pts = _rand_points(rng, ctx, size)
         mags = 2.0 ** rng.integers(0, 4, size=size) * (1 + rng.random(size))
         f = SparseFunction(ctx, dict(zip(pts, mags)))
         decomposition = level_sets(f)
@@ -377,7 +371,7 @@ def test_pointwise_domination_of_t_k():
     ctx = GroupContext(11)
     for _ in range(20):
         size = int(rng.integers(2, 7))
-        pts = [(int(i),) for i in rng.choice(11, size, replace=False)]
+        pts = _rand_points(rng, ctx, size)
         mags = 2.0 ** rng.integers(0, 4, size=size) * (1 + rng.random(size))
         phases = np.exp(2j * np.pi * rng.random(size))
         f = SparseFunction(ctx, dict(zip(pts, mags * phases)))

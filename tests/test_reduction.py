@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zpwiener import groups
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction, wiener_norm
 from zpwiener.groups import AffineMap, GroupContext, Hyperplane, Line, enumerate_directions
@@ -17,13 +18,7 @@ from zpwiener.reduction import (
     restrict_to_line,
     separated_projection_bound,
 )
-
-
-def random_points(rng, ctx, size):
-    flat = rng.choice(ctx.size, size, replace=False)
-    return [
-        tuple(int(c) for c in np.unravel_index(int(i), (ctx.p,) * ctx.d)) for i in flat
-    ]
+from zpwiener.verify import _rand_points
 
 
 def all_lines(ctx):
@@ -79,7 +74,7 @@ def test_balanced_hyperplane_theta_bound_random():
         ctx = GroupContext(p, d)
         for _ in range(10):
             size = int(rng.integers(1, ctx.size))
-            report = find_balanced_hyperplane(random_points(rng, ctx, size), ctx)
+            report = find_balanced_hyperplane(_rand_points(rng, ctx, size), ctx)
             assert report.deviation <= report.bound + 1e-9
             assert report.count == pytest.approx(report.target, abs=report.bound + 1e-9)
 
@@ -87,7 +82,7 @@ def test_balanced_hyperplane_theta_bound_random():
 def test_balanced_hyperplane_sampled_mode_is_seeded():
     ctx = GroupContext(7, 2)
     rng = np.random.default_rng(1)
-    pts = random_points(rng, ctx, 20)
+    pts = _rand_points(rng, ctx, 20)
     a = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=11)
     b = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=11)
     assert a == b
@@ -100,7 +95,7 @@ def test_hyperplane_scan_matches_brute_force():
     for p, d in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]:
         ctx = GroupContext(p, d)
         for _ in range(4):
-            pts = random_points(rng, ctx, int(rng.integers(1, ctx.size + 1)))
+            pts = _rand_points(rng, ctx, int(rng.integers(1, ctx.size + 1)))
             target = len(pts) / p
             best = None
             for eta in enumerate_directions(ctx):
@@ -123,13 +118,13 @@ def test_balanced_hyperplanes_are_pinned():
     ]
     for p, d, seed, size, eta, u, count in cases:
         ctx = GroupContext(p, d)
-        report = find_balanced_hyperplane(random_points(np.random.default_rng(seed), ctx, size), ctx)
+        report = find_balanced_hyperplane(_rand_points(np.random.default_rng(seed), ctx, size), ctx)
         assert (report.found.eta, report.found.u, report.count) == (eta, u, count)
 
 
 def test_exhaustive_scan_needs_the_dense_budget():
     ctx = GroupContext(7, 3)
-    pts = random_points(np.random.default_rng(0), ctx, 100)
+    pts = _rand_points(np.random.default_rng(0), ctx, 100)
     with pytest.raises(BudgetError, match="sampled"):
         find_balanced_hyperplane(pts, ctx, budget=ctx.size - 1)
     with pytest.raises(BudgetError, match="budget"):
@@ -142,11 +137,12 @@ def test_exhaustive_scan_needs_the_dense_budget():
 def test_line_search_d2_is_single_step():
     ctx = GroupContext(5, 2)
     rng = np.random.default_rng(2)
-    pts = random_points(rng, ctx, 20)
+    pts = _rand_points(rng, ctx, 20)
     result = find_balanced_line(pts, ctx)
     assert len(result.steps) == 1
     assert result.count == result.steps[0].count
-    assert set(result.line.points()) == set(result.steps[0].found.points())
+    hp = result.steps[0].found
+    assert set(result.line.points()) == {x for x in ctx.points() if hp.contains(x)}
 
 
 def test_line_search_full_set_zero_deviation():
@@ -159,7 +155,7 @@ def test_line_search_full_set_zero_deviation():
 def test_line_search_random_set_per_step_bounds():
     ctx = GroupContext(5, 3)
     rng = np.random.default_rng(3)
-    pts = random_points(rng, ctx, 25)
+    pts = _rand_points(rng, ctx, 25)
     result = find_balanced_line(pts, ctx, min_density_const=1.0)
     for step in result.steps:
         assert step.theta <= 1.0 + 1e-12
@@ -184,7 +180,7 @@ def test_balanced_lines_are_pinned():
     ]
     for p, d, seed, size, direction, base, count, steps in cases:
         ctx = GroupContext(p, d)
-        result = find_balanced_line(random_points(np.random.default_rng(seed), ctx, size), ctx)
+        result = find_balanced_line(_rand_points(np.random.default_rng(seed), ctx, size), ctx)
         assert (result.line.direction, result.line.base, result.count) == (direction, base, count)
         assert [(s.found.eta, s.found.u) for s in result.steps] == steps
 
@@ -192,7 +188,7 @@ def test_balanced_lines_are_pinned():
 def test_line_pipeline_norm_monotone_end_to_end():
     ctx = GroupContext(5, 3)
     rng = np.random.default_rng(99)
-    pts = random_points(rng, ctx, 100)
+    pts = _rand_points(rng, ctx, 100)
     mags = 1.0 + rng.random(100)
     phases = np.exp(2j * np.pi * rng.random(100))
     f = SparseFunction(ctx, dict(zip(pts, mags * phases)))
@@ -225,7 +221,7 @@ def test_restriction_examples():
 def test_restriction_norm_is_parametrization_invariant():
     ctx = GroupContext(5, 2)
     rng = np.random.default_rng(4)
-    pts = random_points(rng, ctx, 8)
+    pts = _rand_points(rng, ctx, 8)
     vals = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     f = SparseFunction(ctx, dict(zip(pts, vals)))
     line = Line(ctx, (1, 2), (0, 3))
@@ -242,7 +238,7 @@ def test_line_monotonicity_spot_checks():
     rng = np.random.default_rng(5)
     for _ in range(10):
         size = int(rng.integers(1, 9))
-        pts = random_points(rng, ctx, size)
+        pts = _rand_points(rng, ctx, size)
         vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         f = SparseFunction(ctx, dict(zip(pts, vals)))
         norm = wiener_norm(f)
@@ -346,13 +342,15 @@ def test_separating_row_matches_brute_force():
         ctx = GroupContext(p, d)
         max_size = math.isqrt(2 * p - 1)
         for trial in range(12):
-            pts = random_points(rng, ctx, int(rng.integers(1, max_size + 1)))
+            pts = _rand_points(rng, ctx, int(rng.integers(1, max_size + 1)))
             if trial % 2 and len(pts) >= 2:
                 # a pair agreeing on the last d - 1 - trial % d coordinates
                 keep = d - 1 - trial % d
                 pts[1] = pts[1][: d - keep] + pts[0][d - keep :]
                 pts = list(dict.fromkeys(pts))
-            deltas = [ctx.sub(a, b) for a in pts for b in pts if a != b]
+            deltas = [
+                tuple((x - y) % p for x, y in zip(a, b)) for a in pts for b in pts if a != b
+            ]
             want = next(
                 t for t in ctx.points()
                 if any(t) and all(ctx.dot(t, delta) for delta in deltas)
@@ -361,19 +359,20 @@ def test_separating_row_matches_brute_force():
 
 
 def test_separating_rows_are_pinned():
-    # recorded from the row-at-a-time scan; the paired sets hold two points
-    # that differ only in coordinate 0
+    # recorded from the row-at-a-time scan, and checked against the brute
+    # force lexicographic scan; the paired sets hold two points that differ
+    # only in coordinate 0
     cases = [
         (13, 2, 1, 5, (0, 1), (1, 2)),
         (101, 2, 2, 14, (0, 1), (1, 4)),
-        (101, 3, 3, 14, (0, 0, 1), (1, 0, 0)),
+        (101, 3, 3, 14, (0, 0, 1), (1, 0, 6)),
         (7, 3, 4, 3, (0, 0, 1), (1, 0, 0)),
-        (1009, 2, 5, 40, (1, 0), (1, 1)),
+        (1009, 2, 5, 40, (1, 0), (1, 2)),
     ]
     for p, d, seed, size, row, paired_row in cases:
         ctx = GroupContext(p, d)
         rng = np.random.default_rng(seed)
-        pts = random_points(rng, ctx, size)
+        pts = _rand_points(rng, ctx, size)
         tail = tuple(int(c) for c in rng.integers(0, p, size=d - 1))
         paired = [(0,) + tail, (1,) + tail] + [x for x in pts if x[1:] != tail][: size - 2]
         assert find_separating_map(pts, ctx).row == row
@@ -388,6 +387,18 @@ def test_separating_row_past_int64_codes():
     # to the array form
     ctx = GroupContext(1073741789, 3)
     assert find_separating_map([(0, 0, 0), (1, 0, 0), (0, 1, 5)], ctx).row == (1, 0, 1)
+
+
+def test_separating_row_past_int64_place_values():
+    # the coordinate-0 pair starts the scan at code p^3, about 2^90; the row
+    # is the lexicographically first t with t0 != 0, t3 != 0 and t3 != t0
+    ctx = GroupContext(1073741789, 4)
+    pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
+    assert find_separating_map(pts, ctx).row == (1, 0, 0, 2)
+    p = ctx.p
+    assert groups._decode(ctx, np.array([p**3 + 2], dtype=object)).tolist() == [[1, 0, 0, 2]]
+    with pytest.raises(BudgetError, match="int64"):
+        groups._weights(ctx)
 
 
 def test_sampled_hyperplane_refuses_int64_overflow():
@@ -416,7 +427,7 @@ def test_separating_map_hypothesis_enforced():
 def test_pushforward_properties():
     ctx = GroupContext(5, 2)
     rng = np.random.default_rng(8)
-    pts = random_points(rng, ctx, 6)
+    pts = _rand_points(rng, ctx, 6)
     vals = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     f = SparseFunction(ctx, dict(zip(pts, vals)))
     from zpwiener.groups import AffineMap
@@ -425,9 +436,9 @@ def test_pushforward_properties():
     h = pushforward(f, t)
     assert h.support == frozenset(t(x) for x in f.support)
     assert wiener_norm(h) == pytest.approx(wiener_norm(f), abs=1e-9)
-    assert pushforward(f, AffineMap.identity(ctx)).entries == f.entries
+    assert pushforward(f, AffineMap(ctx, ((1, 0), (0, 1)))).entries == f.entries
 
-    q_dilation = AffineMap.dilation(GroupContext(7), 3)
+    q_dilation = AffineMap(GroupContext(7), ((3,),))
     g = SparseFunction(GroupContext(7), {1: 1.0, 2: -2.0})
     hg = pushforward(g, q_dilation)
     assert hg.support == frozenset({(3,), (6,)})
@@ -439,7 +450,7 @@ def test_separated_projection_bound_small():
         ctx = GroupContext(p, 2)
         rng = np.random.default_rng(p)
         size = int(math.isqrt(2 * p - 1))  # largest size allowed by |A|^2 < 2p
-        pts = random_points(rng, ctx, size)
+        pts = _rand_points(rng, ctx, size)
         vals = np.exp(2j * np.pi * rng.random(size))
         f = SparseFunction(ctx, dict(zip(pts, vals)))
         bound = separated_projection_bound(f)
@@ -454,7 +465,7 @@ def test_separated_projection_inner_norms_match_per_row(p, d):
     ctx = GroupContext(p, d)
     rng = np.random.default_rng(p * d)
     size = int(math.isqrt(2 * p - 1))
-    pts = random_points(rng, ctx, size)
+    pts = _rand_points(rng, ctx, size)
     vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     f = SparseFunction(ctx, dict(zip(pts, vals)))
     bound = separated_projection_bound(f)

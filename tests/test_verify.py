@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from zpwiener.config import ToolConfig
 from zpwiener.verify import (
     CHECKS,
     ap_scan,
@@ -116,6 +117,15 @@ def test_monitors_produce_ratios():
 
     rec4 = monitor("t2-lower", fn_instance(11, [(1, 1.0), (2, 2.0), (4, 1.0)]))
     assert rec4.ratio > 0
+
+
+def test_dim_bound_monitor_reads_the_exact_cap():
+    # 18 points: exact mode needs exact_dim_cap >= 18 to reach the search too
+    inst = random_instance("unimodular-function", 3, p=101, size=18)
+    assert monitor("dim-bound", inst).details["mode"] == "greedy"
+    rec = monitor("dim-bound", inst, ToolConfig(exact_dim_cap=18))
+    assert rec.details["mode"] == "exact"
+    assert rec.details["dim"] >= monitor("dim-bound", inst).details["dim"]
 
 
 def test_ap_scan_rows():
