@@ -1,6 +1,6 @@
 """Wiener norms, Fourier analysis, and additive energies over Z_p^d."""
 
-from .config import DEFAULT_CONFIG, ToolConfig
+from .config import DEFAULT_CONFIG, ToolConfig, using
 from .errors import BudgetError, FileFormatError, SingularMapError
 from .groups import (
     AffineMap,

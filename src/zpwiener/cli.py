@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import DEFAULT_CONFIG, LINE_DENSITY_CONST, ToolConfig
+from .config import DEFAULT_CONFIG, LINE_DENSITY_CONST, ToolConfig, using
 from .energy import additive_dimension, t_k_direct, t_k_spectral
 from .errors import BudgetError, FileFormatError
 from .fileio import (
@@ -53,13 +53,12 @@ def _emit(records, output) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from(args)
     f = read_function_file(args.input)
     if not len(f):
         print("warning: function has empty support", file=sys.stderr)
         print("wiener_norm 0.000000000000")
         return 0
-    spec = dft(f, method=args.method, budget=cfg.dense_budget)
+    spec = dft(f, method=args.method)
     print(f"wiener_norm {spec.l1:.12f}")
     print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
     if args.spectrum:
@@ -74,12 +73,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from(args)
     if args.suite != "all" and args.suite not in CHECKS:
         print(f"error: unknown suite {args.suite!r}; known: {sorted(CHECKS)} or 'all'",
               file=sys.stderr)
         return 2
-    reports = run_suite(args.suite, seed=args.seed, count=args.count, config=cfg)
+    reports = run_suite(args.suite, seed=args.seed, count=args.count)
     records = [
         report_header(
             __version__,
@@ -94,85 +92,62 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# Each reduction returns its report records, the last of which gets the two
+# Wiener norms, and the function whose norm is norm_after.
+
+
+def _reduce_line(f, args):
+    result = find_balanced_line(f.support, f.ctx, min_density_const=args.min_density_const)
+    records = [
+        {"record": "balance", "eta": list(step.found.eta), "u": step.found.u,
+         "count": step.count, "target": step.target, "deviation": step.deviation,
+         "bound": step.bound, "theta": step.theta}
+        for step in result.steps
+    ]
+    records.append(
+        {"record": "line", "direction": list(result.line.direction),
+         "base": list(result.line.base), "count": result.count,
+         "base_density": result.base_density, "line_density": result.line_density,
+         "composed_bound": result.composed_bound}
+    )
+    return records, restrict_to_line(f, result.line)
+
+
+def _reduce_separating_map(f, args):
+    sep = find_separating_map(f.support, f.ctx)
+    record = {"record": "separating-map", "matrix": [list(row) for row in sep.map.matrix],
+              "row": list(sep.row), "first_coords": list(sep.first_coords)}
+    return [record], pushforward(f, sep.map)
+
+
+def _reduce_dirichlet(f, args):
+    if f.ctx.d != 1:
+        raise ValueError("dirichlet mode needs a d = 1 input")
+    rescaled = rescale_to_short_interval(f)
+    record = {"record": "dirichlet", "q": rescaled.q,
+              "max_abs": rescaled.rescaling.max_abs, "bound": rescaled.rescaling.bound,
+              "support_signed": list(rescaled.support_signed),
+              "within_third": rescaled.within_third}
+    return [record], rescaled.function
+
+
+_REDUCTIONS = {
+    "line": _reduce_line,
+    "separating-map": _reduce_separating_map,
+    "dirichlet": _reduce_dirichlet,
+}
+
+
 def cmd_reduce(args) -> int:
-    cfg = _config_from(args)
     f = read_function_file(args.input)
-    records = [report_header(__version__, {"mode": args.mode, "input": args.input})]
-    if args.mode == "line":
-        result = find_balanced_line(
-            f.support, f.ctx, min_density_const=args.min_density_const,
-            budget=cfg.dense_budget,
-        )
-        for step in result.steps:
-            records.append(
-                {
-                    "record": "balance",
-                    "eta": list(step.found.eta),
-                    "u": step.found.u,
-                    "count": step.count,
-                    "target": step.target,
-                    "deviation": step.deviation,
-                    "bound": step.bound,
-                    "theta": step.theta,
-                }
-            )
-        restricted = restrict_to_line(f, result.line)
-        before = wiener_norm(f, budget=cfg.dense_budget)
-        after = wiener_norm(restricted, budget=cfg.dense_budget)
-        records.append(
-            {
-                "record": "line",
-                "direction": list(result.line.direction),
-                "base": list(result.line.base),
-                "count": result.count,
-                "base_density": result.base_density,
-                "line_density": result.line_density,
-                "composed_bound": result.composed_bound,
-                "norm_before": before,
-                "norm_after": after,
-            }
-        )
-        print(f"norm_before {before:.12f}  norm_after {after:.12f}")
-    elif args.mode == "separating-map":
-        sep = find_separating_map(f.support, f.ctx)
-        h = pushforward(f, sep.map)
-        before = wiener_norm(f, budget=cfg.dense_budget)
-        after = wiener_norm(h, budget=cfg.dense_budget)
-        records.append(
-            {
-                "record": "separating-map",
-                "matrix": [list(row) for row in sep.map.matrix],
-                "row": list(sep.row),
-                "first_coords": list(sep.first_coords),
-                "norm_before": before,
-                "norm_after": after,
-            }
-        )
-        print(f"norm_before {before:.12f}  norm_after {after:.12f}")
-    elif args.mode == "dirichlet":
-        if f.ctx.d != 1:
-            print("error: dirichlet mode needs a d = 1 input", file=sys.stderr)
-            return 2
-        rescaled = rescale_to_short_interval(f, scan_cap=cfg.q_scan_cap)
-        before = wiener_norm(f, budget=cfg.dense_budget)
-        after = wiener_norm(rescaled.function, budget=cfg.dense_budget)
-        records.append(
-            {
-                "record": "dirichlet",
-                "q": rescaled.q,
-                "max_abs": rescaled.rescaling.max_abs,
-                "bound": rescaled.rescaling.bound,
-                "support_signed": list(rescaled.support_signed),
-                "within_third": rescaled.within_third,
-                "norm_before": before,
-                "norm_after": after,
-            }
-        )
-        print(f"q {rescaled.q}")
-        print(f"norm_before {before:.12f}  norm_after {after:.12f}")
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-    _emit(records, args.output)
+    records, g = _REDUCTIONS[args.mode](f, args)
+    before, after = wiener_norm(f), wiener_norm(g)
+    records[-1].update(norm_before=before, norm_after=after)
+    if args.mode == "dirichlet":
+        print(f"q {records[-1]['q']}")
+    print(f"norm_before {before:.12f}  norm_after {after:.12f}")
+    header = report_header(__version__, {"mode": args.mode, "input": args.input})
+    _emit([header] + records, args.output)
     return 0
 
 
@@ -201,12 +176,11 @@ def cmd_dim(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    cfg = _config_from(args)
     f = read_function_file(args.input)
     if args.method in ("direct", "both"):
-        print(f"t{args.k}_direct {t_k_direct(f, args.k, op_budget=cfg.op_budget):.12g}")
+        print(f"t{args.k}_direct {t_k_direct(f, args.k):.12g}")
     if args.method in ("spectral", "both"):
-        print(f"t{args.k}_spectral {t_k_spectral(f, args.k, budget=cfg.dense_budget):.12g}")
+        print(f"t{args.k}_spectral {t_k_spectral(f, args.k):.12g}")
     return 0
 
 
@@ -217,15 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the commands that build dense tables share one --budget
+    dense = argparse.ArgumentParser(add_help=False)
+    dense.add_argument("--budget", type=int,
+                       help="max p^d for dense tables (dense_budget): transforms, "
+                            "Wiener norms, the exhaustive hyperplane scan")
 
-    p_eval = sub.add_parser("eval", help="Wiener norm and spectrum summary of a function file")
+    p_eval = sub.add_parser("eval", parents=[dense],
+                            help="Wiener norm and spectrum summary of a function file")
     p_eval.add_argument("input")
     p_eval.add_argument("--spectrum", help="write the full spectrum to this report file")
     p_eval.add_argument("--method", choices=["fast", "naive"], default="fast")
-    p_eval.add_argument("--budget", type=int)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_verify = sub.add_parser("verify", help="run a named check suite (or all)")
+    p_verify = sub.add_parser("verify", parents=[dense],
+                              help="run a named check suite (or all)")
     p_verify.add_argument("suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=50)
@@ -233,18 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_reduce = sub.add_parser("reduce", help="run a reduction on a function file")
-    p_reduce.add_argument("mode", choices=["line", "separating-map", "dirichlet"])
+    p_reduce = sub.add_parser("reduce", parents=[dense],
+                              help="run a reduction on a function file")
+    p_reduce.add_argument("mode", choices=list(_REDUCTIONS))
     p_reduce.add_argument("--input", required=True)
     p_reduce.add_argument("--output")
     p_reduce.add_argument("--min-density-const", type=float, default=LINE_DENSITY_CONST,
                           help="density hypothesis constant c of line mode (density >= c/p)")
-    p_reduce.add_argument("--budget", type=int,
-                          help="max p^d for dense tables: the Wiener norms, and line "
-                               "mode's hyperplane scan")
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_scan = sub.add_parser("scan", help="Wiener-norm growth scan to CSV")
+    p_scan = sub.add_parser("scan", parents=[dense], help="Wiener-norm growth scan to CSV")
     p_scan.add_argument("kind", choices=["ap", "random"])
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--sizes", required=True, help="comma-separated list")
@@ -258,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p_dim.set_defaults(func=cmd_dim)
 
-    p_energy = sub.add_parser("energy", help="T_k energy of a function file")
+    p_energy = sub.add_parser("energy", parents=[dense],
+                              help="T_k energy of a function file")
     p_energy.add_argument("--input", required=True)
     p_energy.add_argument("--k", type=int, required=True)
     p_energy.add_argument("--method", choices=["direct", "spectral", "both"], default="both")
-    p_energy.add_argument("--budget", type=int)
     p_energy.set_defaults(func=cmd_energy)
 
     return parser
@@ -272,7 +250,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with using(_config_from(args)):
+            return args.func(args)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3

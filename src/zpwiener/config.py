@@ -1,12 +1,16 @@
 """Central configuration: budgets and comparison tolerances.
 
-Everything here is a plain default; individual functions accept overrides so
-experiments can push past the desk-scale limits deliberately.  `ToolConfig`
-holds what the commands pass down; the module constants are keyword defaults
-only.
+One `ToolConfig` is in force at a time, per thread and per asyncio task:
+`active()` returns it (`DEFAULT_CONFIG` outside any block), and `using(config)`
+puts one in force for a block.  Each cap is read from it in the one place
+that enforces it.  The module constants are keyword defaults only.
 """
 
-from dataclasses import dataclass
+import math
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 
 @dataclass(frozen=True)
@@ -18,8 +22,36 @@ class ToolConfig:
     q_scan_cap: int = 1 << 22         # max modulus for the exhaustive dilation scan
     op_budget: int = 1 << 24          # work cap for T_k convolution tables
 
+    def __post_init__(self):
+        for field in fields(self):
+            v = getattr(self, field.name)
+            if field.type is int and (not isinstance(v, Integral) or isinstance(v, bool) or v < 1):
+                raise ValueError(f"{field.name} must be an integer >= 1, got {v!r}")
+            if field.type is float and not (isinstance(v, Real) and math.isfinite(v) and v >= 0):
+                raise ValueError(f"{field.name} must be a finite number >= 0, got {v!r}")
+
 
 DEFAULT_CONFIG = ToolConfig()
+
+_ACTIVE: ContextVar[ToolConfig] = ContextVar("zpwiener_config", default=DEFAULT_CONFIG)
+
+
+def active() -> ToolConfig:
+    """The config in force: the innermost `using` block's, else DEFAULT_CONFIG."""
+    return _ACTIVE.get()
+
+
+@contextmanager
+def using(config: ToolConfig):
+    """Put config in force for the block; the previous one returns after it."""
+    if not isinstance(config, ToolConfig):
+        raise TypeError(f"using() needs a ToolConfig, got {type(config).__name__}")
+    token = _ACTIVE.set(config)
+    try:
+        yield config
+    finally:
+        _ACTIVE.reset(token)
+
 
 ZERO_CLAMP = 1e-10          # inverse-transform sparsification threshold
 DISSOCIATION_CAP = 20       # max set size for the sign-pattern search

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, DEFAULT_CONFIG, DISSOCIATION_CAP
+from .config import ARRAY_CHUNK, DISSOCIATION_CAP, active
 from .errors import BudgetError
 from .fourier import SparseFunction, dft
 from .groups import (
@@ -61,21 +61,23 @@ def _group(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.add.reduceat(vals, starts)
 
 
-def _work_error(work: int, op_budget: int) -> BudgetError:
-    return BudgetError(
-        f"T_k convolution work {work} exceeds budget {op_budget} "
-        f"by {work - op_budget}; raise op_budget"
-    )
+def _check_work(work: int) -> None:
+    """Refuse T_k convolution work past the op_budget in force."""
+    op_budget = active().op_budget
+    if work > op_budget:
+        raise BudgetError(
+            f"T_k convolution work {work} exceeds budget {op_budget} "
+            f"by {work - op_budget}; raise op_budget"
+        )
 
 
-def _tk_from_entries(entries: dict, add, k: int, op_budget: int) -> float:
+def _tk_from_entries(entries: dict, add, k: int) -> float:
     """The dict form of _tk_table, for supports below _LOOP_TK_WORK."""
     table = dict(entries)
     work = 0
     for _ in range(k - 1):
         work += len(table) * len(entries)
-        if work > op_budget:
-            raise _work_error(work, op_budget)
+        _check_work(work)
         nxt: dict = {}
         for z, vz in table.items():
             for x, vx in entries.items():
@@ -85,7 +87,7 @@ def _tk_from_entries(entries: dict, add, k: int, op_budget: int) -> float:
     return float(sum(abs(v) ** 2 for v in table.values()))
 
 
-def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int, op_budget: int) -> float:
+def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int) -> float:
     """sum_s |R_k(s)|^2 for the function keys -> vals, R_k its k-fold convolution.
 
     Each of the k - 1 rounds forms the outer sum of the table's keys with the
@@ -100,8 +102,7 @@ def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int, op_budget: int) -
     work = 0
     for _ in range(k - 1):
         work += len(tkeys) * len(keys)
-        if work > op_budget:
-            raise _work_error(work, op_budget)
+        _check_work(work)
         parts = [
             _group(
                 add(tkeys[i : i + rows, None], keys).ravel(),
@@ -116,9 +117,7 @@ def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int, op_budget: int) -
     return float(np.vdot(tvals, tvals).real)
 
 
-def t_k_direct(
-    g: SparseFunction, k: int, op_budget: int = DEFAULT_CONFIG.op_budget
-) -> float:
+def t_k_direct(g: SparseFunction, k: int) -> float:
     """T_k via the k-fold representation table over Z_p^d."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -127,15 +126,13 @@ def t_k_direct(
     ctx = g.ctx
     _check_codes(ctx)
     if (k - 1) * len(g) ** 2 <= _LOOP_TK_WORK:
-        return _tk_from_entries(dict(g.entries), ctx.add, k, op_budget)
+        return _tk_from_entries(dict(g.entries), ctx.add, k)
     keys = _codes(ctx, list(g.entries))
     vals = np.array(list(g.entries.values()), dtype=np.complex128)
-    return _tk_table(keys, vals, functools.partial(_add_codes, ctx), k, op_budget)
+    return _tk_table(keys, vals, functools.partial(_add_codes, ctx), k)
 
 
-def t_k_int(
-    values: dict[int, complex], k: int, op_budget: int = DEFAULT_CONFIG.op_budget
-) -> float:
+def t_k_int(values: dict[int, complex], k: int) -> float:
     """T_k of a finitely supported function on the integers."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -147,10 +144,10 @@ def t_k_int(
             f"k-fold sums of these integers reach 2^62 and do not fit in int64 (k = {k})"
         )
     if (k - 1) * len(entries) ** 2 <= _LOOP_TK_WORK:
-        return _tk_from_entries(entries, operator.add, k, op_budget)
+        return _tk_from_entries(entries, operator.add, k)
     keys = np.array(list(entries), dtype=np.int64)
     vals = np.array(list(entries.values()), dtype=np.complex128)
-    return _tk_table(keys, vals, np.add, k, op_budget)
+    return _tk_table(keys, vals, np.add, k)
 
 
 def t_k_int_set(points: Iterable[int], k: int) -> float:
@@ -158,16 +155,11 @@ def t_k_int_set(points: Iterable[int], k: int) -> float:
     return t_k_int({int(x): 1.0 for x in set(points)}, k)
 
 
-def t_k_spectral(
-    g: SparseFunction,
-    k: int,
-    method: str = "fast",
-    budget: int = DEFAULT_CONFIG.dense_budget,
-) -> float:
+def t_k_spectral(g: SparseFunction, k: int, method: str = "fast") -> float:
     """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = dft(g, method=method, budget=budget)
+    spec = dft(g, method=method)
     # |G| is folded into each coefficient first: |G|^{2k-1} alone can exceed
     # the float range when the sum itself does not
     size = g.ctx.size
@@ -310,7 +302,6 @@ def additive_dimension(
     points: Iterable,
     ctx: GroupContext,
     mode: str = "exact",
-    exact_cap: int = DEFAULT_CONFIG.exact_dim_cap,
 ) -> tuple[int, tuple[Point, ...]]:
     """Size of a maximal dissociated subset, with the subset itself.
 
@@ -324,6 +315,7 @@ def additive_dimension(
     arr = ctx.point_array(points)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
+    exact_cap = active().exact_dim_cap
     if mode == "exact" and len(arr) > exact_cap:
         raise BudgetError(
             f"exact dimension capped at {exact_cap} elements, got {len(arr)} "

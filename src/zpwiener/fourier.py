@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ZERO_CLAMP
+from .config import ZERO_CLAMP
 from .errors import BudgetError
 from .groups import GroupContext, Point
 
@@ -91,8 +91,8 @@ class SparseFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(sum(abs(v) ** 2 for v in self._entries.values())))
 
-    def to_dense(self, budget: int = DEFAULT_CONFIG.dense_budget) -> np.ndarray:
-        self.ctx.check_dense_budget(budget)
+    def to_dense(self) -> np.ndarray:
+        self.ctx.check_dense_budget()
         arr = np.zeros((self.ctx.p,) * self.ctx.d, dtype=np.complex128)
         for pt, v in self._entries.items():
             arr[pt] = v
@@ -181,14 +181,10 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
 
 
-def dft(
-    f: SparseFunction,
-    method: str = "fast",
-    budget: int = DEFAULT_CONFIG.dense_budget,
-) -> Spectrum:
+def dft(f: SparseFunction, method: str = "fast") -> Spectrum:
     """Forward transform over all d axes; method is "fast" or "naive" (the oracle)."""
     _check_method(method)
-    arr = f.to_dense(budget)
+    arr = f.to_dense()
     if method == "naive":
         return Spectrum(f.ctx, _dft_naive(arr) / f.ctx.size)
     return Spectrum(f.ctx, np.fft.fftn(arr, norm="forward"))
@@ -214,12 +210,11 @@ def inverse_dft(
     spectrum: Spectrum,
     zero_clamp: float = ZERO_CLAMP,
     method: str = "fast",
-    budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> SparseFunction:
     """Inverse transform; values below zero_clamp are dropped from the result."""
     _check_method(method)
     ctx = spectrum.ctx
-    ctx.check_dense_budget(budget)
+    ctx.check_dense_budget()
     if method == "naive":
         arr = np.conj(_dft_naive(np.conj(spectrum.coefficients)))
     else:
@@ -227,10 +222,6 @@ def inverse_dft(
     return SparseFunction.from_dense(ctx, arr, zero_clamp=zero_clamp)
 
 
-def wiener_norm(
-    f: SparseFunction,
-    method: str = "fast",
-    budget: int = DEFAULT_CONFIG.dense_budget,
-) -> float:
+def wiener_norm(f: SparseFunction, method: str = "fast") -> float:
     """l1 norm of the Fourier transform."""
-    return dft(f, method=method, budget=budget).l1
+    return dft(f, method=method).l1

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, DIRECTION_CAP
+from .config import DIRECTION_CAP, active
 from .errors import BudgetError, SingularMapError
 
 Point = tuple[int, ...]
@@ -69,12 +69,14 @@ class GroupContext:
     def size(self) -> int:
         return self.p**self.d
 
-    def check_dense_budget(self, budget: int = DEFAULT_CONFIG.dense_budget) -> None:
+    def check_dense_budget(self) -> None:
+        """Refuse a dense table of p^d cells past the dense_budget in force."""
+        budget = active().dense_budget
         if self.size > budget:
             raise BudgetError(
                 f"dense table of size p^d = {self.size} exceeds budget {budget} "
                 f"by {self.size - budget}; raise dense_budget "
-                f"(--budget on eval, reduce, energy)"
+                f"(--budget on eval, verify, reduce, scan, energy)"
             )
 
     def point(self, x) -> Point:

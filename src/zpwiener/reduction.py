@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, DEFAULT_CONFIG, LINE_DENSITY_CONST
+from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
 from .errors import BudgetError
 from .fourier import SparseFunction, wiener_norm
 from .groups import (
@@ -66,7 +66,7 @@ def _balance_report(ctx: GroupContext, size: int, eta, u: int, count: int) -> Ba
     return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
 
 
-def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext, budget: int) -> BalanceReport:
+def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     """Exhaustive mode of find_balanced_hyperplane on distinct points arr.
 
     Projection-slice: with F the transform of the indicator of A, the count
@@ -78,7 +78,7 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext, budget: int) -> Balanc
     p, d = ctx.p, ctx.d
     dirs = np.array(enumerate_directions(ctx), dtype=np.int64)
     try:
-        ctx.check_dense_budget(budget)
+        ctx.check_dense_budget()
     except BudgetError as exc:
         raise BudgetError(
             f"{exc}, or use mode=\"sampled\": the exhaustive hyperplane scan "
@@ -115,13 +115,13 @@ def find_balanced_hyperplane(
     ctx: GroupContext,
     mode: str = "exhaustive",
     seed: Optional[int] = None,
-    budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> BalanceReport:
     """A hyperplane whose |A intersect L| deviates least from density * p^{d-1}.
 
     Exhaustive mode scans every (direction, u) pair in lexicographic order and
     returns the first minimizer; the returned deviation is always at most the
-    bound.  It transforms a dense p^d table, so p^d must not exceed budget.
+    bound.  It transforms a dense p^d table, so p^d must not exceed the
+    dense_budget in force.
     Sampled mode draws uniform pairs until one meets the bound.
     """
     if ctx.d < 2:
@@ -130,7 +130,7 @@ def find_balanced_hyperplane(
     if not len(arr):
         raise ValueError("point set must be nonempty")
     if mode == "exhaustive":
-        return _scan_hyperplanes(arr, ctx, budget)
+        return _scan_hyperplanes(arr, ctx)
     if mode == "sampled":
         p = ctx.p
         rng = np.random.default_rng(seed)
@@ -181,7 +181,6 @@ def find_balanced_line(
     points: Iterable,
     ctx: GroupContext,
     min_density_const: Optional[float] = LINE_DENSITY_CONST,
-    budget: int = DEFAULT_CONFIG.dense_budget,
 ) -> LineSearchResult:
     """Iterate balanced-hyperplane steps down to a line in Z_p^d.
 
@@ -190,7 +189,8 @@ def find_balanced_line(
     final chart line back to original coordinates.  Every step's report obeys
     theta <= 1, and the line's density deviates from the base density by at
     most the sum of per-step bounds (tracked exactly, no asymptotics).
-    Each step is an exhaustive hyperplane scan, so p^d must not exceed budget.
+    Each step is an exhaustive hyperplane scan, so p^d must not exceed the
+    dense_budget in force.
     """
     if ctx.d < 2:
         raise ValueError("line search needs d >= 2")
@@ -210,7 +210,7 @@ def find_balanced_line(
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
         cur_ctx = GroupContext(p, dim)
-        report = _scan_hyperplanes(cur, cur_ctx, budget)
+        report = _scan_hyperplanes(cur, cur_ctx)
         steps.append(report)
         composed_bound += report.bound / p ** (dim - 1)
         if dim == 2:
@@ -281,17 +281,13 @@ class DirichletRescaling:
             raise ValueError("rescaling violates its own bound")
 
 
-def find_dirichlet_q(
-    lams: Iterable[int],
-    ctx: GroupContext,
-    scan_cap: int = DEFAULT_CONFIG.q_scan_cap,
-) -> DirichletRescaling:
+def find_dirichlet_q(lams: Iterable[int], ctx: GroupContext) -> DirichletRescaling:
     """Smallest q in [1, p) with |q*lam| <= p^{1 - 1/n} for every lam.
 
     Existence below p is a pigeonhole fact, and the scan walks q upward from
     1, so any hit is the global minimum.  The bound test is exact integer
-    arithmetic, max_abs^n <= p^{n-1}.  The cap only limits how far the scan
-    may walk before giving up with a budget error.
+    arithmetic, max_abs^n <= p^{n-1}.  The q_scan_cap in force only limits
+    how far the scan may walk before giving up with a budget error.
     """
     if ctx.d != 1:
         raise ValueError("dilation search runs over Z_p (d = 1)")
@@ -301,6 +297,7 @@ def find_dirichlet_q(
         raise ValueError("the set must be nonempty and must not contain 0")
     n = len(vals)
     bound = p ** (1.0 - 1.0 / n)
+    scan_cap = active().q_scan_cap
     limit = min(p, scan_cap)
     for q in range(1, limit):
         max_abs = max(canonical_abs(q * l, p) for l in vals)
@@ -328,9 +325,7 @@ class RescaleResult:
 
 
 def rescale_to_short_interval(
-    f: SparseFunction,
-    lams: Optional[Iterable[int]] = None,
-    scan_cap: int = DEFAULT_CONFIG.q_scan_cap,
+    f: SparseFunction, lams: Optional[Iterable[int]] = None
 ) -> RescaleResult:
     """Dilate f so its support lands near zero, driven by a dissociated core.
 
@@ -362,7 +357,7 @@ def rescale_to_short_interval(
         raise ValueError(
             f"support points {missing[:3]} are not {{-1,0,1}} combinations of the core"
         )
-    resc = find_dirichlet_q(lam_vals, ctx, scan_cap=scan_cap)
+    resc = find_dirichlet_q(lam_vals, ctx)
     q = resc.q
     dilated = SparseFunction(ctx, {(q * x[0]) % p: v for x, v in f.entries.items()})
     support_signed = tuple(sorted(signed_rep(x[0], p) for x in dilated.support))

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ToolConfig
+from .config import ToolConfig, active
 from .energy import (
     ScatteredFamily,
     additive_dimension,
@@ -229,8 +229,8 @@ def _gen_functions(kind: str, sizes=(2, 8)):
 
 def _eval_banach(inst, cfg):
     f, g = _fn_from(inst["f"]), _fn_from(inst["g"])
-    lhs = wiener_norm(f, budget=cfg.dense_budget) * wiener_norm(g, budget=cfg.dense_budget)
-    rhs = wiener_norm(f.pointwise_mul(g), budget=cfg.dense_budget)
+    lhs = wiener_norm(f) * wiener_norm(g)
+    rhs = wiener_norm(f.pointwise_mul(g))
     return _one_sided("banach", lhs, rhs, cfg.norm_tol, inst)
 
 
@@ -249,13 +249,13 @@ def _gen_banach(rng, count):
 
 def _eval_inversion(inst, cfg):
     f = _fn_from(inst)
-    lhs = wiener_norm(f, budget=cfg.dense_budget)
+    lhs = wiener_norm(f)
     return _one_sided("inversion", lhs, f.max_abs, cfg.norm_tol, inst)
 
 
 def _eval_parseval_upper(inst, cfg):
     f = _fn_from(inst)
-    rhs = wiener_norm(f, budget=cfg.dense_budget)
+    rhs = wiener_norm(f)
     return _one_sided("parseval-upper", f.l2_norm, rhs, cfg.norm_tol, inst)
 
 
@@ -263,8 +263,8 @@ def _eval_complement(inst, cfg):
     ctx, pts = _points_from(inst)
     a = SparseFunction.indicator(ctx, pts)
     comp = SparseFunction.indicator(ctx, set(ctx.points()) - set(a.support))
-    lhs = wiener_norm(a, budget=cfg.dense_budget)
-    rhs = wiener_norm(comp, budget=cfg.dense_budget) + 2 * len(pts) / ctx.size - 1
+    lhs = wiener_norm(a)
+    rhs = wiener_norm(comp) + 2 * len(pts) / ctx.size - 1
     return _identity("complement-identity", lhs, rhs, cfg.norm_tol, inst)
 
 
@@ -281,8 +281,8 @@ def _gen_complement(rng, count):
 def _eval_tk_identity(inst, cfg):
     f = _fn_from(inst)
     k = inst["k"]
-    lhs = t_k_direct(f, k, op_budget=cfg.op_budget)
-    rhs = t_k_spectral(f, k, budget=cfg.dense_budget)
+    lhs = t_k_direct(f, k)
+    rhs = t_k_spectral(f, k)
     return _identity("tk-identity", lhs, rhs, cfg.energy_tol, inst)
 
 
@@ -300,8 +300,8 @@ def _eval_energy_lower(inst, cfg):
     q_pts = [tuple(x) for x in inst["q_points"]]
     g = f.restrict(q_pts)
     level = min(abs(g[x]) for x in q_pts)
-    big_k = wiener_norm(f, budget=cfg.dense_budget)
-    lhs = t_k_direct(g, k, op_budget=cfg.op_budget)
+    big_k = wiener_norm(f)
+    lhs = t_k_direct(g, k)
     rhs = (
         len(q_pts) ** (2 * k)
         * level ** (4 * k)
@@ -339,9 +339,9 @@ def _eval_superadditivity(inst, cfg):
     f = _fn_from(inst)
     decomposition = level_sets(f)
     support_ind = SparseFunction.indicator(f.ctx, f.support)
-    lhs = t_k_direct(support_ind, 2, op_budget=cfg.op_budget)
+    lhs = t_k_direct(support_ind, 2)
     rhs = sum(
-        t_k_direct(SparseFunction.indicator(f.ctx, pts), 2, op_budget=cfg.op_budget)
+        t_k_direct(SparseFunction.indicator(f.ctx, pts), 2)
         for _, pts in sorted(decomposition.levels.items())
     )
     return _one_sided("superadditivity-T2", lhs, rhs, cfg.energy_tol, inst)
@@ -380,8 +380,8 @@ def _gen_scattered(rng, count):
 def _eval_line_monotone(inst, cfg):
     f = _fn_from(inst)
     line = Line(f.ctx, tuple(inst["line"]["b"]), tuple(inst["line"]["c"]))
-    lhs = wiener_norm(f, budget=cfg.dense_budget)
-    rhs = wiener_norm(restrict_to_line(f, line), budget=cfg.dense_budget)
+    lhs = wiener_norm(f)
+    rhs = wiener_norm(restrict_to_line(f, line))
     return _one_sided("line-monotone", lhs, rhs, cfg.norm_tol, inst)
 
 
@@ -400,7 +400,7 @@ def _gen_line_monotone(rng, count):
 
 def _eval_hyperplane_balance(inst, cfg):
     ctx, pts = _points_from(inst)
-    report = find_balanced_hyperplane(pts, ctx, budget=cfg.dense_budget)
+    report = find_balanced_hyperplane(pts, ctx)
     return _one_sided(
         "hyperplane-balance", report.bound, report.deviation, cfg.norm_tol, inst
     )
@@ -463,10 +463,10 @@ CHECKS: dict[str, CheckDef] = {
 }
 
 
-def check(name: str, instance: dict, config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
+def check(name: str, instance: dict) -> VerificationReport:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    return CHECKS[name].evaluate(instance, config)
+    return CHECKS[name].evaluate(instance, active())
 
 
 def _suite_rng(seed: int, name: str) -> np.random.Generator:
@@ -474,22 +474,18 @@ def _suite_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
 
 
-def run_suite(
-    name: str = "all",
-    seed: int = 0,
-    count: int = 50,
-    config: ToolConfig = DEFAULT_CONFIG,
-) -> list[VerificationReport]:
+def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[VerificationReport]:
     """Run one named suite (or all of them) on seeded generated instances."""
     names = sorted(CHECKS) if name == "all" else [name]
     for n in names:
         if n not in CHECKS:
             raise ValueError(f"unknown suite {n!r}; known: {sorted(CHECKS)}")
+    cfg = active()
     reports = []
     for n in names:
         gen = CHECKS[n].generate
         for inst in gen(_suite_rng(seed, n), count):
-            reports.append(CHECKS[n].evaluate(inst, config))
+            reports.append(CHECKS[n].evaluate(inst, cfg))
     return sorted(reports, key=lambda r: (r.name, r.digest))
 
 
@@ -501,9 +497,9 @@ def run_suite(
 def _mon_dim_bound(inst, cfg):
     """dim(supp f) relative to K^2 (1 + log(||f||_2 / K))."""
     f = _fn_from(inst)
-    big_k = wiener_norm(f, budget=cfg.dense_budget)
+    big_k = wiener_norm(f)
     mode = "exact" if f.support_size <= cfg.exact_dim_cap else "greedy"
-    dim, _ = additive_dimension(f.support, f.ctx, mode=mode, exact_cap=cfg.exact_dim_cap)
+    dim, _ = additive_dimension(f.support, f.ctx, mode=mode)
     denom = big_k**2 * (1 + math.log(max(f.l2_norm / big_k, 1.0)))
     return MonitorRecord(
         "dim-bound", dim / denom, {"dim": dim, "mode": mode, "K": big_k}, digest(inst)
@@ -524,7 +520,7 @@ def _mon_log_support(inst, cfg):
         raise ValueError("log-support ratio needs |S| >= 2")
     return MonitorRecord(
         "log-support",
-        wiener_norm(f, budget=cfg.dense_budget) / math.log(f.support_size),
+        wiener_norm(f) / math.log(f.support_size),
         {"size": f.support_size},
         digest(inst),
     )
@@ -534,8 +530,8 @@ def _mon_t2_lower(inst, cfg):
     """T_2(S) * M * K^2 / |S|^3, the scale-free form of the T_2 lower bound."""
     f = _fn_from(inst)
     support_ind = SparseFunction.indicator(f.ctx, f.support)
-    t2 = t_k_direct(support_ind, 2, op_budget=cfg.op_budget)
-    big_k = wiener_norm(f, budget=cfg.dense_budget)
+    t2 = t_k_direct(support_ind, 2)
+    big_k = wiener_norm(f)
     ratio = t2 * f.max_abs * big_k**2 / f.support_size**3
     return MonitorRecord("t2-lower", ratio, {"T2": t2, "K": big_k}, digest(inst))
 
@@ -548,10 +544,10 @@ MONITORS: dict[str, Callable] = {
 }
 
 
-def monitor(name: str, instance: dict, config: ToolConfig = DEFAULT_CONFIG) -> MonitorRecord:
+def monitor(name: str, instance: dict) -> MonitorRecord:
     if name not in MONITORS:
         raise ValueError(f"unknown monitor {name!r}; known: {sorted(MONITORS)}")
-    return MONITORS[name](instance, config)
+    return MONITORS[name](instance, active())
 
 
 # ---------------------------------------------------------------------------

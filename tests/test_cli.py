@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zpwiener.cli import main
-from zpwiener.config import DEFAULT_CONFIG
+from zpwiener.config import DEFAULT_CONFIG, ToolConfig, using
 from zpwiener.energy import additive_dimension, is_dissociated, t_k_direct
 from zpwiener.errors import BudgetError
 from zpwiener.fileio import (
@@ -177,27 +177,30 @@ def test_reduce_separating_map_past_int64(tmp_path, capsys):
     pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     path = write_file(tmp_path, "far.txt", ctx, {x: 1.0 for x in pts})
     assert main(["reduce", "separating-map", "--input", path]) == 3
-    assert "raise dense_budget (--budget on eval, reduce, energy)" in capsys.readouterr().err
+    assert ("raise dense_budget (--budget on eval, verify, reduce, scan, energy)"
+            in capsys.readouterr().err)
 
 
 def test_budget_errors_name_their_knob():
     ctx = GroupContext(101)
     cases = [
-        (lambda: GroupContext(101, 2).check_dense_budget(100),
-         r"budget 100 by 10101; raise dense_budget \(--budget on eval"),
-        (lambda: t_k_direct(SparseFunction.indicator(ctx, range(20)), 3, op_budget=10),
+        (ToolConfig(dense_budget=100), lambda: GroupContext(101, 2).check_dense_budget(),
+         r"budget 100 by 10101; raise dense_budget \(--budget on eval, verify, reduce, "
+         r"scan, energy\)"),
+        (ToolConfig(op_budget=10),
+         lambda: t_k_direct(SparseFunction.indicator(ctx, range(20)), 3),
          "work 400 exceeds budget 10 by 390; raise op_budget"),
-        (lambda: additive_dimension(range(1, 18), ctx),
+        (DEFAULT_CONFIG, lambda: additive_dimension(range(1, 18), ctx),
          r"got 17 \(1 over\); raise exact_dim_cap"),
-        (lambda: find_dirichlet_q([1, 35], ctx, scan_cap=2),
+        (ToolConfig(q_scan_cap=2), lambda: find_dirichlet_q([1, 35], ctx),
          "past q_scan_cap = 2 by up to 99; raise q_scan_cap"),
-        (lambda: enumerate_directions(GroupContext(101, 4), cap=10),
+        (DEFAULT_CONFIG, lambda: enumerate_directions(GroupContext(101, 4), cap=10),
          r"cap 10 \(DIRECTION_CAP\) by 1040594"),
-        (lambda: is_dissociated(range(1, 25), ctx),
+        (DEFAULT_CONFIG, lambda: is_dissociated(range(1, 25), ctx),
          r"got 24 \(4 over\); raise DISSOCIATION_CAP"),
     ]
-    for call, message in cases:
-        with pytest.raises(BudgetError, match=message):
+    for config, call, message in cases:
+        with using(config), pytest.raises(BudgetError, match=message):
             call()
 
 
@@ -249,6 +252,31 @@ def test_scan_ap_csv(tmp_path, capfdbinary):
     assert capfdbinary.readouterr().out == out.read_bytes()
 
     assert main(["scan", "ap", "--p", "101", "--sizes", "30"]) == 2  # |A| >= p/2
+
+
+def test_scan_and_verify_take_the_budget(capsys):
+    assert main(["scan", "ap", "--p", "101", "--sizes", "1", "--budget", "100"]) == 3
+    assert "exceeds budget 100 by 1" in capsys.readouterr().err
+    assert main(["scan", "ap", "--p", "101", "--sizes", "1", "--budget", "101"]) == 0
+    # the banach instances cycle through Z_5, Z_7, Z_11, Z_101
+    assert main(["verify", "banach", "--count", "3", "--budget", "100"]) == 0
+    assert main(["verify", "banach", "--count", "4", "--budget", "100"]) == 3
+
+
+def test_bad_config_values_exit_2(tmp_path, capsys):
+    path = write_file(tmp_path, "f.txt", GroupContext(5), {0: 1.0, 1: 1.0})
+    cases = [
+        (["verify", "banach", "--count", "4", "--tolerance", "nan"],
+         "norm_tol must be a finite number >= 0, got nan"),
+        (["verify", "banach", "--count", "4", "--tolerance", "inf"],
+         "norm_tol must be a finite number >= 0, got inf"),
+        (["eval", path, "--budget", "-3"], "dense_budget must be an integer >= 1, got -3"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_scan_random_reproducible(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpwiener import energy, groups
+from zpwiener.config import ToolConfig, using
 from zpwiener.energy import (
     additive_dimension,
     build_scattered_family,
@@ -135,8 +136,8 @@ def test_t_k_loop_and_array_paths_agree(k):
             vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
             keys = groups._codes(ctx, pts)
             for v in (vals, np.ones(len(pts), dtype=complex)):
-                loop = energy._tk_from_entries(dict(zip(pts, v)), ctx.add, k, 1 << 24)
-                array = energy._tk_table(keys, v, partial(groups._add_codes, ctx), k, 1 << 24)
+                loop = energy._tk_from_entries(dict(zip(pts, v)), ctx.add, k)
+                array = energy._tk_table(keys, v, partial(groups._add_codes, ctx), k)
                 if v is vals:
                     assert array == pytest.approx(loop, rel=1e-12)
                 else:
@@ -144,7 +145,7 @@ def test_t_k_loop_and_array_paths_agree(k):
     for size in (2, 3, 6, 12):
         xs = [int(x) for x in rng.choice(np.arange(-50, 50), size, replace=False)]
         vals = dict(zip(xs, rng.standard_normal(size)))
-        loop = energy._tk_from_entries(vals, operator.add, k, 1 << 24)
+        loop = energy._tk_from_entries(vals, operator.add, k)
         assert t_k_int(vals, k) == pytest.approx(loop, rel=1e-12)
 
 
@@ -152,9 +153,10 @@ def test_t_k_work_budget_on_both_paths():
     ctx = GroupContext(101)
     for size in (3, 20):
         f = SparseFunction.indicator(ctx, range(size))
-        with pytest.raises(BudgetError, match="work"):
-            t_k_direct(f, 3, op_budget=size * size)
-        assert t_k_direct(f, 2, op_budget=size * size) > 0
+        with using(ToolConfig(op_budget=size * size)):
+            with pytest.raises(BudgetError, match="work"):
+                t_k_direct(f, 3)
+            assert t_k_direct(f, 2) > 0
 
 
 def test_int64_code_limits():
@@ -260,6 +262,34 @@ def test_dimension_subsets_are_pinned():
         pts = _rand_points(np.random.default_rng(seed), ctx, size)
         assert additive_dimension(pts, ctx, "exact") == exact
         assert additive_dimension(pts, ctx, "greedy") == greedy
+
+
+def test_dimension_sum_set_fallback_matches_default(monkeypatch):
+    # past _SUMS_CAP reachable sums the search decides extensions by
+    # meet-in-the-middle instead; both must choose the same subsets
+    cases = []
+    for i, (p, d) in enumerate([(101, 1), (10007, 1), (7, 2), (31, 2)] * 4):
+        rng = np.random.default_rng(i)
+        ctx = GroupContext(p, d)
+        cases.append((ctx, _rand_points(rng, ctx, int(rng.integers(4, 12)))))
+
+    def both(ctx, pts):
+        return additive_dimension(pts, ctx, "exact"), additive_dimension(pts, ctx, "greedy")
+
+    expected = [both(ctx, pts) for ctx, pts in cases]
+    fallbacks = 0
+
+    def counting(*args, **kwargs):
+        nonlocal fallbacks
+        fallbacks += 1
+        return is_dissociated(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "is_dissociated", counting)
+    for cap in (1, 3, 27):
+        monkeypatch.setattr(energy, "_SUMS_CAP", cap)
+        start = fallbacks
+        assert [both(ctx, pts) for ctx, pts in cases] == expected
+        assert fallbacks > start
 
 
 @given(data=st.data())

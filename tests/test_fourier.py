@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpwiener.config import ToolConfig, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import (
     SparseFunction,
@@ -213,8 +214,8 @@ def test_budget_errors():
     with pytest.raises(BudgetError):
         dft(f)
     small = SparseFunction.indicator(GroupContext(5), [0])
-    with pytest.raises(BudgetError):
-        dft(small, budget=3)
+    with using(ToolConfig(dense_budget=3)), pytest.raises(BudgetError):
+        dft(small)
 
 
 def test_entries_reject_duplicates_and_drop_zeros():

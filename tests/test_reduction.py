@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zpwiener import groups
+from zpwiener.config import ToolConfig, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction, wiener_norm
 from zpwiener.groups import AffineMap, GroupContext, Hyperplane, Line, enumerate_directions
@@ -125,12 +126,15 @@ def test_balanced_hyperplanes_are_pinned():
 def test_exhaustive_scan_needs_the_dense_budget():
     ctx = GroupContext(7, 3)
     pts = _rand_points(np.random.default_rng(0), ctx, 100)
-    with pytest.raises(BudgetError, match="sampled"):
-        find_balanced_hyperplane(pts, ctx, budget=ctx.size - 1)
-    with pytest.raises(BudgetError, match="budget"):
-        find_balanced_line(pts, ctx, min_density_const=None, budget=ctx.size - 1)
-    assert find_balanced_hyperplane(pts, ctx, budget=ctx.size).theta <= 1.0
-    sampled = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=3, budget=1)
+    with using(ToolConfig(dense_budget=ctx.size - 1)):
+        with pytest.raises(BudgetError, match="sampled"):
+            find_balanced_hyperplane(pts, ctx)
+        with pytest.raises(BudgetError, match="budget"):
+            find_balanced_line(pts, ctx, min_density_const=None)
+    with using(ToolConfig(dense_budget=ctx.size)):
+        assert find_balanced_hyperplane(pts, ctx).theta <= 1.0
+    with using(ToolConfig(dense_budget=1)):
+        sampled = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=3)
     assert sampled.deviation <= sampled.bound
 
 

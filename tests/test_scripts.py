@@ -1,0 +1,48 @@
+"""The scripts under scripts/ run against the library and print what they say."""
+
+import csv
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_monitors_writes_one_row_per_monitor_and_size():
+    out = run_script("run_monitors.py", "--p", "101", "--sizes", "4,6")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["monitor", "size", "ratio"]
+    names = ["dim-bound", "log-support", "t2-lower", "rudin-k2", "rudin-k3"]
+    assert [row[0] for row in rows[1:]] == names * 2
+    assert [int(row[1]) for row in rows[1:4] + rows[6:9]] == [4] * 3 + [6] * 3
+    assert all(float(row[2]) > 0 for row in rows[1:])
+
+
+def test_calibrate_ap_band_prints_sizes_range_and_band():
+    lines = run_script("calibrate_ap_band.py", "--p", "101", "--ns", "1,2,5").splitlines()
+    assert lines[0] == "p = 101 (quadratic oracle)"
+    row = re.compile(r"  size +(\d+)  norm +[\d.]+  ratio [\d.]+")
+    sizes = [int(row.fullmatch(line).group(1)) for line in lines[1:4]]
+    assert sizes == [3, 5, 11]
+    observed = re.fullmatch(r"observed ratio range: \[([\d.]+), ([\d.]+)\]", lines[4])
+    lo, hi = float(observed.group(1)), float(observed.group(2))
+    assert 0 < lo <= hi
+    band = re.fullmatch(r"suggested band \(\+-20%\): \[([\d.]+), ([\d.]+)\]", lines[5])
+    assert float(band.group(1)) < lo and float(band.group(2)) > hi
+    assert len(lines) == 6

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from zpwiener.config import ToolConfig
+from zpwiener.config import ToolConfig, using
 from zpwiener.verify import (
     CHECKS,
     ap_scan,
@@ -123,7 +123,8 @@ def test_dim_bound_monitor_reads_the_exact_cap():
     # 18 points: exact mode needs exact_dim_cap >= 18 to reach the search too
     inst = random_instance("unimodular-function", 3, p=101, size=18)
     assert monitor("dim-bound", inst).details["mode"] == "greedy"
-    rec = monitor("dim-bound", inst, ToolConfig(exact_dim_cap=18))
+    with using(ToolConfig(exact_dim_cap=18)):
+        rec = monitor("dim-bound", inst)
     assert rec.details["mode"] == "exact"
     assert rec.details["dim"] >= monitor("dim-bound", inst).details["dim"]
 
