@@ -204,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=["fast", "naive"], default="fast")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_verify = sub.add_parser("verify", parents=[dense],
-                              help="run a named check suite (or all)")
+    p_verify = sub.add_parser("verify", help="run a named check suite (or all)")
     p_verify.add_argument("suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=50)

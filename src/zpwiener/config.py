@@ -43,7 +43,13 @@ def active() -> ToolConfig:
 
 @contextmanager
 def using(config: ToolConfig):
-    """Put config in force for the block; the previous one returns after it."""
+    """Put config in force for the block; the previous one returns after it.
+
+    Only this thread and the asyncio tasks it creates in the block see it.
+    A new thread, a ThreadPoolExecutor worker included, starts with
+    DEFAULT_CONFIG: enter `using` there, or run the call in
+    `contextvars.copy_context()`.
+    """
     if not isinstance(config, ToolConfig):
         raise TypeError(f"using() needs a ToolConfig, got {type(config).__name__}")
     token = _ACTIVE.set(config)

@@ -76,7 +76,7 @@ class GroupContext:
             raise BudgetError(
                 f"dense table of size p^d = {self.size} exceeds budget {budget} "
                 f"by {self.size - budget}; raise dense_budget "
-                f"(--budget on eval, verify, reduce, scan, energy)"
+                f"(--budget on eval, reduce, scan, energy)"
             )
 
     def point(self, x) -> Point:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import ToolConfig, active
+from .config import active
 from .energy import (
     ScatteredFamily,
     additive_dimension,
@@ -206,7 +206,7 @@ def random_instance(kind: str, seed: int, **params) -> dict:
 
 @dataclass(frozen=True)
 class CheckDef:
-    evaluate: Callable[[dict, ToolConfig], VerificationReport]
+    evaluate: Callable[[dict], VerificationReport]
     generate: Callable[[np.random.Generator, int], list]
     doc: str
 
@@ -227,11 +227,11 @@ def _gen_functions(kind: str, sizes=(2, 8)):
     return gen
 
 
-def _eval_banach(inst, cfg):
+def _eval_banach(inst):
     f, g = _fn_from(inst["f"]), _fn_from(inst["g"])
     lhs = wiener_norm(f) * wiener_norm(g)
     rhs = wiener_norm(f.pointwise_mul(g))
-    return _one_sided("banach", lhs, rhs, cfg.norm_tol, inst)
+    return _one_sided("banach", lhs, rhs, active().norm_tol, inst)
 
 
 def _gen_banach(rng, count):
@@ -247,25 +247,25 @@ def _gen_banach(rng, count):
     return out
 
 
-def _eval_inversion(inst, cfg):
+def _eval_inversion(inst):
     f = _fn_from(inst)
     lhs = wiener_norm(f)
-    return _one_sided("inversion", lhs, f.max_abs, cfg.norm_tol, inst)
+    return _one_sided("inversion", lhs, f.max_abs, active().norm_tol, inst)
 
 
-def _eval_parseval_upper(inst, cfg):
+def _eval_parseval_upper(inst):
     f = _fn_from(inst)
     rhs = wiener_norm(f)
-    return _one_sided("parseval-upper", f.l2_norm, rhs, cfg.norm_tol, inst)
+    return _one_sided("parseval-upper", f.l2_norm, rhs, active().norm_tol, inst)
 
 
-def _eval_complement(inst, cfg):
+def _eval_complement(inst):
     ctx, pts = _points_from(inst)
     a = SparseFunction.indicator(ctx, pts)
     comp = SparseFunction.indicator(ctx, set(ctx.points()) - set(a.support))
     lhs = wiener_norm(a)
     rhs = wiener_norm(comp) + 2 * len(pts) / ctx.size - 1
-    return _identity("complement-identity", lhs, rhs, cfg.norm_tol, inst)
+    return _identity("complement-identity", lhs, rhs, active().norm_tol, inst)
 
 
 def _gen_complement(rng, count):
@@ -278,12 +278,12 @@ def _gen_complement(rng, count):
     return out
 
 
-def _eval_tk_identity(inst, cfg):
+def _eval_tk_identity(inst):
     f = _fn_from(inst)
     k = inst["k"]
     lhs = t_k_direct(f, k)
     rhs = t_k_spectral(f, k)
-    return _identity("tk-identity", lhs, rhs, cfg.energy_tol, inst)
+    return _identity("tk-identity", lhs, rhs, active().energy_tol, inst)
 
 
 def _gen_tk(rng, count):
@@ -293,7 +293,7 @@ def _gen_tk(rng, count):
     return base
 
 
-def _eval_energy_lower(inst, cfg):
+def _eval_energy_lower(inst):
     """T_k(Q*f) >= |Q|^{2k} L^{4k} / (||f||_2^2 K^{2k-2}) with K the Wiener norm."""
     f = _fn_from(inst)
     k = inst["k"]
@@ -307,7 +307,7 @@ def _eval_energy_lower(inst, cfg):
         * level ** (4 * k)
         / (f.l2_norm**2 * big_k ** (2 * k - 2))
     )
-    return _one_sided("energy-lower", lhs, rhs, cfg.energy_tol, inst)
+    return _one_sided("energy-lower", lhs, rhs, active().energy_tol, inst)
 
 
 def _gen_energy_lower(rng, count):
@@ -335,7 +335,7 @@ def _gen_energy_lower(rng, count):
     return out
 
 
-def _eval_superadditivity(inst, cfg):
+def _eval_superadditivity(inst):
     f = _fn_from(inst)
     decomposition = level_sets(f)
     support_ind = SparseFunction.indicator(f.ctx, f.support)
@@ -344,10 +344,10 @@ def _eval_superadditivity(inst, cfg):
         t_k_direct(SparseFunction.indicator(f.ctx, pts), 2)
         for _, pts in sorted(decomposition.levels.items())
     )
-    return _one_sided("superadditivity-T2", lhs, rhs, cfg.energy_tol, inst)
+    return _one_sided("superadditivity-T2", lhs, rhs, active().energy_tol, inst)
 
 
-def _eval_scattered(inst, cfg):
+def _eval_scattered(inst):
     fam = ScatteredFamily(
         inst["m"],
         inst["shell_size"],
@@ -357,7 +357,7 @@ def _eval_scattered(inst, cfg):
     k = inst["k"]
     lhs = float(scattered_energy_bound(k, fam.shell_count, fam.shell_size))
     rhs = t_k_int_set(fam.points, k)
-    return _one_sided("scattered-upper", lhs, rhs, cfg.energy_tol, inst)
+    return _one_sided("scattered-upper", lhs, rhs, active().energy_tol, inst)
 
 
 def _gen_scattered(rng, count):
@@ -377,12 +377,12 @@ def _gen_scattered(rng, count):
     return out
 
 
-def _eval_line_monotone(inst, cfg):
+def _eval_line_monotone(inst):
     f = _fn_from(inst)
     line = Line(f.ctx, tuple(inst["line"]["b"]), tuple(inst["line"]["c"]))
     lhs = wiener_norm(f)
     rhs = wiener_norm(restrict_to_line(f, line))
-    return _one_sided("line-monotone", lhs, rhs, cfg.norm_tol, inst)
+    return _one_sided("line-monotone", lhs, rhs, active().norm_tol, inst)
 
 
 def _gen_line_monotone(rng, count):
@@ -398,11 +398,11 @@ def _gen_line_monotone(rng, count):
     return out
 
 
-def _eval_hyperplane_balance(inst, cfg):
+def _eval_hyperplane_balance(inst):
     ctx, pts = _points_from(inst)
     report = find_balanced_hyperplane(pts, ctx)
     return _one_sided(
-        "hyperplane-balance", report.bound, report.deviation, cfg.norm_tol, inst
+        "hyperplane-balance", report.bound, report.deviation, active().norm_tol, inst
     )
 
 
@@ -466,7 +466,7 @@ CHECKS: dict[str, CheckDef] = {
 def check(name: str, instance: dict) -> VerificationReport:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    return CHECKS[name].evaluate(instance, active())
+    return CHECKS[name].evaluate(instance)
 
 
 def _suite_rng(seed: int, name: str) -> np.random.Generator:
@@ -480,12 +480,11 @@ def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[Verific
     for n in names:
         if n not in CHECKS:
             raise ValueError(f"unknown suite {n!r}; known: {sorted(CHECKS)}")
-    cfg = active()
     reports = []
     for n in names:
         gen = CHECKS[n].generate
         for inst in gen(_suite_rng(seed, n), count):
-            reports.append(CHECKS[n].evaluate(inst, cfg))
+            reports.append(CHECKS[n].evaluate(inst))
     return sorted(reports, key=lambda r: (r.name, r.digest))
 
 
@@ -494,11 +493,11 @@ def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[Verific
 # ---------------------------------------------------------------------------
 
 
-def _mon_dim_bound(inst, cfg):
+def _mon_dim_bound(inst):
     """dim(supp f) relative to K^2 (1 + log(||f||_2 / K))."""
     f = _fn_from(inst)
     big_k = wiener_norm(f)
-    mode = "exact" if f.support_size <= cfg.exact_dim_cap else "greedy"
+    mode = "exact" if f.support_size <= active().exact_dim_cap else "greedy"
     dim, _ = additive_dimension(f.support, f.ctx, mode=mode)
     denom = big_k**2 * (1 + math.log(max(f.l2_norm / big_k, 1.0)))
     return MonitorRecord(
@@ -506,7 +505,7 @@ def _mon_dim_bound(inst, cfg):
     )
 
 
-def _mon_rudin(inst, cfg):
+def _mon_rudin(inst):
     ctx, pts = _points_from(inst)
     k = inst["k"]
     return MonitorRecord(
@@ -514,7 +513,7 @@ def _mon_rudin(inst, cfg):
     )
 
 
-def _mon_log_support(inst, cfg):
+def _mon_log_support(inst):
     f = _fn_from(inst)
     if f.support_size < 2:
         raise ValueError("log-support ratio needs |S| >= 2")
@@ -526,7 +525,7 @@ def _mon_log_support(inst, cfg):
     )
 
 
-def _mon_t2_lower(inst, cfg):
+def _mon_t2_lower(inst):
     """T_2(S) * M * K^2 / |S|^3, the scale-free form of the T_2 lower bound."""
     f = _fn_from(inst)
     support_ind = SparseFunction.indicator(f.ctx, f.support)
@@ -547,7 +546,7 @@ MONITORS: dict[str, Callable] = {
 def monitor(name: str, instance: dict) -> MonitorRecord:
     if name not in MONITORS:
         raise ValueError(f"unknown monitor {name!r}; known: {sorted(MONITORS)}")
-    return MONITORS[name](instance, active())
+    return MONITORS[name](instance)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_reduce_separating_map_past_int64(tmp_path, capsys):
     pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     path = write_file(tmp_path, "far.txt", ctx, {x: 1.0 for x in pts})
     assert main(["reduce", "separating-map", "--input", path]) == 3
-    assert ("raise dense_budget (--budget on eval, verify, reduce, scan, energy)"
+    assert ("raise dense_budget (--budget on eval, reduce, scan, energy)"
             in capsys.readouterr().err)
 
 
@@ -185,8 +185,8 @@ def test_budget_errors_name_their_knob():
     ctx = GroupContext(101)
     cases = [
         (ToolConfig(dense_budget=100), lambda: GroupContext(101, 2).check_dense_budget(),
-         r"budget 100 by 10101; raise dense_budget \(--budget on eval, verify, reduce, "
-         r"scan, energy\)"),
+         r"budget 100 by 10101; raise dense_budget \(--budget on eval, reduce, scan, "
+         r"energy\)"),
         (ToolConfig(op_budget=10),
          lambda: t_k_direct(SparseFunction.indicator(ctx, range(20)), 3),
          "work 400 exceeds budget 10 by 390; raise op_budget"),
@@ -254,13 +254,10 @@ def test_scan_ap_csv(tmp_path, capfdbinary):
     assert main(["scan", "ap", "--p", "101", "--sizes", "30"]) == 2  # |A| >= p/2
 
 
-def test_scan_and_verify_take_the_budget(capsys):
+def test_scan_takes_the_budget(capsys):
     assert main(["scan", "ap", "--p", "101", "--sizes", "1", "--budget", "100"]) == 3
     assert "exceeds budget 100 by 1" in capsys.readouterr().err
     assert main(["scan", "ap", "--p", "101", "--sizes", "1", "--budget", "101"]) == 0
-    # the banach instances cycle through Z_5, Z_7, Z_11, Z_101
-    assert main(["verify", "banach", "--count", "3", "--budget", "100"]) == 0
-    assert main(["verify", "banach", "--count", "4", "--budget", "100"]) == 3
 
 
 def test_bad_config_values_exit_2(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import asyncio
+import contextvars
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,6 +61,11 @@ def test_the_config_in_force_is_per_thread():
     assert not any(thread.is_alive() for thread in threads)
     assert seen == [{i + 1, DEFAULT_CONFIG.dense_budget} for i in range(len(configs))]
     assert active() is DEFAULT_CONFIG
+
+    # a new thread starts with DEFAULT_CONFIG; a copied context carries the caller's over
+    with using(configs[0]), ThreadPoolExecutor(2) as pool:
+        assert pool.submit(active).result() is DEFAULT_CONFIG
+        assert pool.submit(contextvars.copy_context().run, active).result() is configs[0]
 
 
 def test_the_config_in_force_is_per_task():
