@@ -3,6 +3,8 @@
 
 These track bounds whose absolute constants are unspecified, so nothing is
 asserted: the point is to eyeball how the ratios behave as instances grow.
+Sizes may not exceed floor(log2 p), the largest a dissociated set in Z_p can
+have, since the Rudin rows need one of each requested size.
 """
 
 import argparse
@@ -12,13 +14,13 @@ import sys
 import numpy as np
 
 from zpwiener.energy import is_dissociated
+from zpwiener.groups import GroupContext
 from zpwiener.verify import monitor, random_instance
 
 
 def dissociated_instance(seed: int, p: int, size: int) -> dict:
-    """Grow a dissociated candidate until it actually is dissociated."""
-    from zpwiener.groups import GroupContext
-
+    """Grow a dissociated candidate greedily, up to size points; the walk
+    warns on stderr when it stops short."""
     ctx = GroupContext(p)
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
@@ -27,6 +29,12 @@ def dissociated_instance(seed: int, p: int, size: int) -> dict:
             break
         if is_dissociated(chosen + [int(x)], ctx).dissociated:
             chosen.append(int(x))
+    if len(chosen) < size:
+        print(
+            f"warning: the greedy walk found a dissociated set of {len(chosen)} points "
+            f"in Z_{p}, short of the {size} requested (seed {seed})",
+            file=sys.stderr,
+        )
     return {"p": p, "d": 1, "points": [[x] for x in sorted(chosen)]}
 
 
@@ -34,11 +42,18 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=1009)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sizes", default="4,6,8,10,12")
+    parser.add_argument("--sizes", default="4,6,8")
     parser.add_argument("--output", default="-")
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
+    ceiling = args.p.bit_length() - 1
+    too_big = [s for s in sizes if s > ceiling]
+    if too_big:
+        parser.error(
+            f"sizes {too_big} exceed floor(log2 p) = {ceiling}, the largest "
+            f"dissociated set in Z_{args.p}"
+        )
     rows = []
     for i, size in enumerate(sizes):
         seed = args.seed * 1000 + i
@@ -47,10 +62,10 @@ def main() -> None:
         rows.append(("log-support", size, monitor("log-support", uni).ratio))
         geq1 = random_instance("indicator", seed, p=args.p, size=size)
         rows.append(("t2-lower", size, monitor("t2-lower", geq1).ratio))
+        lam = dissociated_instance(seed, args.p, size)
         for k in (2, 3):
-            lam = dissociated_instance(seed, args.p, size)
-            lam["k"] = k
-            rows.append((f"rudin-k{k}", len(lam["points"]), monitor("rudin", lam).ratio))
+            ratio = monitor("rudin", {**lam, "k": k}).ratio
+            rows.append((f"rudin-k{k}", len(lam["points"]), ratio))
 
     handle = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     writer = csv.writer(handle)

@@ -306,8 +306,10 @@ def additive_dimension(
     """Size of a maximal dissociated subset, with the subset itself.
 
     exact: maximum cardinality by depth-first branch and bound (first maximum
-    in lexicographic inclusion order wins ties).  greedy: lexicographic scan,
-    returning an inclusion-maximal subset, a lower bound for the exact value.
+    in lexicographic inclusion order wins ties), which stops once a subset
+    reaches floor(log2 |G|), the most a dissociated set can have.  greedy:
+    lexicographic scan, returning an inclusion-maximal subset, a lower bound
+    for the exact value.
     A dissociated subset extends by x iff x is not one of its signed sums;
     those are kept as a sorted code array while they number at most
     _SUMS_CAP, and meet-in-the-middle decides beyond that.
@@ -350,12 +352,15 @@ def additive_dimension(
                 sums = grow(sums, i)
         return len(chosen), tuple(chosen)
     best: list[Point] = []
+    # a dissociated set of m points has 2^m distinct subset sums, so m is at
+    # most floor(log2 |G|); once best has that many, no branch can beat it
+    ceiling = ctx.size.bit_length() - 1
 
     def dfs(i: int, chosen: list[Point], sums) -> None:
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        if i == len(pts) or len(chosen) + (len(pts) - i) <= len(best):
+        if len(best) >= ceiling or i == len(pts) or len(chosen) + (len(pts) - i) <= len(best):
             return
         if extends(chosen, sums, i):
             dfs(i + 1, chosen + [pts[i]], grow(sums, i))

@@ -29,11 +29,23 @@ class SparseFunction:
     """Finitely supported complex function on Z_p^d; exact zeros are never stored."""
 
     def __init__(self, ctx: GroupContext, entries):
+        items = entries.items() if hasattr(entries, "items") else entries
+        self._fill(ctx, ((ctx.point(x), v) for x, v in items))
+
+    @classmethod
+    def _reduced(cls, ctx: GroupContext, items) -> "SparseFunction":
+        """The function of (point, value) pairs whose points are already
+        reduced tuples, skipping `ctx.point`; values are still checked."""
+        f = cls.__new__(cls)
+        f._fill(ctx, items)
+        return f
+
+    def _fill(self, ctx: GroupContext, items) -> None:
+        # a product of finite values can overflow to inf or underflow to 0,
+        # so the values of reduced pairs are checked here too
         self.ctx = ctx
         table: dict[Point, complex] = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for x, v in items:
-            pt = ctx.point(x)
+        for pt, v in items:
             z = complex(v)
             if not cmath.isfinite(z):
                 raise ValueError(f"non-finite value {z} at point {pt}")
@@ -102,18 +114,16 @@ class SparseFunction:
         if other.ctx != self.ctx:
             raise ValueError("functions live on different groups")
         small, big = sorted((self, other), key=lambda f: f.support_size)
-        entries = {
-            pt: v * big._entries[pt]
-            for pt, v in small._entries.items()
-            if pt in big._entries
-        }
-        return SparseFunction(self.ctx, entries)
+        return SparseFunction._reduced(
+            self.ctx,
+            ((pt, v * big._entries[pt]) for pt, v in small._entries.items() if pt in big._entries),
+        )
 
     def restrict(self, points) -> "SparseFunction":
         """Q(x) * f(x) for a set Q of points."""
         keep = {self.ctx.point(x) for x in points}
-        return SparseFunction(
-            self.ctx, {pt: v for pt, v in self._entries.items() if pt in keep}
+        return SparseFunction._reduced(
+            self.ctx, ((pt, v) for pt, v in self._entries.items() if pt in keep)
         )
 
     def __repr__(self) -> str:
@@ -187,6 +197,8 @@ def dft(f: SparseFunction, method: str = "fast") -> Spectrum:
     arr = f.to_dense()
     if method == "naive":
         return Spectrum(f.ctx, _dft_naive(arr) / f.ctx.size)
+    if f.ctx.d == 1:  # the one-axis case of fftn, without its axis bookkeeping
+        return Spectrum(f.ctx, np.fft.fft(arr, norm="forward"))
     return Spectrum(f.ctx, np.fft.fftn(arr, norm="forward"))
 
 

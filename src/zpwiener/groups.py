@@ -10,6 +10,7 @@ one integer per point (`_codes`, which keeps that order).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from numbers import Integral
@@ -38,6 +39,12 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=1024)
+def _is_odd_prime_cached(n: int) -> bool:
+    # groups are built per instance, over a handful of primes
+    return is_odd_prime(n)
+
+
 def canonical_abs(x: int, p: int) -> int:
     """min |z| over integers z congruent to x mod p; always <= (p-1)/2."""
     r = x % p
@@ -58,12 +65,15 @@ class GroupContext:
     d: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.p, Integral) or not is_odd_prime(int(self.p)):
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p!r}")
-        if not isinstance(self.d, Integral) or self.d < 1:
-            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "d", int(self.d))
+        p, d = self.p, self.d
+        # plain ints, the usual case, skip the slower abc checks
+        if not (type(p) is int or isinstance(p, Integral)) or not _is_odd_prime_cached(int(p)):
+            raise ValueError(f"p must be an odd prime >= 3, got {p!r}")
+        if not (type(d) is int or isinstance(d, Integral)) or d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {d!r}")
+        if type(p) is not int or type(d) is not int:
+            object.__setattr__(self, "p", int(p))
+            object.__setattr__(self, "d", int(d))
 
     @property
     def size(self) -> int:
@@ -81,6 +91,16 @@ class GroupContext:
 
     def point(self, x) -> Point:
         """Normalize an int (d = 1) or an iterable of ints to a reduced tuple."""
+        # fast paths: a plain int, and a tuple of plain ints already reduced
+        if type(x) is int:
+            if self.d == 1:
+                return (x % self.p,)
+        elif type(x) is tuple and len(x) == self.d:
+            for c in x:
+                if type(c) is not int or not 0 <= c < self.p:
+                    break
+            else:
+                return x
         if isinstance(x, Integral):
             if self.d != 1:
                 raise ValueError(f"scalar point {x} given for d = {self.d}")

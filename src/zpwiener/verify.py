@@ -175,7 +175,7 @@ def _rand_values(rng, size: int, kind: str) -> list[complex]:
 
 def _rand_function(rng, ctx: GroupContext, size: int, kind: str) -> SparseFunction:
     pts = _rand_points(rng, ctx, size)
-    return SparseFunction(ctx, dict(zip(pts, _rand_values(rng, size, kind))))
+    return SparseFunction._reduced(ctx, zip(pts, _rand_values(rng, size, kind)))
 
 
 def random_instance(kind: str, seed: int, **params) -> dict:
@@ -476,6 +476,8 @@ def _suite_rng(seed: int, name: str) -> np.random.Generator:
 
 def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[VerificationReport]:
     """Run one named suite (or all of them) on seeded generated instances."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     names = sorted(CHECKS) if name == "all" else [name]
     for n in names:
         if n not in CHECKS:

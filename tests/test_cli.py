@@ -118,6 +118,34 @@ def test_verify_suite_and_exit_codes(tmp_path, capsys):
     assert main(["verify", "bogus"]) == 2
 
 
+def test_verify_rejects_counts_below_one(capsys):
+    for count in ("0", "-5"):
+        assert main(["verify", "all", "--count", count]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: count must be >= 1, got {count}\n"
+
+
+def test_parser_is_reused_without_leaking_options(tmp_path, capsys):
+    # main builds its parser once per process; an option given to one call
+    # must not reach the next, so each in-process call matches a fresh one
+    path = write_file(tmp_path, "f.txt", GroupContext(101), {0: 1.0, 5: 2.0})
+    calls = [
+        ["eval", path, "--budget", "50"],
+        ["eval", path],
+        ["verify", "banach", "--count", "3", "--tolerance", "0.5"],
+        ["verify", "banach", "--count", "3"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "zpwiener.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [main(argv) for argv in calls] == [3, 0, 0, 0]
+
+
 def test_verify_all_covers_registry(tmp_path):
     out = tmp_path / "all.jsonl"
     assert main(["verify", "all", "--seed", "1", "--count", "2",

@@ -292,6 +292,43 @@ def test_dimension_sum_set_fallback_matches_default(monkeypatch):
         assert fallbacks > start
 
 
+def dimension_without_ceiling(points, ctx):
+    """The exact search as it was before the floor(log2 |G|) ceiling: the
+    include-first DFS over sorted points, signed sums kept as sorted codes."""
+    arr = ctx.point_array(points)
+    pts = list(map(tuple, arr.tolist()))
+    codes = groups._codes(ctx, arr)
+    negs = groups._codes(ctx, -arr % ctx.p)
+    best = []
+
+    def dfs(i, chosen, sums):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if i == len(pts) or len(chosen) + (len(pts) - i) <= len(best):
+            return
+        if codes[i] not in sums:
+            plus = groups._add_codes(ctx, sums, codes[i])
+            minus = groups._add_codes(ctx, sums, negs[i])
+            dfs(i + 1, chosen + [pts[i]], np.unique(np.concatenate((sums, plus, minus))))
+        dfs(i + 1, chosen, sums)
+
+    dfs(0, [], np.zeros(1, dtype=np.int64))
+    return len(best), tuple(best)
+
+
+def test_exact_dimension_ceiling_keeps_the_first_maximum():
+    # the ceiling binds in Z_101 (dim 6 = floor(log2 101)) and rarely elsewhere
+    binds = 0
+    for i, (p, d, size) in enumerate([(101, 1, 16), (10007, 1, 12), (31, 2, 12)] * 3):
+        ctx = GroupContext(p, d)
+        pts = _rand_points(np.random.default_rng(100 + i), ctx, size)
+        got = additive_dimension(pts, ctx, "exact")
+        assert got == dimension_without_ceiling(pts, ctx)
+        binds += got[0] == ctx.size.bit_length() - 1
+    assert binds >= 3
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_greedy_dimension_never_exceeds_exact(data):

@@ -235,3 +235,26 @@ def test_entries_reject_non_finite_values():
     arr[3] = float("nan")
     with pytest.raises(ValueError):
         SparseFunction.from_dense(ctx, arr)
+
+
+def test_products_and_restrictions_check_their_values():
+    ctx = GroupContext(7)
+    f = SparseFunction(ctx, {1: 1e200, 2: 3.0})
+    with pytest.raises(ValueError, match=r"non-finite value .* at point \(1,\)"):
+        f.pointwise_mul(f)
+    tiny = SparseFunction(ctx, {1: 1e-200, 2: 3.0})
+    assert dict(tiny.pointwise_mul(tiny).entries) == {(2,): 9 + 0j}  # 1e-400 is 0
+    g = SparseFunction(ctx, {1: 2.0, 2: 0.5j, 5: -1.0})
+    assert list(g.restrict([9, -2, 4]).entries.items()) == [((2,), 0.5j), ((5,), -1 + 0j)]
+
+
+@pytest.mark.parametrize("p", [3, 101, 10007])
+def test_one_dim_dft_is_fftn_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    ctx = GroupContext(p)
+    pts = _rand_points(rng, ctx, min(p, 40))
+    f = SparseFunction(ctx, dict(zip(pts, rng.standard_normal(len(pts)) + 1j)))
+    want = np.fft.fftn(f.to_dense(), norm="forward")
+    got = dft(f).coefficients
+    assert got.tobytes() == want.tobytes()
+    assert wiener_norm(f) == float(np.abs(want).sum())

@@ -1,3 +1,5 @@
+from numbers import Integral
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,6 +209,59 @@ def test_point_array_reads_arrays_and_rejects_like_point():
     with pytest.raises(ValueError, match="has 3 coords"):
         ctx.point_array([(1, 2, 3)])
     assert GroupContext(7).point_array(np.arange(-3, 10)).ravel().tolist() == list(range(7))
+
+
+def point_reference(ctx, x):
+    """`GroupContext.point` without its fast paths: the abc check, then int()."""
+    if isinstance(x, Integral):
+        if ctx.d != 1:
+            raise ValueError(f"scalar point {x} given for d = {ctx.d}")
+        return (int(x) % ctx.p,)
+    coords = tuple(int(c) % ctx.p for c in x)
+    if len(coords) != ctx.d:
+        raise ValueError(f"point {x!r} has {len(coords)} coords, expected {ctx.d}")
+    return coords
+
+
+def outcome(fn, *args):
+    """The point and its coordinate types, or the error message."""
+    try:
+        pt = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return pt, [type(c) for c in pt]
+
+
+def test_point_fast_paths_keep_the_reference_semantics():
+    big = 2**70
+    scalars = [0, 6, 7, -1, -8, big, -big, True, False, np.int64(9), np.int32(-3),
+               np.uint8(200), np.int64(2**62)]
+    tuples = [(1, 2), (6, 6), (7, 0), (-1, 3), (big, -big), (True, 2), (False, False),
+              (np.int64(8), 1), (1.5, 2), [1, 2], [8, -1], (1,), (1, 2, 3), (), "12"]
+    for ctx in (GroupContext(7), GroupContext(7, 2), GroupContext(7, 3)):
+        for x in scalars + tuples + [(x,) for x in scalars]:
+            assert outcome(ctx.point, x) == outcome(point_reference, ctx, x), (ctx, x)
+
+
+def test_point_array_keeps_the_reference_semantics():
+    big = 2**70
+    cases = [
+        (GroupContext(7), [3, -4, True, np.int64(10), big, (2,), [9]]),
+        (GroupContext(7), [np.int64(3), np.int64(-4)]),
+        (GroupContext(7, 2), [(1, 2), [8, -5], (big, 0), (True, False), (np.int32(6), 13)]),
+        (GroupContext(7, 2), [(1, 2), 3]),
+        (GroupContext(7, 2), [(1, 2), (1, 2, 3)]),
+        (GroupContext(7, 2), [(1, 2), (1,)]),
+    ]
+    for ctx, pts in cases:
+        try:
+            want = sorted({point_reference(ctx, x) for x in pts})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ctx.point_array(pts)
+            assert str(info.value) == str(exc)
+            continue
+        assert ctx.point_array(pts).tolist() == [list(x) for x in want]
 
 
 def test_nonzero_constraints():

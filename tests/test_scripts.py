@@ -11,7 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
+    """The finished process; its exit code must be returncode."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -20,12 +21,12 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def test_run_monitors_writes_one_row_per_monitor_and_size():
-    out = run_script("run_monitors.py", "--p", "101", "--sizes", "4,6")
+    out = run_script("run_monitors.py", "--p", "101", "--sizes", "4,6").stdout
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["monitor", "size", "ratio"]
     names = ["dim-bound", "log-support", "t2-lower", "rudin-k2", "rudin-k3"]
@@ -34,8 +35,31 @@ def test_run_monitors_writes_one_row_per_monitor_and_size():
     assert all(float(row[2]) > 0 for row in rows[1:])
 
 
+def test_run_monitors_defaults_reach_every_requested_size():
+    proc = run_script("run_monitors.py")  # p = 1009, so sizes up to 9
+    assert proc.stderr == ""
+    rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+    assert [int(row[1]) for row in rows] == [s for s in (4, 6, 8) for _ in range(5)]
+
+
+def test_run_monitors_rejects_sizes_past_log2_p():
+    proc = run_script("run_monitors.py", "--p", "101", "--sizes", "4,7", returncode=2)
+    assert proc.stdout == ""
+    assert "sizes [7] exceed floor(log2 p) = 6" in proc.stderr
+
+
+def test_run_monitors_warns_when_the_walk_stops_short():
+    proc = run_script("run_monitors.py", "--sizes", "9")
+    assert proc.stderr == (
+        "warning: the greedy walk found a dissociated set of 8 points in Z_1009, "
+        "short of the 9 requested (seed 0)\n"
+    )
+    rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
+    assert [(row[0], int(row[1])) for row in rows[3:]] == [("rudin-k2", 8), ("rudin-k3", 8)]
+
+
 def test_calibrate_ap_band_prints_sizes_range_and_band():
-    lines = run_script("calibrate_ap_band.py", "--p", "101", "--ns", "1,2,5").splitlines()
+    lines = run_script("calibrate_ap_band.py", "--p", "101", "--ns", "1,2,5").stdout.splitlines()
     assert lines[0] == "p = 101 (quadratic oracle)"
     row = re.compile(r"  size +(\d+)  norm +[\d.]+  ratio [\d.]+")
     sizes = [int(row.fullmatch(line).group(1)) for line in lines[1:4]]

@@ -55,6 +55,13 @@ def test_unknown_names_raise():
         monitor("bogus", {})
 
 
+def test_run_suite_rejects_counts_below_one():
+    for count in (0, -5):
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            run_suite("all", count=count)
+    assert len(run_suite("banach", count=1)) == 1
+
+
 def test_registry_every_name_generates_and_passes():
     reports = run_suite("all", seed=0, count=5)
     names = {r.name for r in reports}
