@@ -18,6 +18,7 @@ from .fourier import (
     Spectrum,
     dft,
     dft_direct_sum,
+    dft_naive,
     inverse_dft,
     wiener_norm,
 )

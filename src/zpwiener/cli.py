@@ -59,7 +59,7 @@ def cmd_eval(args) -> int:
         print("warning: function has empty support", file=sys.stderr)
         print("wiener_norm 0.000000000000")
         return 0
-    spec = dft(f, method=args.method)
+    spec = dft(f)
     print(f"wiener_norm {spec.l1:.12f}")
     print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
     if args.spectrum:
@@ -158,9 +158,9 @@ def cmd_scan(args) -> int:
         print("error: --sizes must list at least one integer", file=sys.stderr)
         return 2
     if args.kind == "ap":
-        rows = ap_scan(args.p, sizes, method=args.method)
+        rows = ap_scan(args.p, sizes)
     else:
-        rows = random_set_scan(args.p, sizes, seed=args.seed, method=args.method)
+        rows = random_set_scan(args.p, sizes, seed=args.seed)
     if args.output:
         write_scan_csv(args.output, rows)
     else:
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Wiener norm and spectrum summary of a function file")
     p_eval.add_argument("input")
     p_eval.add_argument("--spectrum", help="write the full spectrum to this report file")
-    p_eval.add_argument("--method", choices=["fast", "naive"], default="fast")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a named check suite (or all)")
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--sizes", required=True, help="comma-separated list")
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--method", choices=["fast", "naive"], default="fast")
     p_scan.add_argument("--output")
     p_scan.set_defaults(func=cmd_scan)
 

@@ -155,11 +155,11 @@ def t_k_int_set(points: Iterable[int], k: int) -> float:
     return t_k_int({int(x): 1.0 for x in set(points)}, k)
 
 
-def t_k_spectral(g: SparseFunction, k: int, method: str = "fast") -> float:
+def t_k_spectral(g: SparseFunction, k: int) -> float:
     """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = dft(g, method=method)
+    spec = dft(g)
     # |G| is folded into each coefficient first: |G|^{2k-1} alone can exceed
     # the float range when the sum itself does not
     size = g.ctx.size
@@ -238,9 +238,7 @@ def _pattern(index: int, m: int) -> tuple[int, ...]:
     return tuple(index // 3 ** (m - 1 - i) % 3 - 1 for i in range(m))
 
 
-def is_dissociated(
-    points: Iterable, ctx: GroupContext, cap: int = DISSOCIATION_CAP
-) -> DissociationCertificate:
+def is_dissociated(points: Iterable, ctx: GroupContext) -> DissociationCertificate:
     """Search all nonzero {-1,0,1} patterns for one summing to zero.
 
     Meet-in-the-middle over the two halves of the (sorted) set, so the cost is
@@ -251,10 +249,10 @@ def is_dissociated(
     """
     arr = ctx.point_array(points)
     n = len(arr)
-    if n > cap:
+    if n > DISSOCIATION_CAP:
         raise BudgetError(
-            f"dissociation search capped at {cap} elements, got {n} "
-            f"({n - cap} over); raise DISSOCIATION_CAP"
+            f"dissociation search capped at {DISSOCIATION_CAP} elements, got {n} "
+            f"({n - DISSOCIATION_CAP} over); raise DISSOCIATION_CAP"
         )
     pts = list(map(tuple, arr.tolist()))
     left, right = pts[: n // 2], pts[n // 2 :]
@@ -312,7 +310,8 @@ def additive_dimension(
     for the exact value.
     A dissociated subset extends by x iff x is not one of its signed sums;
     those are kept as a sorted code array while they number at most
-    _SUMS_CAP, and meet-in-the-middle decides beyond that.
+    _SUMS_CAP, and meet-in-the-middle decides beyond that, on at most
+    DISSOCIATION_CAP points.
     """
     arr = ctx.point_array(points)
     if mode not in ("exact", "greedy"):
@@ -338,7 +337,7 @@ def additive_dimension(
 
     def extends(chosen: list[Point], sums: Optional[np.ndarray], i: int) -> bool:
         if sums is None:
-            return is_dissociated(chosen + [pts[i]], ctx, cap=len(chosen) + 1).dissociated
+            return is_dissociated(chosen + [pts[i]], ctx).dissociated
         j = np.searchsorted(sums, codes[i])
         return j == len(sums) or sums[j] != codes[i]
 

@@ -6,9 +6,9 @@ Conventions, fixed everywhere:
     f(x)     = sum_xi fhat(xi) * exp(+2*pi*i * (xi . x) / p)
     wiener_norm(f) = sum_xi |fhat(xi)|
 
-The fast path is numpy's pocketfft (`np.fft.fftn`), which transforms every
+The transforms are numpy's pocketfft (`np.fft.fftn`), which transforms every
 axis in one call at any length.  The quadratic-time transform, tensorized
-axis by axis, is the `method="naive"` oracle that tests compare against; it
+axis by axis, is the oracle `dft_naive` that tests compare against; it
 reduces every phase exponent mod p before touching floating point, so angles
 stay in (-2*pi, 0].
 """
@@ -186,20 +186,17 @@ def _dft_naive(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_method(method: str) -> None:
-    if method not in ("fast", "naive"):
-        raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
-
-
-def dft(f: SparseFunction, method: str = "fast") -> Spectrum:
-    """Forward transform over all d axes; method is "fast" or "naive" (the oracle)."""
-    _check_method(method)
+def dft(f: SparseFunction) -> Spectrum:
+    """Forward transform over all d axes."""
     arr = f.to_dense()
-    if method == "naive":
-        return Spectrum(f.ctx, _dft_naive(arr) / f.ctx.size)
     if f.ctx.d == 1:  # the one-axis case of fftn, without its axis bookkeeping
         return Spectrum(f.ctx, np.fft.fft(arr, norm="forward"))
     return Spectrum(f.ctx, np.fft.fftn(arr, norm="forward"))
+
+
+def dft_naive(f: SparseFunction) -> Spectrum:
+    """The quadratic-time oracle of `dft`, tensorized axis by axis."""
+    return Spectrum(f.ctx, _dft_naive(f.to_dense()) / f.ctx.size)
 
 
 def dft_direct_sum(f: SparseFunction) -> Spectrum:
@@ -218,22 +215,14 @@ def dft_direct_sum(f: SparseFunction) -> Spectrum:
     return Spectrum(ctx, coeffs)
 
 
-def inverse_dft(
-    spectrum: Spectrum,
-    zero_clamp: float = ZERO_CLAMP,
-    method: str = "fast",
-) -> SparseFunction:
-    """Inverse transform; values below zero_clamp are dropped from the result."""
-    _check_method(method)
+def inverse_dft(spectrum: Spectrum) -> SparseFunction:
+    """Inverse transform; values of magnitude at most ZERO_CLAMP are dropped."""
     ctx = spectrum.ctx
     ctx.check_dense_budget()
-    if method == "naive":
-        arr = np.conj(_dft_naive(np.conj(spectrum.coefficients)))
-    else:
-        arr = np.fft.ifftn(spectrum.coefficients, norm="forward")
-    return SparseFunction.from_dense(ctx, arr, zero_clamp=zero_clamp)
+    arr = np.fft.ifftn(spectrum.coefficients, norm="forward")
+    return SparseFunction.from_dense(ctx, arr, zero_clamp=ZERO_CLAMP)
 
 
-def wiener_norm(f: SparseFunction, method: str = "fast") -> float:
+def wiener_norm(f: SparseFunction) -> float:
     """l1 norm of the Fourier transform."""
-    return dft(f, method=method).l1
+    return dft(f).l1

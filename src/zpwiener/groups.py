@@ -220,7 +220,7 @@ def _dots(ctx: GroupContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b % ctx.p
 
 
-def enumerate_directions(ctx: GroupContext, cap: int = DIRECTION_CAP) -> list[Point]:
+def enumerate_directions(ctx: GroupContext) -> list[Point]:
     """One canonical representative per projective direction of Z_p^d.
 
     Returns exactly (p^d - 1)/(p - 1) vectors, each with first nonzero
@@ -229,9 +229,10 @@ def enumerate_directions(ctx: GroupContext, cap: int = DIRECTION_CAP) -> list[Po
     """
     p, d = ctx.p, ctx.d
     r = (p**d - 1) // (p - 1)
-    if r > cap:
+    if r > DIRECTION_CAP:
         raise BudgetError(
-            f"direction count {r} exceeds the cap {cap} (DIRECTION_CAP) by {r - cap}"
+            f"direction count {r} exceeds the cap {DIRECTION_CAP} (DIRECTION_CAP) "
+            f"by {r - DIRECTION_CAP}"
         )
     out: list[Point] = []
     # Vectors with more leading zeros sort first, so emit blocks by the

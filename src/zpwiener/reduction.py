@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
+from .energy import additive_dimension
 from .errors import BudgetError
 from .fourier import SparseFunction, wiener_norm
 from .groups import (
@@ -341,8 +342,6 @@ def rescale_to_short_interval(
     if not len(f):
         raise ValueError("function must have nonempty support")
     p = ctx.p
-    from .energy import additive_dimension  # local import to avoid a cycle
-
     if lams is None:
         _, core = additive_dimension(f.support, ctx, mode="greedy")
         lam_vals = [x[0] for x in core]

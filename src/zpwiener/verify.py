@@ -29,7 +29,7 @@ from .energy import (
     t_k_spectral,
     scattered_energy_bound,
 )
-from .fourier import SparseFunction, wiener_norm
+from .fourier import SparseFunction, dft_naive, wiener_norm
 from .groups import GroupContext, Line, _decode, enumerate_directions
 from .reduction import find_balanced_hyperplane, restrict_to_line
 
@@ -78,15 +78,6 @@ class MonitorRecord:
     details: dict
     digest: str
 
-    def as_record(self) -> dict:
-        return {
-            "record": "monitor",
-            "name": self.name,
-            "ratio": self.ratio,
-            "details": self.details,
-            "digest": self.digest,
-        }
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -98,17 +89,6 @@ class ScanRow:
     wiener_norm: float
     log_size: float
     ratio: Optional[float]  # None flags sizes < 2 where the ratio is undefined
-
-    def as_record(self) -> dict:
-        return {
-            "record": "scan",
-            "p": self.p,
-            "size": self.size,
-            "structure": self.structure,
-            "wiener_norm": self.wiener_norm,
-            "log_size": self.log_size,
-            "ratio": self.ratio,
-        }
 
 
 def _one_sided(name, lhs, rhs, tol_base, inst) -> VerificationReport:
@@ -560,8 +540,11 @@ def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
     """Wiener norms of symmetric progressions A = {-n..n} mod p.
 
     Requires |A| = 2n+1 < p/2 for every n; rows report norm / ln|A| (None for
-    the singleton n = 0).
+    the singleton n = 0).  method "naive" takes the norms from the oracle
+    `dft_naive`, as `scripts/calibrate_ap_band.py` asks.
     """
+    if method not in ("fast", "naive"):
+        raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
     ctx = GroupContext(p)
     rows = []
     for n in ns:
@@ -571,16 +554,14 @@ def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
         if 2 * size >= p:
             raise ValueError(f"|A| = {size} violates the hypothesis |A| < p/2")
         f = SparseFunction.indicator(ctx, range(-n, n + 1))
-        norm = wiener_norm(f, method=method)
+        norm = wiener_norm(f) if method == "fast" else dft_naive(f).l1
         log_size = math.log(size)
         ratio = norm / log_size if size >= 2 else None
         rows.append(ScanRow(p, size, "ap", norm, log_size, ratio))
     return rows
 
 
-def random_set_scan(
-    p: int, sizes: list[int], seed: int = 0, method: str = "fast"
-) -> list[ScanRow]:
+def random_set_scan(p: int, sizes: list[int], seed: int = 0) -> list[ScanRow]:
     """Same row shape for uniform random subsets of Z_p."""
     ctx = GroupContext(p)
     rng = np.random.default_rng(seed)
@@ -589,7 +570,7 @@ def random_set_scan(
         if not 1 <= size < p / 2:
             raise ValueError(f"size {size} must satisfy 1 <= size < p/2")
         pts = _rand_points(rng, ctx, size)
-        norm = wiener_norm(SparseFunction.indicator(ctx, pts), method=method)
+        norm = wiener_norm(SparseFunction.indicator(ctx, pts))
         log_size = math.log(size)
         ratio = norm / log_size if size >= 2 else None
         rows.append(ScanRow(p, size, "random", norm, log_size, ratio))

@@ -11,6 +11,7 @@ from zpwiener.config import DEFAULT_CONFIG, ToolConfig, using
 from zpwiener.energy import additive_dimension, is_dissociated, t_k_direct
 from zpwiener.errors import BudgetError
 from zpwiener.fileio import (
+    dump_scan_csv,
     read_function_file,
     read_report_file,
     write_function_file,
@@ -18,7 +19,7 @@ from zpwiener.fileio import (
 from zpwiener.fourier import SparseFunction
 from zpwiener.groups import GroupContext, enumerate_directions
 from zpwiener.reduction import find_dirichlet_q
-from zpwiener.verify import _rand_points
+from zpwiener.verify import _rand_points, ap_scan
 
 
 def write_file(tmp_path, name, ctx, entries):
@@ -68,13 +69,18 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
 
 def test_method_choices(tmp_path, capsys):
     path = write_file(tmp_path, "f.txt", GroupContext(5), {0: 1.0, 1: 1.0})
-    for method in ("fast", "naive"):
-        assert main(["eval", path, "--method", method]) == 0
-        assert "wiener_norm 1.294427191000" in capsys.readouterr().out
+    assert main(["eval", path]) == 0
+    assert "wiener_norm 1.294427191000" in capsys.readouterr().out
+    assert main(["scan", "ap", "--p", "101", "--sizes", "1,5"]) == 0
+    assert capsys.readouterr().out == dump_scan_csv(ap_scan(101, [1, 5]))
+    for fast, naive in zip(ap_scan(101, [1, 5]), ap_scan(101, [1, 5], method="naive")):
+        assert naive.wiener_norm == pytest.approx(fast.wiener_norm, rel=1e-9)
+    # the transform is no longer chosen on the command line
     for argv in (["eval", path], ["scan", "ap", "--p", "101", "--sizes", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--method", "auto"])
-        assert exc.value.code == 2
+        for method in ("fast", "naive", "auto"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--method", method])
+            assert exc.value.code == 2
 
 
 def test_eval_subgroup_prints_one(tmp_path, capsys):
@@ -222,8 +228,8 @@ def test_budget_errors_name_their_knob():
          r"got 17 \(1 over\); raise exact_dim_cap"),
         (ToolConfig(q_scan_cap=2), lambda: find_dirichlet_q([1, 35], ctx),
          "past q_scan_cap = 2 by up to 99; raise q_scan_cap"),
-        (DEFAULT_CONFIG, lambda: enumerate_directions(GroupContext(101, 4), cap=10),
-         r"cap 10 \(DIRECTION_CAP\) by 1040594"),
+        (DEFAULT_CONFIG, lambda: enumerate_directions(GroupContext(3, 15)),
+         r"cap 4194304 \(DIRECTION_CAP\) by 2980149"),
         (DEFAULT_CONFIG, lambda: is_dissociated(range(1, 25), ctx),
          r"got 24 \(4 over\); raise DISSOCIATION_CAP"),
     ]

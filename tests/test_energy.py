@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import time
 from functools import partial
 
 import numpy as np
@@ -290,6 +291,18 @@ def test_dimension_sum_set_fallback_matches_default(monkeypatch):
         start = fallbacks
         assert [both(ctx, pts) for ctx, pts in cases] == expected
         assert fallbacks > start
+
+
+def test_dimension_fallback_is_bounded_by_the_dissociation_cap():
+    # 24 random points of a large group are dissociated, so the greedy scan
+    # passes _SUMS_CAP sums and then needs the meet-in-the-middle search on
+    # 21 points, one more than DISSOCIATION_CAP allows
+    ctx = GroupContext(1599977, 3)
+    pts = _rand_points(np.random.default_rng(0), ctx, 24)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"got 21 \(1 over\); raise DISSOCIATION_CAP"):
+        additive_dimension(pts, ctx, "greedy")
+    assert time.perf_counter() - start < 1.0
 
 
 def dimension_without_ceiling(points, ctx):

@@ -71,8 +71,9 @@ def test_directions_cover_every_nonzero_vector_once(p, d):
 
 
 def test_directions_budget():
-    with pytest.raises(BudgetError):
-        enumerate_directions(GroupContext(101, 4), cap=10)
+    # (3^15 - 1) / 2 = 7,174,453 directions; the cap raises before any is built
+    with pytest.raises(BudgetError, match="DIRECTION_CAP"):
+        enumerate_directions(GroupContext(3, 15))
 
 
 def test_affine_apply_examples():
