@@ -6,11 +6,16 @@ Conventions, fixed everywhere:
     f(x)     = sum_xi fhat(xi) * exp(+2*pi*i * (xi . x) / p)
     wiener_norm(f) = sum_xi |fhat(xi)|
 
-The transforms are numpy's pocketfft (`np.fft.fftn`), which transforms every
-axis in one call at any length.  The quadratic-time transform, tensorized
-axis by axis, is the oracle `dft_naive` that tests compare against; it
-reduces every phase exponent mod p before touching floating point, so angles
-stay in (-2*pi, 0].
+The transforms are numpy's pocketfft, at any length.  `dft` makes the calls
+`np.fft.fftn` makes, one `np.fft.fft` per axis from the last to the first,
+without its bookkeeping.  At d >= 2, when fewer than half the last-axis lines
+could hold a point (2 |supp f| < p^{d-1}), the first call transforms only the
+lines that do and fills the empty ones with the transform of a zero line:
+the same per-line work, so the table is the one `fftn` gives bit for bit,
+signed zeros included.  The quadratic-time transform, tensorized axis by
+axis, is the oracle `dft_naive` that tests compare against; it reduces every
+phase exponent mod p before touching floating point, so angles stay in
+(-2*pi, 0].
 """
 
 from __future__ import annotations
@@ -161,7 +166,8 @@ class Spectrum:
 
 def _dft1d_fast(values: np.ndarray) -> np.ndarray:
     """Unnormalized transform along the last axis: X[k] = sum_n v[n] w^{kn}."""
-    # Only the acceptance ladder calls this; `dft` transforms all axes at once.
+    # Only the acceptance ladder calls this; `dft` transforms the occupied
+    # last-axis lines itself (see _occupied_lines_fft).
     return np.fft.fft(values, axis=-1)
 
 
@@ -186,12 +192,40 @@ def _dft_naive(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _occupied_lines_fft(f: SparseFunction) -> np.ndarray:
+    """`np.fft.fft(f.to_dense(), norm="forward")`, the transform along the
+    last axis, run only on the lines that hold a point.
+
+    Every other line gets the transform of a zero line, signed zeros and
+    all, from a zero row transformed in the same batch.
+    """
+    ctx = f.ctx
+    ctx.check_dense_budget()
+    p, d = ctx.p, ctx.d
+    lines: dict[Point, int] = {}  # prefix (x_0, ..., x_{d-2}) -> row of the table
+    table = np.zeros((len(f) + 1, p), dtype=np.complex128)
+    for pt, v in f._entries.items():
+        table[lines.setdefault(pt[:-1], len(lines)), pt[-1]] = v
+    rows = np.fft.fft(table[: len(lines) + 1], norm="forward")  # row len(lines) is zero
+    prefixes = np.array(list(lines), dtype=np.int64).reshape(len(lines), d - 1)
+    arr = np.empty((ctx.size // p, p), dtype=np.complex128)
+    arr[:] = rows[-1]
+    arr[prefixes @ (p ** np.arange(d - 2, -1, -1, dtype=np.int64))] = rows[:-1]
+    return arr.reshape((p,) * d)
+
+
 def dft(f: SparseFunction) -> Spectrum:
-    """Forward transform over all d axes."""
-    arr = f.to_dense()
-    if f.ctx.d == 1:  # the one-axis case of fftn, without its axis bookkeeping
-        return Spectrum(f.ctx, np.fft.fft(arr, norm="forward"))
-    return Spectrum(f.ctx, np.fft.fftn(arr, norm="forward"))
+    """Forward transform over all d axes: `np.fft.fftn`'s calls, the last
+    axis first, then each axis before it; unlike `fftn`, each table is
+    dropped as soon as the next one is made."""
+    ctx = f.ctx
+    if 2 * len(f) < ctx.size // ctx.p:  # most last-axis lines are empty
+        arr = _occupied_lines_fft(f)
+    else:
+        arr = np.fft.fft(f.to_dense(), norm="forward")
+    for axis in range(ctx.d - 2, -1, -1):
+        arr = np.fft.fft(arr, axis=axis, norm="forward")
+    return Spectrum(ctx, arr)
 
 
 def dft_naive(f: SparseFunction) -> Spectrum:

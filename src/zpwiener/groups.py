@@ -336,6 +336,8 @@ class Hyperplane:
         object.__setattr__(self, "u", int(self.u) % self.ctx.p)
 
     def contains(self, x) -> bool:
+        """x . eta = u, one point at a time: the brute-force oracle that the
+        array counts of the hyperplane searches are tested against."""
         return self.ctx.dot(self.ctx.point(x), self.eta) == self.u
 
 
@@ -355,13 +357,20 @@ class Line:
         base = self.ctx.zero() if self.base is None else self.ctx.point(self.base)
         object.__setattr__(self, "base", base)
 
+    # point_at, points and contains are the named oracles of `parameters`:
+    # library code reads whole arrays through `parameters`, and the tests
+    # (the acceptance criteria among them) enumerate lines point by point.
+
     def point_at(self, u: int) -> Point:
+        """u * direction + base, by scalar group arithmetic."""
         return self.ctx.add(self.ctx.scale(u, self.direction), self.base)
 
     def points(self) -> list[Point]:
+        """The p points of the line in parameter order."""
         return [self.point_at(u) for u in range(self.ctx.p)]
 
     def contains(self, x) -> bool:
+        """Whether the one point x lies on the line."""
         return bool(self.parameters([self.ctx.point(x)])[0] >= 0)
 
     def parameters(self, arr) -> np.ndarray:

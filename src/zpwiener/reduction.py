@@ -21,7 +21,7 @@ import numpy as np
 from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
 from .energy import additive_dimension
 from .errors import BudgetError
-from .fourier import SparseFunction, wiener_norm
+from .fourier import SparseFunction, dft
 from .groups import (
     AffineMap,
     GroupContext,
@@ -438,7 +438,9 @@ class SeparationBound:
 
     wiener_norm(f) equals the average over the remaining frequencies of the
     one-dimensional Wiener norm of the twisted projection, hence dominates
-    the minimum.
+    the minimum.  With T the separating map, the inner norm at xi_rest is
+    p^{d-1} * sum over xi_0 of |fhat(T^t (xi_0, xi_rest))|, read off |fhat|
+    along that line; inner_norms lists them with xi_rest in product order.
     """
 
     separating: SeparatingMap
@@ -451,28 +453,30 @@ class SeparationBound:
 def separated_projection_bound(f: SparseFunction) -> SeparationBound:
     """Compare wiener_norm(f) with the projected one-dimensional norms.
 
-    After separating first coordinates, fixing the other frequency components
-    twists the projected function by a unimodular factor; each twist gives a
-    one-dimensional Wiener norm and f's norm is their exact average.
+    After separating first coordinates by T, fixing the other frequency
+    components xi_rest twists the projected function x_0 -> sum of
+    h(x_0, a_rest) e(-a_rest . xi_rest / p), h = f o T^{-1}, by a unimodular
+    factor; each twist gives a one-dimensional Wiener norm and f's norm is
+    their exact average.  Since hhat(xi) = fhat(T^t xi), all of them come
+    from the one transform of f: T^t (xi_0, xi_rest) has s = xi_0 * t_pivot
+    at the pivot of the separating row t and xi_rest + s * shift elsewhere,
+    shift = t_others / t_pivot mod p, so the inner norms are p^{d-1} times
+    the sum over s of the slice of |fhat| at pivot coordinate s, rolled back
+    by s * shift.
     """
     ctx = f.ctx
     sep = find_separating_map(f.support, ctx)
-    norm = wiener_norm(f)
-    h = pushforward(f, sep.map)
-    p = ctx.p
-    arr = np.array(list(h.entries), dtype=np.int64).reshape(len(h), ctx.d)
-    vals = np.array(list(h.entries.values()), dtype=np.complex128)
-    # row r of a block is the projection twisted by xi_rest = the r-th point
-    # of Z_p^{d-1} in product order: x_0 -> h(a) e(-a_rest . xi_rest / p)
-    rest_ctx = GroupContext(p, ctx.d - 1)
-    rows = max(1, ARRAY_CHUNK // (2 * p))  # complex entries take two int64 slots
-    inner = []
-    for start in range(0, rest_ctx.size, rows):
-        xi = _decode(rest_ctx, np.arange(start, min(start + rows, rest_ctx.size)))
-        phase = _dots(ctx, xi, arr[:, 1:].T)
-        table = np.zeros((len(xi), p), dtype=np.complex128)
-        table[:, arr[:, 0]] = vals * np.exp(-2j * np.pi * phase / p)
-        inner.extend(np.abs(np.fft.fft(table, norm="forward")).sum(axis=1).tolist())
+    mags = np.abs(dft(f).coefficients)
+    norm = float(mags.ravel().sum())  # the sum Spectrum.l1 takes: wiener_norm(f)
+    p, d, row = ctx.p, ctx.d, sep.row
+    pivot = next(i for i, c in enumerate(row) if c)
+    t_inv = pow(row[pivot], -1, p)
+    shift = [c * t_inv % p for i, c in enumerate(row) if i != pivot]
+    axes = tuple(range(d - 1))
+    acc = np.zeros((p,) * (d - 1))
+    for s in range(p):
+        acc += np.roll(mags.take(s, axis=pivot), [-s * c % p for c in shift], axis=axes)
+    inner = (acc.ravel() * p ** (d - 1)).tolist()
     return SeparationBound(
         sep, norm, min(inner), sum(inner) / len(inner), tuple(inner)
     )

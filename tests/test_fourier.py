@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpwiener import energy
 from zpwiener.config import ZERO_CLAMP, ToolConfig, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import (
@@ -261,3 +262,62 @@ def test_one_dim_dft_is_fftn_bit_for_bit(p):
     got = dft(f).coefficients
     assert got.tobytes() == want.tobytes()
     assert wiener_norm(f) == float(np.abs(want).sum())
+
+
+def _switch_supports(p, d):
+    """Supports around dft's switch: empty, one point, one full last-axis
+    line, and just below and at 2 |supp| = p^{d-1}."""
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p * d)
+    at = (p ** (d - 1) + 1) // 2
+    line = [(1,) * (d - 1) + (y,) for y in range(p)]
+    return ctx, rng, {
+        "empty": [],
+        "one": _rand_points(rng, ctx, 1),
+        "line": line,
+        "below": _rand_points(rng, ctx, at - 1),
+        "at": _rand_points(rng, ctx, at),
+    }
+
+
+@pytest.mark.parametrize(
+    "p,d", [(3, 1), (101, 1), (3, 2), (11, 2), (101, 2), (3, 3), (11, 3), (101, 3)]
+)
+def test_dft_is_fftn_bit_for_bit_around_the_switch(p, d, monkeypatch):
+    def plain(g):
+        return Spectrum(g.ctx, np.fft.fftn(g.to_dense(), norm="forward"))
+
+    ctx, rng, supports = _switch_supports(p, d)
+    for name, pts in supports.items():
+        vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        f = SparseFunction(ctx, dict(zip(pts, vals)))
+        want = plain(f).coefficients
+        assert dft(f).coefficients.tobytes() == want.tobytes(), name
+        if ctx.size > 20_000:
+            continue  # the norms read the table just compared; skip the slow repeats
+        assert wiener_norm(f) == float(np.abs(want).sum()), name
+        got = energy.t_k_spectral(f, 2)
+        with monkeypatch.context() as m:
+            m.setattr(energy, "dft", plain)
+            assert got == energy.t_k_spectral(f, 2), name
+
+
+def test_dft_below_the_switch_builds_no_dense_input(monkeypatch):
+    ctx, _, supports = _switch_supports(11, 3)
+    f = SparseFunction.indicator(ctx, supports["below"])
+    want = np.fft.fftn(f.to_dense(), norm="forward")
+    monkeypatch.setattr(SparseFunction, "to_dense", lambda self: pytest.fail("to_dense"))
+    assert dft(f).coefficients.tobytes() == want.tobytes()
+
+
+def test_dft_below_the_switch_keeps_the_dense_budget():
+    ctx = GroupContext(11, 3)
+    f = SparseFunction.indicator(ctx, [(0, 0, 1), (4, 2, 9)])
+    assert 2 * len(f) < 11**2  # the occupied-lines path
+    with using(ToolConfig(dense_budget=11**3 - 1)):
+        with pytest.raises(BudgetError, match="dense_budget"):
+            dft(f)
+        with pytest.raises(BudgetError, match="dense_budget"):
+            wiener_norm(f)
+    with using(ToolConfig(dense_budget=11**3)):
+        assert wiener_norm(f) == float(np.abs(np.fft.fftn(f.to_dense(), norm="forward")).sum())

@@ -484,3 +484,40 @@ def test_separated_projection_inner_norms_match_per_row(p, d):
     assert np.allclose(bound.inner_norms, want, rtol=0, atol=1e-12)
     assert bound.norm == wiener_norm(f)
     assert bound.norm == pytest.approx(bound.mean_inner, abs=1e-9)
+
+
+def _separable_set(rng, p, d, size, pivot):
+    """size points with distinct last coordinates, so the separating row is
+    e_{d-1}.  For pivot 0, two points differ only in x_0, which rules out
+    every row with t_0 = 0, and two others share x_0, which rules out e_0."""
+    last = rng.choice(p, size=size, replace=False)
+    pts = [tuple(int(c) for c in rng.integers(0, p, d - 1)) + (int(y),) for y in last]
+    if pivot == 0:
+        pts[1] = ((pts[0][0] + 1) % p,) + pts[0][1:]
+        pts[3] = pts[2][:1] + pts[3][1:]
+    return pts
+
+
+@pytest.mark.parametrize("p,d", [(101, 2), (31, 3)])
+@pytest.mark.parametrize("pivot", ["first", "last"])
+def test_separation_bound_reads_inner_norms_off_the_transform(p, d, pivot):
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p + d)
+    size = int(math.isqrt(2 * p - 1))
+    pivot = 0 if pivot == "first" else d - 1
+    pts = _separable_set(rng, p, d, size, pivot)
+    vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    f = SparseFunction(ctx, dict(zip(pts, vals)))
+    bound = separated_projection_bound(f)
+    assert next(i for i, c in enumerate(bound.separating.row) if c) == pivot
+    assert bound.norm == wiener_norm(f)
+    # the per-row oracle: the one-dimensional norm of each twisted projection
+    h = pushforward(f, bound.separating.map)
+    want = [
+        wiener_norm(SparseFunction(GroupContext(p), {
+            (a[0],): v * np.exp(-2j * np.pi * (np.dot(a[1:], xi_rest) % p) / p)
+            for a, v in h.entries.items()
+        }))
+        for xi_rest in itertools.product(range(p), repeat=d - 1)
+    ]
+    assert np.allclose(bound.inner_norms, want, rtol=1e-12, atol=0)
