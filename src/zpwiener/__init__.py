@@ -8,7 +8,6 @@ from .groups import (
     Hyperplane,
     Line,
     canonical_abs,
-    canonical_direction,
     enumerate_directions,
     is_odd_prime,
     signed_rep,

@@ -3,7 +3,7 @@
 One `ToolConfig` is in force at a time, per thread and per asyncio task:
 `active()` returns it (`DEFAULT_CONFIG` outside any block), and `using(config)`
 puts one in force for a block.  Each cap is read from it in the one place
-that enforces it.  The module constants are keyword defaults only.
+that enforces it.
 """
 
 import math

@@ -244,15 +244,6 @@ def enumerate_directions(ctx: GroupContext) -> list[Point]:
     return out
 
 
-def canonical_direction(ctx: GroupContext, v: Point) -> Point:
-    """The representative of v's direction with first nonzero coordinate 1."""
-    for i, c in enumerate(v):
-        if c % ctx.p != 0:
-            inv = pow(c, -1, ctx.p)
-            return ctx.scale(inv, v)
-    raise ValueError("zero vector has no direction")
-
-
 def _gauss_jordan(rows: list[list[int]], p: int) -> tuple[int, Optional[list[list[int]]]]:
     """Determinant over Z_p and, when it is nonzero, the inverse matrix, by
     Gauss-Jordan elimination of [M | I] with first-nonzero pivoting."""

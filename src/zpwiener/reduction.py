@@ -6,15 +6,14 @@ The hyperplane search is derandomized: the second-moment argument guarantees a
 hyperplane whose intersection count deviates from the expected density by less
 than sqrt(density) * p^{(d-1)/2}, so an exhaustive scan over all (direction, u)
 pairs always finds one, and ties are broken lexicographically for
-reproducibility.  A seeded sampling mode exists for when the direction count
-is too large to scan.
+reproducibility.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -32,13 +31,9 @@ from .groups import (
     _decode,
     _dots,
     canonical_abs,
-    canonical_direction,
     enumerate_directions,
     signed_rep,
 )
-
-# sampled hyperplane mode gives up after this many (direction, u) draws
-_MAX_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -57,18 +52,8 @@ class BalanceReport:
     theta: float
 
 
-def _balance_report(ctx: GroupContext, size: int, eta, u: int, count: int) -> BalanceReport:
-    """The report for the hyperplane {x . eta = u} holding count of size points."""
-    p, d = ctx.p, ctx.d
-    density = size / ctx.size
-    target = density * p ** (d - 1)
-    bound = math.sqrt(density) * p ** ((d - 1) / 2)
-    dev = abs(count - target)
-    return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
-
-
 def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
-    """Exhaustive mode of find_balanced_hyperplane on distinct points arr.
+    """The scan of find_balanced_hyperplane, on distinct points arr.
 
     Projection-slice: with F the transform of the indicator of A, the count
     of A on {x . eta = u} is the inverse transform over t of t -> F(t eta)
@@ -78,19 +63,14 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     """
     p, d = ctx.p, ctx.d
     dirs = np.array(enumerate_directions(ctx), dtype=np.int64)
-    try:
-        ctx.check_dense_budget()
-    except BudgetError as exc:
-        raise BudgetError(
-            f"{exc}, or use mode=\"sampled\": the exhaustive hyperplane scan "
-            f"transforms the whole group"
-        ) from None
+    ctx.check_dense_budget()
     indicator = np.zeros((p,) * d)
     indicator[tuple(arr.T)] = 1.0
     spectrum = np.fft.fftn(indicator).ravel()
     t = np.arange(p, dtype=np.int64)
     n = len(arr)
-    target = n / ctx.size * p ** (d - 1)
+    density = n / ctx.size
+    target = density * p ** (d - 1)
     best = None
     rows = max(1, ARRAY_CHUNK // (2 * p))  # complex entries take two int64 slots
     for start in range(0, len(dirs), rows):
@@ -108,45 +88,26 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
         if best is None or dev.flat[j] < best[0]:
             best = (dev.flat[j], start + j // p, j % p, int(counts.flat[j]))
     _, row, u, count = best
-    return _balance_report(ctx, n, tuple(int(c) for c in dirs[row]), u, count)
+    eta = tuple(int(c) for c in dirs[row])
+    bound = math.sqrt(density) * p ** ((d - 1) / 2)
+    dev = abs(count - target)
+    return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
 
 
-def find_balanced_hyperplane(
-    points: Iterable,
-    ctx: GroupContext,
-    mode: str = "exhaustive",
-    seed: Optional[int] = None,
-) -> BalanceReport:
+def find_balanced_hyperplane(points: Iterable, ctx: GroupContext) -> BalanceReport:
     """A hyperplane whose |A intersect L| deviates least from density * p^{d-1}.
 
-    Exhaustive mode scans every (direction, u) pair in lexicographic order and
-    returns the first minimizer; the returned deviation is always at most the
-    bound.  It transforms a dense p^d table, so p^d must not exceed the
-    dense_budget in force.
-    Sampled mode draws uniform pairs until one meets the bound.
+    Scans every (direction, u) pair in lexicographic order and returns the
+    first minimizer; the returned deviation is always at most the bound.  It
+    transforms a dense p^d table, so p^d must not exceed the dense_budget in
+    force.
     """
     if ctx.d < 2:
         raise ValueError("hyperplane balancing needs d >= 2")
     arr = ctx.point_array(points)
     if not len(arr):
         raise ValueError("point set must be nonempty")
-    if mode == "exhaustive":
-        return _scan_hyperplanes(arr, ctx)
-    if mode == "sampled":
-        p = ctx.p
-        rng = np.random.default_rng(seed)
-        for _ in range(_MAX_DRAWS):
-            vec = tuple(int(c) for c in rng.integers(0, p, size=ctx.d))
-            if all(c == 0 for c in vec):
-                continue
-            eta = canonical_direction(ctx, vec)
-            u = int(rng.integers(0, p))
-            count = int(np.count_nonzero(_dots(ctx, arr, np.array(eta)) == u))
-            report = _balance_report(ctx, len(arr), eta, u, count)
-            if report.deviation <= report.bound:
-                return report
-        raise RuntimeError(f"sampled mode found no balanced hyperplane in {_MAX_DRAWS} draws")
-    raise ValueError(f"unknown mode {mode!r}")
+    return _scan_hyperplanes(arr, ctx)
 
 
 def _flatten_map(ctx: GroupContext, hyperplane: Hyperplane) -> AffineMap:
@@ -178,11 +139,7 @@ class LineSearchResult:
     composed_bound: float  # sum of per-step density deviations guaranteed
 
 
-def find_balanced_line(
-    points: Iterable,
-    ctx: GroupContext,
-    min_density_const: Optional[float] = LINE_DENSITY_CONST,
-) -> LineSearchResult:
+def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     """Iterate balanced-hyperplane steps down to a line in Z_p^d.
 
     After each step an invertible coordinate change flattens the found
@@ -200,10 +157,8 @@ def find_balanced_line(
         raise ValueError("point set must be nonempty")
     p = ctx.p
     base_density = len(arr) / ctx.size
-    if min_density_const is not None and base_density < min_density_const / p:
-        raise ValueError(
-            f"density {base_density:.6g} below required {min_density_const}/p"
-        )
+    if base_density < LINE_DENSITY_CONST / p:
+        raise ValueError(f"density {base_density:.6g} below required {LINE_DENSITY_CONST}/p")
 
     steps: list[BalanceReport] = []
     flatten_maps: list[AffineMap] = []
@@ -325,16 +280,14 @@ class RescaleResult:
     rescaling: DirichletRescaling
 
 
-def rescale_to_short_interval(
-    f: SparseFunction, lams: Optional[Iterable[int]] = None
-) -> RescaleResult:
+def rescale_to_short_interval(f: SparseFunction) -> RescaleResult:
     """Dilate f so its support lands near zero, driven by a dissociated core.
 
-    lams defaults to the greedy maximal dissociated subset of supp f; every
-    support point must be a {-1,0,1} combination of lams (automatic for an
-    inclusion-maximal dissociated subset).  The result records, rather than
-    assumes, whether the dilated support fits inside [-p/3, p/3]: that
-    containment is an asymptotic fact and can fail at small p.
+    The core is the greedy maximal dissociated subset of supp f, so every
+    support point is a {-1,0,1} combination of it; that is checked, not
+    assumed.  The result records, rather than assumes, whether the dilated
+    support fits inside [-p/3, p/3]: that containment is an asymptotic fact
+    and can fail at small p.
     """
     ctx = f.ctx
     if ctx.d != 1:
@@ -342,18 +295,15 @@ def rescale_to_short_interval(
     if not len(f):
         raise ValueError("function must have nonempty support")
     p = ctx.p
-    if lams is None:
-        _, core = additive_dimension(f.support, ctx, mode="greedy")
-        lam_vals = [x[0] for x in core]
-    else:
-        lam_vals = sorted({int(l) % p for l in lams})
-    # every support point must be reachable as a signed subset sum of the core
+    _, core = additive_dimension(f.support, ctx, mode="greedy")
+    lam_vals = [x[0] for x in core]
+    # greedy maximality makes every support point a signed subset sum of the core
     reach = {0}
     for l in lam_vals:
         reach |= {(s + l) % p for s in reach} | {(s - l) % p for s in reach}
     missing = [x for x in f.support if x[0] not in reach]
     if missing:
-        raise ValueError(
+        raise RuntimeError(
             f"support points {missing[:3]} are not {{-1,0,1}} combinations of the core"
         )
     resc = find_dirichlet_q(lam_vals, ctx)

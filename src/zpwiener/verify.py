@@ -169,13 +169,6 @@ def random_instance(kind: str, seed: int, **params) -> dict:
         return _fn_instance(_rand_function(rng, ctx, size, "indicator"), kind=kind)
     if kind == "unimodular-function":
         return _fn_instance(_rand_function(rng, ctx, size, "unimodular"), kind=kind)
-    if kind == "dissociated-candidate":
-        pts = _rand_points(rng, ctx, size)
-        return {"p": p, "d": d, "points": [list(x) for x in pts], "kind": kind}
-    if kind == "product-pair":
-        fa = _rand_function(rng, ctx, size, "gaussian")
-        gb = _rand_function(rng, ctx, size, "gaussian")
-        return {"kind": kind, "f": _fn_instance(fa), "g": _fn_instance(gb)}
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -456,12 +449,12 @@ def _suite_rng(seed: int, name: str) -> np.random.Generator:
 
 def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[VerificationReport]:
     """Run one named suite (or all of them) on seeded generated instances."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     names = sorted(CHECKS) if name == "all" else [name]
     for n in names:
         if n not in CHECKS:
-            raise ValueError(f"unknown suite {n!r}; known: {sorted(CHECKS)}")
+            raise ValueError(f"unknown suite {n!r}; known: {sorted(CHECKS)} or 'all'")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     reports = []
     for n in names:
         gen = CHECKS[n].generate

@@ -19,7 +19,7 @@ from zpwiener.fileio import (
 from zpwiener.fourier import SparseFunction
 from zpwiener.groups import GroupContext, enumerate_directions
 from zpwiener.reduction import find_dirichlet_q
-from zpwiener.verify import _rand_points, ap_scan
+from zpwiener.verify import CHECKS, _rand_points, ap_scan
 
 
 def write_file(tmp_path, name, ctx, entries):
@@ -121,7 +121,11 @@ def test_verify_suite_and_exit_codes(tmp_path, capsys):
     assert len(checks) == 5
     assert all(r["pass"] for r in checks)
 
+    capsys.readouterr()
     assert main(["verify", "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown suite 'bogus'; known: {sorted(CHECKS)} or 'all'\n"
 
 
 def test_verify_rejects_counts_below_one(capsys):
@@ -157,8 +161,6 @@ def test_verify_all_covers_registry(tmp_path):
     assert main(["verify", "all", "--seed", "1", "--count", "2",
                  "--output", str(out)]) == 0
     names = {r["name"] for r in read_report_file(str(out)) if r["record"] == "check"}
-    from zpwiener.verify import CHECKS
-
     assert names == set(CHECKS)
 
 
@@ -241,11 +243,10 @@ def test_budget_errors_name_their_knob():
 def test_reduce_line(tmp_path, capsys):
     ctx = GroupContext(5, 3)
     rng = np.random.default_rng(1)
-    pts = {x: 1.0 for x in _rand_points(rng, ctx, 25)}
+    pts = {x: 1.0 for x in _rand_points(rng, ctx, 100)}  # density 4/5 meets 4/p
     path = write_file(tmp_path, "cube.txt", ctx, pts)
     out = tmp_path / "line.jsonl"
-    assert main(["reduce", "line", "--input", path, "--output", str(out),
-                 "--min-density-const", "1.0"]) == 0
+    assert main(["reduce", "line", "--input", path, "--output", str(out)]) == 0
     records = read_report_file(str(out))
     balances = [r for r in records if r["record"] == "balance"]
     assert len(balances) == 2
@@ -255,13 +256,21 @@ def test_reduce_line(tmp_path, capsys):
 
 
 def test_reduce_line_budget(tmp_path, capsys):
+    # the full cube has density 1, which meets 4/p from p = 5 on
+    ctx = GroupContext(5, 3)
+    path = write_file(tmp_path, "cube.txt", ctx, {x: 1.0 for x in ctx.points()})
+    assert main(["reduce", "line", "--input", path, "--budget", "124"]) == 3
+    assert "budget error" in capsys.readouterr().err
+    assert main(["reduce", "line", "--input", path, "--budget", "125"]) == 0
+
+
+def test_reduce_line_has_no_density_constant_flag(tmp_path, capsys):
     ctx = GroupContext(3, 3)
     path = write_file(tmp_path, "cube.txt", ctx, {x: 1.0 for x in ctx.points()})
-    assert main(["reduce", "line", "--input", path, "--min-density-const", "1.0",
-                 "--budget", "10"]) == 3
-    assert "budget error" in capsys.readouterr().err
-    assert main(["reduce", "line", "--input", path, "--min-density-const", "1.0",
-                 "--budget", "27"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "line", "--input", path, "--min-density-const", "1.0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --min-density-const" in capsys.readouterr().err
 
 
 def test_reduce_line_checks_density_by_default(tmp_path, capsys):

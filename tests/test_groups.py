@@ -12,7 +12,6 @@ from zpwiener.groups import (
     Hyperplane,
     Line,
     canonical_abs,
-    canonical_direction,
     enumerate_directions,
     signed_rep,
 )
@@ -66,7 +65,7 @@ def test_directions_cover_every_nonzero_vector_once(p, d):
     for v in ctx.points():
         if all(c == 0 for c in v):
             continue
-        matches = [e for e in dirs if canonical_direction(ctx, v) == e]
+        matches = [(c, e) for c in range(1, p) for e in dirs if ctx.scale(c, e) == v]
         assert len(matches) == 1
 
 

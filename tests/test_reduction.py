@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zpwiener import groups
+from zpwiener import groups, reduction
 from zpwiener.config import ToolConfig, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction, wiener_norm
@@ -80,16 +80,6 @@ def test_balanced_hyperplane_theta_bound_random():
             assert report.count == pytest.approx(report.target, abs=report.bound + 1e-9)
 
 
-def test_balanced_hyperplane_sampled_mode_is_seeded():
-    ctx = GroupContext(7, 2)
-    rng = np.random.default_rng(1)
-    pts = _rand_points(rng, ctx, 20)
-    a = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=11)
-    b = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=11)
-    assert a == b
-    assert a.deviation <= a.bound + 1e-9
-
-
 def test_hyperplane_scan_matches_brute_force():
     # every Hyperplane(ctx, eta, u), eta then u in lexicographic order
     rng = np.random.default_rng(10)
@@ -126,16 +116,23 @@ def test_balanced_hyperplanes_are_pinned():
 def test_exhaustive_scan_needs_the_dense_budget():
     ctx = GroupContext(7, 3)
     pts = _rand_points(np.random.default_rng(0), ctx, 100)
+    dense = _rand_points(np.random.default_rng(0), ctx, 200)  # density >= 4/p
     with using(ToolConfig(dense_budget=ctx.size - 1)):
-        with pytest.raises(BudgetError, match="sampled"):
+        with pytest.raises(BudgetError, match="dense_budget"):
             find_balanced_hyperplane(pts, ctx)
-        with pytest.raises(BudgetError, match="budget"):
-            find_balanced_line(pts, ctx, min_density_const=None)
+        with pytest.raises(BudgetError, match="dense_budget"):
+            find_balanced_line(dense, ctx)
     with using(ToolConfig(dense_budget=ctx.size)):
         assert find_balanced_hyperplane(pts, ctx).theta <= 1.0
-    with using(ToolConfig(dense_budget=1)):
-        sampled = find_balanced_hyperplane(pts, ctx, mode="sampled", seed=3)
-    assert sampled.deviation <= sampled.bound
+        assert find_balanced_line(dense, ctx).count >= 1
+
+
+def test_removed_keywords_are_refused():
+    ctx = GroupContext(7, 2)
+    with pytest.raises(TypeError):
+        find_balanced_hyperplane([(0, 1), (2, 3)], ctx, mode="sampled")
+    with pytest.raises(TypeError):
+        rescale_to_short_interval(SparseFunction.indicator(GroupContext(101), [1, 35]), [1])
 
 
 def test_line_search_d2_is_single_step():
@@ -159,8 +156,8 @@ def test_line_search_full_set_zero_deviation():
 def test_line_search_random_set_per_step_bounds():
     ctx = GroupContext(5, 3)
     rng = np.random.default_rng(3)
-    pts = _rand_points(rng, ctx, 25)
-    result = find_balanced_line(pts, ctx, min_density_const=1.0)
+    pts = _rand_points(rng, ctx, 100)  # density 4/5 meets the hypothesis 4/p
+    result = find_balanced_line(pts, ctx)
     for step in result.steps:
         assert step.theta <= 1.0 + 1e-12
     assert result.count == sum(1 for x in pts if result.line.contains(x))
@@ -291,11 +288,11 @@ def test_dirichlet_rejects_zero():
 def test_rescale_examples():
     ctx = GroupContext(101)
     single = SparseFunction(ctx, {7: 1.5})
-    out = rescale_to_short_interval(single, [7])
+    out = rescale_to_short_interval(single)  # the greedy core is [7]
     assert abs(out.support_signed[0]) <= 1
 
     f = SparseFunction.indicator(ctx, [1, 35])
-    out2 = rescale_to_short_interval(f, [1, 35])
+    out2 = rescale_to_short_interval(f)  # the greedy core is [1, 35]
     assert out2.q == 3
     assert out2.support_signed == (3, 4)
     assert out2.within_third
@@ -313,11 +310,13 @@ def test_rescale_norm_preserved_random():
     assert wiener_norm(out.function) == pytest.approx(wiener_norm(f), abs=1e-9)
 
 
-def test_rescale_rejects_non_spanning_core():
-    ctx = GroupContext(101)
-    f = SparseFunction.indicator(ctx, [1, 50])
-    with pytest.raises(ValueError, match="combinations"):
-        rescale_to_short_interval(f, [1])
+def test_rescale_rejects_non_spanning_core(monkeypatch):
+    # greedy maximality makes the core span the support; a core that does
+    # not breaks an invariant, which raises without relying on assert
+    monkeypatch.setattr(reduction, "additive_dimension", lambda pts, ctx, mode: (1, [(1,)]))
+    f = SparseFunction.indicator(GroupContext(101), [1, 50])
+    with pytest.raises(RuntimeError, match="combinations"):
+        rescale_to_short_interval(f)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +404,12 @@ def test_separating_row_past_int64_place_values():
         groups._weights(ctx)
 
 
-def test_sampled_hyperplane_refuses_int64_overflow():
+def test_separating_map_refuses_int64_overflow():
     # dot products of residues near p = 4294967291 leave int64
     p = 4294967291
     pts = [(p - 1, p - 2), (p - 3, 1), (2, p - 5)]
     with pytest.raises(BudgetError, match="overflow int64"):
-        find_balanced_hyperplane(pts, GroupContext(p, 2), mode="sampled", seed=0)
+        find_separating_map(pts, GroupContext(p, 2))
 
 
 def test_singular_maps_raise_without_asserts(monkeypatch):
@@ -418,7 +417,7 @@ def test_singular_maps_raise_without_asserts(monkeypatch):
     with pytest.raises(RuntimeError, match="singular"):
         find_separating_map([(0, 1), (2, 3)], GroupContext(11, 2))
     with pytest.raises(RuntimeError, match="singular"):
-        find_balanced_line(GroupContext(3, 3).points(), GroupContext(3, 3), min_density_const=None)
+        find_balanced_line(GroupContext(5, 3).points(), GroupContext(5, 3))
 
 
 def test_separating_map_hypothesis_enforced():
