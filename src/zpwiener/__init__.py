@@ -1,7 +1,7 @@
 """Wiener norms, Fourier analysis, and additive energies over Z_p^d."""
 
 from .config import DEFAULT_CONFIG, ToolConfig, using
-from .errors import BudgetError, FileFormatError, SingularMapError
+from .errors import BudgetError, FileFormatError
 from .groups import (
     AffineMap,
     GroupContext,

@@ -5,9 +5,5 @@ class BudgetError(RuntimeError):
     """A dense table, enumeration, or search exceeds its configured budget."""
 
 
-class SingularMapError(ValueError):
-    """An affine map was required to be invertible but its matrix has det = 0 mod p."""
-
-
 class FileFormatError(ValueError):
     """A function or report file failed to parse; the message carries line/field info."""

@@ -14,12 +14,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .config import DIRECTION_CAP, active
-from .errors import BudgetError, SingularMapError
+from .errors import BudgetError
 
 Point = tuple[int, ...]
 
@@ -244,29 +244,6 @@ def enumerate_directions(ctx: GroupContext) -> list[Point]:
     return out
 
 
-def _gauss_jordan(rows: list[list[int]], p: int) -> tuple[int, Optional[list[list[int]]]]:
-    """Determinant over Z_p and, when it is nonzero, the inverse matrix, by
-    Gauss-Jordan elimination of [M | I] with first-nonzero pivoting."""
-    n = len(rows)
-    m = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p != 0), None)
-        if pivot is None:
-            return 0, None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        m[col] = [a * inv % p for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-    return det, [row[n:] for row in m]
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """x -> matrix @ x + shift over Z_p^d."""
@@ -285,30 +262,31 @@ class AffineMap:
         object.__setattr__(self, "shift", shift)
 
     def __call__(self, x) -> Point:
-        return self.ctx.add(self.apply_linear(x), self.shift)
-
-    def apply_linear(self, x) -> Point:
-        """Matrix part only (directions transform without the shift)."""
-        pt = self.ctx.point(x)
-        p = self.ctx.p
-        return tuple(sum(r * c for r, c in zip(row, pt)) % p for row in self.matrix)
+        pt, p = self.ctx.point(x), self.ctx.p
+        return tuple((sum(r * c for r, c in zip(row, pt)) + s) % p
+                     for row, s in zip(self.matrix, self.shift))
 
     def determinant(self) -> int:
-        return _gauss_jordan([list(row) for row in self.matrix], self.ctx.p)[0]
+        """det(matrix) mod p, by Gaussian elimination with first-nonzero pivots."""
+        p = self.ctx.p
+        m = list(self.matrix)
+        det = 1
+        for col in range(len(m)):
+            pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+            if pivot is None:
+                return 0
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                det = -det
+            det = det * m[col][col] % p
+            inv = pow(m[col][col], -1, p)
+            for r in range(col + 1, len(m)):
+                factor = m[r][col] * inv
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
+        return det
 
     def is_invertible(self) -> bool:
         return self.determinant() != 0
-
-    def inverse(self) -> "AffineMap":
-        """The map sending matrix@x + shift back to x; raises if singular."""
-        _, inv = _gauss_jordan([list(row) for row in self.matrix], self.ctx.p)
-        if inv is None:
-            raise SingularMapError("matrix is singular mod p")
-        p = self.ctx.p
-        inv_shift = tuple(
-            (-sum(r * s for r, s in zip(row, self.shift))) % p for row in inv
-        )
-        return AffineMap(self.ctx, tuple(tuple(row) for row in inv), inv_shift)
 
 
 @dataclass(frozen=True)

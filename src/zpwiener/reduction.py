@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
-from .energy import additive_dimension
+from .energy import _signed_sums, additive_dimension
 from .errors import BudgetError
 from .fourier import SparseFunction, dft
 from .groups import (
@@ -110,23 +110,6 @@ def find_balanced_hyperplane(points: Iterable, ctx: GroupContext) -> BalanceRepo
     return _scan_hyperplanes(arr, ctx)
 
 
-def _flatten_map(ctx: GroupContext, hyperplane: Hyperplane) -> AffineMap:
-    """Invertible affine map sending {x . eta = u} onto {last coordinate = 0}.
-
-    Rows are the standard basis vectors skipping eta's pivot column, with eta
-    itself as the last row and -u as the last shift component.
-    """
-    d, p = ctx.d, ctx.p
-    pivot = next(i for i, c in enumerate(hyperplane.eta) if c != 0)
-    rows = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d) if i != pivot]
-    rows.append(hyperplane.eta)
-    shift = (0,) * (d - 1) + ((-hyperplane.u) % p,)
-    out = AffineMap(ctx, tuple(rows), shift)
-    if not out.is_invertible():
-        raise RuntimeError(f"the flattening map of {hyperplane} is singular")
-    return out
-
-
 @dataclass(frozen=True)
 class LineSearchResult:
     """A balanced line with the exact per-step bookkeeping that produced it."""
@@ -142,13 +125,15 @@ class LineSearchResult:
 def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     """Iterate balanced-hyperplane steps down to a line in Z_p^d.
 
-    After each step an invertible coordinate change flattens the found
-    hyperplane onto a coordinate subspace; the accumulated changes pull the
-    final chart line back to original coordinates.  Every step's report obeys
-    theta <= 1, and the line's density deviates from the base density by at
-    most the sum of per-step bounds (tracked exactly, no asymptotics).
-    Each step is an exhaustive hyperplane scan, so p^d must not exceed the
-    dense_budget in force.
+    One chart, y -> origin + sum of y_j * basis[j], covers the current flat.
+    On a found hyperplane {y . eta = u} the coordinates other than eta's
+    pivot fix the pivot one, so the points on it drop their pivot column and
+    the pivot's basis vector folds into the origin and the other vectors.
+    The last hyperplane, of a chart Z_p^2, is the line, lifted by the chart.
+    Every step's report obeys theta <= 1, and the line's density deviates
+    from the base density by at most the sum of per-step bounds (tracked
+    exactly, no asymptotics).  Each step is an exhaustive hyperplane scan,
+    so p^d must not exceed the dense_budget in force.
     """
     if ctx.d < 2:
         raise ValueError("line search needs d >= 2")
@@ -156,12 +141,18 @@ def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     if not len(arr):
         raise ValueError("point set must be nonempty")
     p = ctx.p
+    if LINE_DENSITY_CONST > p:
+        raise ValueError(
+            f"no set of Z_{p}^d meets the density hypothesis {LINE_DENSITY_CONST}/p > 1: "
+            f"the line search needs p >= LINE_DENSITY_CONST"
+        )
     base_density = len(arr) / ctx.size
     if base_density < LINE_DENSITY_CONST / p:
         raise ValueError(f"density {base_density:.6g} below required {LINE_DENSITY_CONST}/p")
 
     steps: list[BalanceReport] = []
-    flatten_maps: list[AffineMap] = []
+    origin = (0,) * ctx.d  # the chart, in Python ints
+    basis = [tuple(int(i == j) for j in range(ctx.d)) for i in range(ctx.d)]
     cur = arr
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
@@ -169,32 +160,26 @@ def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
         report = _scan_hyperplanes(cur, cur_ctx)
         steps.append(report)
         composed_bound += report.bound / p ** (dim - 1)
+        eta, u = report.found.eta, report.found.u
+        pivot = next(i for i, c in enumerate(eta) if c != 0)
+        inv = pow(eta[pivot], -1, p)
+        lead = basis[pivot]
+        origin = tuple((o + u * inv * c) % p for o, c in zip(origin, lead))
         if dim == 2:
             break
-        flat = _flatten_map(cur_ctx, report.found)
-        flatten_maps.append(flat)
-        # the points on the hyperplane, moved onto {last coordinate = 0};
+        # the points on the hyperplane, in the chart of its other coordinates;
         # they stay distinct, and the scans do not depend on their order
-        on = _dots(cur_ctx, cur, np.array(report.found.eta)) == report.found.u
-        cur = (cur[on] @ np.array(flat.matrix).T + flat.shift) % p
-        cur = cur[:, : dim - 1]
+        on = _dots(cur_ctx, cur, np.array(eta)) == u
+        cur = np.delete(cur[on], pivot, axis=1)
         if not len(cur):
             raise ValueError("balanced hyperplane missed the whole set; density too low")
+        basis = [tuple((b - eta[j] * inv * c) % p for b, c in zip(basis[j], lead))
+                 for j in range(dim) if j != pivot]
 
-    # parametrize the final chart hyperplane of Z_p^2 as a line
-    last = steps[-1].found
-    eta, u = last.eta, last.u
-    pivot = next(i for i, c in enumerate(eta) if c != 0)
-    base = [0, 0]
-    base[pivot] = u * pow(eta[pivot], -1, p) % p
-    b, c = ((-eta[1]) % p, eta[0]), tuple(base)
-
-    # lift back through the recorded coordinate changes, innermost first
-    for flat in reversed(flatten_maps):
-        inv = flat.inverse()
-        b = inv.apply_linear(b + (0,))
-        c = inv(c + (0,))
-    line = Line(ctx, b, c)
+    # origin now holds the last hyperplane's chart point (u / eta_pivot) e_pivot,
+    # and the line runs along its chart direction (-eta_1, eta_0)
+    direction = tuple((-eta[1] * a + eta[0] * b) % p for a, b in zip(*basis))
+    line = Line(ctx, direction, origin)
 
     count = int(np.count_nonzero(line.parameters(arr) >= 0))
     if count != steps[-1].count:
@@ -297,11 +282,18 @@ def rescale_to_short_interval(f: SparseFunction) -> RescaleResult:
     p = ctx.p
     _, core = additive_dimension(f.support, ctx, mode="greedy")
     lam_vals = [x[0] for x in core]
-    # greedy maximality makes every support point a signed subset sum of the core
-    reach = {0}
-    for l in lam_vals:
-        reach |= {(s + l) % p for s in reach} | {(s - l) % p for s in reach}
-    missing = [x for x in f.support if x[0] not in reach]
+    # greedy maximality makes each support point x a signed sum of the core, checked
+    # by meet in the middle: x - r is a second-half sum for some first-half sum r
+    halves = np.array(lam_vals, dtype=np.int64).reshape(-1, 1)
+    firsts = _signed_sums(ctx, halves[: len(halves) // 2])
+    seconds = np.sort(_signed_sums(ctx, halves[len(halves) // 2 :]))
+    rest = np.array(sorted({x[0] for x in f.support} - set(lam_vals)), dtype=np.int64)
+    rows, missing = max(1, ARRAY_CHUNK // len(firsts)), []
+    for start in range(0, len(rest), rows):
+        block = rest[start : start + rows]
+        want = (block[:, None] - firsts) % p
+        found = seconds[np.searchsorted(seconds, want).clip(max=len(seconds) - 1)] == want
+        missing += [(int(x),) for x in block[~found.any(axis=1)]]
     if missing:
         raise RuntimeError(
             f"support points {missing[:3]} are not {{-1,0,1}} combinations of the core"

@@ -29,6 +29,7 @@ from .energy import (
     t_k_spectral,
     scattered_energy_bound,
 )
+from .errors import BudgetError
 from .fourier import SparseFunction, dft_naive, wiener_norm
 from .groups import GroupContext, Line, _decode, enumerate_directions
 from .reduction import find_balanced_hyperplane, restrict_to_line
@@ -472,8 +473,10 @@ def _mon_dim_bound(inst):
     """dim(supp f) relative to K^2 (1 + log(||f||_2 / K))."""
     f = _fn_from(inst)
     big_k = wiener_norm(f)
-    mode = "exact" if f.support_size <= active().exact_dim_cap else "greedy"
-    dim, _ = additive_dimension(f.support, f.ctx, mode=mode)
+    try:
+        mode, (dim, _) = "exact", additive_dimension(f.support, f.ctx, mode="exact")
+    except BudgetError:  # past the exact search's cap, the greedy lower bound
+        mode, (dim, _) = "greedy", additive_dimension(f.support, f.ctx, mode="greedy")
     denom = big_k**2 * (1 + math.log(max(f.l2_norm / big_k, 1.0)))
     return MonitorRecord(
         "dim-bound", dim / denom, {"dim": dim, "mode": mode, "K": big_k}, digest(inst)

@@ -273,6 +273,16 @@ def test_reduce_line_has_no_density_constant_flag(tmp_path, capsys):
     assert "unrecognized arguments: --min-density-const" in capsys.readouterr().err
 
 
+def test_reduce_line_refuses_p_3(tmp_path, capsys):
+    # density >= 4/p exceeds 1 at p = 3, so not even the full cube meets it
+    ctx = GroupContext(3, 3)
+    path = write_file(tmp_path, "cube.txt", ctx, {x: 1.0 for x in ctx.points()})
+    assert main(["reduce", "line", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "no set of Z_3^d meets the density hypothesis" in err
+    assert "needs p >= LINE_DENSITY_CONST" in err
+
+
 def test_reduce_line_checks_density_by_default(tmp_path, capsys):
     ctx = GroupContext(31, 2)
     path = write_file(tmp_path, "sparse.txt", ctx, {(0, 0): 1.0, (1, 2): 1.0, (5, 7): 1.0})

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zpwiener.errors import BudgetError, SingularMapError
+from zpwiener.errors import BudgetError
+from zpwiener.fourier import SparseFunction
 from zpwiener.groups import (
     AffineMap,
     GroupContext,
@@ -15,6 +16,7 @@ from zpwiener.groups import (
     enumerate_directions,
     signed_rep,
 )
+from zpwiener.reduction import pushforward
 
 PRIMES = [3, 5, 7, 11, 101]
 
@@ -86,44 +88,35 @@ def test_affine_apply_examples():
     assert m((3,)) == (0,)
 
 
-def test_affine_inverse_examples():
-    ctx7 = GroupContext(7, 1)
-    triple = AffineMap(ctx7, ((3,),))
-    assert triple.inverse().matrix == ((5,),)
-    ctx5 = GroupContext(5, 2)
-    shear = AffineMap(ctx5, ((1, 1), (0, 1)))
-    assert shear.inverse().matrix == ((1, 4), (0, 1))
-    eye = AffineMap(ctx5, ((1, 0), (0, 1)))
-    assert eye.inverse() == eye
-
-
-def test_affine_inverse_roundtrip_and_involution():
+def test_determinant_matches_permutation_expansion():
+    import itertools
     import random
 
-    rnd = random.Random(0)
-    ctx = GroupContext(7, 3)
-    found = 0
-    while found < 5:
-        rows = tuple(tuple(rnd.randrange(7) for _ in range(3)) for _ in range(3))
-        shift = tuple(rnd.randrange(7) for _ in range(3))
-        t = AffineMap(ctx, rows, shift)
-        if not t.is_invertible():
-            continue
-        found += 1
-        tinv = t.inverse()
-        assert tinv.inverse() == t
-        for _ in range(100):
-            x = tuple(rnd.randrange(7) for _ in range(3))
-            assert tinv(t(x)) == x
-            assert t(tinv(x)) == x
+    rnd = random.Random(4)
+    for p, n in [(3, 3), (5, 2), (7, 3), (11, 4)]:
+        ctx = GroupContext(p, n)
+        for _ in range(40):
+            rows = tuple(tuple(rnd.randrange(p) for _ in range(n)) for _ in range(n))
+            expected = 0
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                term = (-1) ** inversions
+                for i, j in enumerate(perm):
+                    term *= rows[i][j]
+                expected += term
+            t = AffineMap(ctx, rows)
+            assert t.determinant() == expected % p
+            if p**n <= 125:  # invertible exactly when the map is a bijection
+                assert t.is_invertible() == (len({t(x) for x in ctx.points()}) == p**n)
 
 
 def test_singular_map_raises():
     ctx = GroupContext(5, 2)
     singular = AffineMap(ctx, ((1, 2), (2, 4)))
     assert singular.determinant() == 0
-    with pytest.raises(SingularMapError):
-        singular.inverse()
+    f = SparseFunction.indicator(ctx, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="invertible"):
+        pushforward(f, singular)
 
 
 @pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (5, 3), (7, 2), (11, 3), (31, 2)])

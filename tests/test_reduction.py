@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -168,6 +169,9 @@ def test_line_search_density_hypothesis():
     ctx = GroupContext(5, 3)
     with pytest.raises(ValueError, match="density"):
         find_balanced_line([(0, 0, 0)], ctx)  # default constant 4 demands 4/p
+    cube = GroupContext(3, 3)  # 4/3 > 1: no set meets it, not even the whole group
+    with pytest.raises(ValueError, match=r"no set of Z_3\^d .* needs p >= LINE_DENSITY_CONST"):
+        find_balanced_line(cube.points(), cube)
 
 
 def test_balanced_lines_are_pinned():
@@ -178,12 +182,38 @@ def test_balanced_lines_are_pinned():
         (5, 4, 3, 520, (4, 0, 0, 0), (0, 0, 0, 0), 4,
          [((0, 0, 1, 1), 0), ((0, 1, 0), 0), ((0, 1), 0)]),
         (11, 3, 4, 600, (10, 0, 0), (0, 8, 3), 5, [((0, 1, 5), 1), ((0, 1), 3)]),
+        (5, 5, 9, 2600, (4, 0, 0, 0, 0), (0, 2, 2, 1, 2), 4,
+         [((0, 0, 1, 0, 4), 0), ((0, 0, 1, 4), 4), ((0, 0, 1), 2), ((0, 1), 2)]),
     ]
     for p, d, seed, size, direction, base, count, steps in cases:
         ctx = GroupContext(p, d)
         result = find_balanced_line(_rand_points(np.random.default_rng(seed), ctx, size), ctx)
         assert (result.line.direction, result.line.base, result.count) == (direction, base, count)
         assert [(s.found.eta, s.found.u) for s in result.steps] == steps
+
+
+@pytest.mark.parametrize("p,d,seed", [(5, 3, 5), (7, 3, 6), (5, 4, 7), (5, 5, 8)])
+def test_lifted_line_lies_in_the_first_hyperplane(p, d, seed, monkeypatch):
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(seed)
+    pts = _rand_points(rng, ctx, ctx.size * 9 // 10)
+    result = find_balanced_line(pts, ctx)
+    assert all(result.steps[0].found.contains(x) for x in result.line.points())
+
+    # the scan's normals have a leading 1; any nonzero normal must lift too
+    def any_hyperplane(arr, sub):
+        eta = tuple(int(c) for c in rng.integers(0, p, sub.d))
+        if not any(eta):
+            eta = (1,) + eta[1:]
+        u = int(arr[0] @ eta % p)
+        count = int(np.count_nonzero(arr @ eta % p == u))
+        return reduction.BalanceReport(Hyperplane(sub, eta, u), count, 0.0, 0.0, 1.0, 0.0)
+
+    monkeypatch.setattr(reduction, "_scan_hyperplanes", any_hyperplane)
+    for _ in range(10):
+        result = find_balanced_line(pts, ctx)
+        assert all(result.steps[0].found.contains(x) for x in result.line.points())
+        assert result.count == len(set(result.line.points()) & set(pts))
 
 
 def test_line_pipeline_norm_monotone_end_to_end():
@@ -310,6 +340,16 @@ def test_rescale_norm_preserved_random():
     assert wiener_norm(out.function) == pytest.approx(wiener_norm(f), abs=1e-9)
 
 
+def test_rescale_checks_a_large_group_quickly():
+    # the core's signed sums are matched half against half, never listed in full
+    ctx = GroupContext(16777213)
+    f = SparseFunction.indicator(ctx, _rand_points(np.random.default_rng(0), ctx, 15))
+    start = time.perf_counter()
+    out = rescale_to_short_interval(f)
+    assert time.perf_counter() - start < 1.0
+    assert out.function.support_size == 15
+
+
 def test_rescale_rejects_non_spanning_core(monkeypatch):
     # greedy maximality makes the core span the support; a core that does
     # not breaks an invariant, which raises without relying on assert
@@ -416,8 +456,6 @@ def test_singular_maps_raise_without_asserts(monkeypatch):
     monkeypatch.setattr(AffineMap, "is_invertible", lambda self: False)
     with pytest.raises(RuntimeError, match="singular"):
         find_separating_map([(0, 1), (2, 3)], GroupContext(11, 2))
-    with pytest.raises(RuntimeError, match="singular"):
-        find_balanced_line(GroupContext(5, 3).points(), GroupContext(5, 3))
 
 
 def test_separating_map_hypothesis_enforced():
