@@ -63,7 +63,8 @@ class SparseFunction:
 
     @classmethod
     def indicator(cls, ctx: GroupContext, points) -> "SparseFunction":
-        return cls(ctx, {ctx.point(x): 1.0 for x in points})
+        # each point is normalised once; the dict keeps first occurrences in order
+        return cls._reduced(ctx, dict.fromkeys(map(ctx.point, points), 1.0).items())
 
     @classmethod
     def from_dense(
@@ -72,12 +73,9 @@ class SparseFunction:
         arr = np.asarray(arr)
         if arr.shape != (ctx.p,) * ctx.d:
             raise ValueError(f"dense array shape {arr.shape} does not match {ctx}")
-        entries = {}
-        # NaN fails `<=` too, so it is kept here and rejected by __init__.
-        for idx in np.argwhere(~(np.abs(arr) <= zero_clamp)):
-            pt = tuple(int(i) for i in idx)
-            entries[pt] = complex(arr[tuple(idx)])
-        return cls(ctx, entries)
+        # NaN fails `<=` too, so it is kept here and rejected by _fill.
+        idx = np.argwhere(~(np.abs(arr) <= zero_clamp))
+        return cls._reduced(ctx, zip(map(tuple, idx.tolist()), arr[tuple(idx.T)].tolist()))
 
     @property
     def entries(self):

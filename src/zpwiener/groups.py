@@ -113,22 +113,43 @@ class GroupContext:
     def point_array(self, points) -> np.ndarray:
         """The distinct points of an iterable, reduced and sorted, as an (N, d)
         int64 array; each point is read as `point` reads it, errors included.
+
+        A list of d-tuples is read in one `np.fromiter`, which converts each
+        coordinate as int() does; other inputs go through `np.asarray`, and
+        what neither reads into int64 (coordinates past int64, what `point`
+        rejects) is read point by point.  Below p^d = 2^62 the rows are
+        sorted and de-duplicated by their int64 codes, past it by lexsort.
         """
         pts = list(points)
-        try:
-            arr = np.asarray(pts)
-        except (ValueError, OverflowError):  # ragged, or ints mixed with tuples
-            arr = np.empty(0, dtype=object)
-        if self.d == 1 and arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.dtype.kind in "iu" and arr.shape[1:] == (self.d,):
+        d = self.d
+        arr = None
+        if all(type(x) is tuple and len(x) == d for x in pts):
+            try:
+                arr = np.fromiter(itertools.chain.from_iterable(pts), np.int64, len(pts) * d)
+                arr = arr.reshape(-1, d)
+            except (TypeError, ValueError, OverflowError):  # past int64, or not int()
+                pass
+        if arr is None:
+            try:
+                arr = np.asarray(pts)
+            except (ValueError, OverflowError):  # ragged, or ints mixed with tuples
+                arr = np.empty(0, dtype=object)
+            if d == 1 and arr.ndim == 1:
+                arr = arr[:, None]
+        if arr.dtype.kind in "iu" and arr.shape[1:] == (d,):
             arr = (arr % self.p).astype(np.int64)
         else:  # big or odd coordinates, and what `point` rejects
-            arr = np.array([self.point(x) for x in pts], dtype=np.int64).reshape(-1, self.d)
-        arr = arr[np.lexsort(arr.T[::-1])]
+            arr = np.array([self.point(x) for x in pts], dtype=np.int64).reshape(-1, d)
+        if self.size < _CODE_LIMIT:
+            codes = _codes(self, arr)
+            order = np.argsort(codes)
+            keys = codes[order, None]
+        else:
+            order = np.lexsort(arr.T[::-1])
+            keys = arr[order]
         keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        return arr[keep]
+        keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        return arr[order[keep]]
 
     def points(self) -> Iterator[Point]:
         """All p^d points in lexicographic order."""
@@ -220,13 +241,8 @@ def _dots(ctx: GroupContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b % ctx.p
 
 
-def enumerate_directions(ctx: GroupContext) -> list[Point]:
-    """One canonical representative per projective direction of Z_p^d.
-
-    Returns exactly (p^d - 1)/(p - 1) vectors, each with first nonzero
-    coordinate equal to 1, in lexicographic order.  Every nonzero vector of
-    Z_p^d is a scalar multiple of exactly one of them.
-    """
+def _direction_array(ctx: GroupContext) -> np.ndarray:
+    """The directions of `enumerate_directions` as an (r, d) int64 array."""
     p, d = ctx.p, ctx.d
     r = (p**d - 1) // (p - 1)
     if r > DIRECTION_CAP:
@@ -234,14 +250,27 @@ def enumerate_directions(ctx: GroupContext) -> list[Point]:
             f"direction count {r} exceeds the cap {DIRECTION_CAP} (DIRECTION_CAP) "
             f"by {r - DIRECTION_CAP}"
         )
-    out: list[Point] = []
     # Vectors with more leading zeros sort first, so emit blocks by the
-    # position of the leading 1, from the last coordinate backwards.
+    # position of the leading 1, from the last coordinate backwards; within a
+    # block the tails run over Z_p^k in lexicographic order.
+    blocks = []
     for lead in range(d - 1, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for tail in itertools.product(range(p), repeat=d - 1 - lead):
-            out.append(prefix + tail)
-    return out
+        k = d - 1 - lead
+        block = np.zeros((p**k, d), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1 :] = np.indices((p,) * k).reshape(k, p**k).T
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def enumerate_directions(ctx: GroupContext) -> list[Point]:
+    """One canonical representative per projective direction of Z_p^d.
+
+    Returns exactly (p^d - 1)/(p - 1) vectors, each with first nonzero
+    coordinate equal to 1, in lexicographic order.  Every nonzero vector of
+    Z_p^d is a scalar multiple of exactly one of them.
+    """
+    return list(map(tuple, _direction_array(ctx).tolist()))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from .groups import (
     Point,
     _codes,
     _decode,
+    _direction_array,
     _dots,
     canonical_abs,
-    enumerate_directions,
     signed_rep,
 )
 
@@ -57,27 +57,36 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
 
     Projection-slice: with F the transform of the indicator of A, the count
     of A on {x . eta = u} is the inverse transform over t of t -> F(t eta)
-    at u, so one dense transform gives every count.  Directions go in
-    chunks, and the first minimiser of the flattened (direction, u) table
-    is the lexicographically first one.
+    at u, so one dense transform gives every count.  The indicator is real,
+    so F(-xi) is the conjugate of F(xi): a real transform along axis 0 keeps
+    the half table xi_0 < h = p // 2 + 1.  Every direction has eta_0 in
+    {0, 1}, so F(t eta) for t < h lies in it, and a real inverse transform
+    of those h values gives the p counts.  Directions go in chunks, and the
+    first minimiser of the flattened (direction, u) table is the
+    lexicographically first one.
     """
     p, d = ctx.p, ctx.d
-    dirs = np.array(enumerate_directions(ctx), dtype=np.int64)
+    dirs = _direction_array(ctx)
     ctx.check_dense_budget()
     indicator = np.zeros((p,) * d)
     indicator[tuple(arr.T)] = 1.0
-    spectrum = np.fft.fftn(indicator).ravel()
-    t = np.arange(p, dtype=np.int64)
+    # the calls np.fft.rfftn(indicator, axes=(*range(1, d), 0)) makes, without
+    # its bookkeeping; the half table's flat index of xi (xi_0 < h) is its code
+    spectrum = np.fft.rfft(indicator, axis=0)
+    for axis in range(1, d):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    spectrum = spectrum.ravel()
+    t = np.arange(p // 2 + 1, dtype=np.int64)
     n = len(arr)
     density = n / ctx.size
     target = density * p ** (d - 1)
     best = None
-    rows = max(1, ARRAY_CHUNK // (2 * p))  # complex entries take two int64 slots
+    rows = max(1, ARRAY_CHUNK // (2 * p))  # h complex entries and p counts a row
     for start in range(0, len(dirs), rows):
         block = dirs[start : start + rows]
         flat = _codes(ctx, block[:, None, :] * t[:, None] % p)
-        exact = np.fft.ifft(spectrum[flat], axis=1)
-        counts = np.rint(exact.real)
+        exact = np.fft.irfft(spectrum[flat], n=p, axis=1)
+        counts = np.rint(exact)
         if np.abs(exact - counts).max() > 1e-6:
             raise RuntimeError("hyperplane counts from the transform are not integers")
         counts = counts.astype(np.int64)

@@ -230,6 +230,19 @@ def test_entries_reject_duplicates_and_drop_zeros():
         SparseFunction(ctx, [((0,), 1.0), ((0,), 2.0)])
 
 
+def test_indicator_matches_the_normalised_dict():
+    for ctx, pts in [
+        (GroupContext(7), [3, 10, -4, np.int64(3), (2,), [9], True, 1, 3]),
+        (GroupContext(7, 2), [(8, -1), (1, 6), [1, 6], (np.int64(15), np.int32(-7)), (1, 0),
+                              np.array([0, 0]), (7, 7)]),
+        (GroupContext(5, 3), [(0, 0, 1), (5, 5, 6), (4, 3, 2), (-1, -2, -3), (0, 0, 1)]),
+    ]:
+        f = SparseFunction.indicator(ctx, pts)
+        want = SparseFunction(ctx, {ctx.point(x): 1.0 for x in pts})
+        assert list(f.entries.items()) == list(want.entries.items())
+        assert all(type(c) is int for x in f.entries for c in x)
+
+
 def test_entries_reject_non_finite_values():
     ctx = GroupContext(7)
     for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):

@@ -236,8 +236,9 @@ def test_point_fast_paths_keep_the_reference_semantics():
             assert outcome(ctx.point, x) == outcome(point_reference, ctx, x), (ctx, x)
 
 
-def test_point_array_keeps_the_reference_semantics():
+def test_point_array_keeps_the_reference_semantics(monkeypatch):
     big = 2**70
+    huge = GroupContext(4294967291, 2)  # p^d >= 2^62: no int64 codes
     cases = [
         (GroupContext(7), [3, -4, True, np.int64(10), big, (2,), [9]]),
         (GroupContext(7), [np.int64(3), np.int64(-4)]),
@@ -245,7 +246,20 @@ def test_point_array_keeps_the_reference_semantics():
         (GroupContext(7, 2), [(1, 2), 3]),
         (GroupContext(7, 2), [(1, 2), (1, 2, 3)]),
         (GroupContext(7, 2), [(1, 2), (1,)]),
+        # d-tuples, read in bulk: floats, bools and numpy ints inside them
+        (GroupContext(7, 2), [(1.5, -2.5), (True, np.int64(9)), (np.uint8(200), -3.7),
+                              (np.float64(8.9), False), (1, 2)]),
+        (GroupContext(7, 3), [(np.int64(-1), np.int32(7), np.uint64(2**63)), (6, 0, 1)]),
+        (GroupContext(7, 2), [(1, 2), (3, big), (8, 9)]),
+        (GroupContext(7, 2), [(1, 2), [8, -5], (3, 4), [1, 2]]),
+        (GroupContext(7, 2), [(1, 2), (1, 2, 3), (4,)]),  # ragged, 4 coordinates in all
+        (GroupContext(7, 2), [(1, 2), (float("nan"), 1)]),
+        (GroupContext(7, 2), [(1, 2), ("x", 1)]),
+        (huge, [(big, 1), (-1, 5), (3, 4), (big, 1), (huge.p + 3, 4)]),
     ]
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or lexsort(keys))
     for ctx, pts in cases:
         try:
             want = sorted({point_reference(ctx, x) for x in pts})
@@ -255,6 +269,8 @@ def test_point_array_keeps_the_reference_semantics():
             assert str(info.value) == str(exc)
             continue
         assert ctx.point_array(pts).tolist() == [list(x) for x in want]
+    # only the group past int64 codes sorts by lexsort
+    assert len(lexsorts) == 1 and lexsorts[0].shape == (2, 5)
 
 
 def test_nonzero_constraints():

@@ -81,22 +81,51 @@ def test_balanced_hyperplane_theta_bound_random():
             assert report.count == pytest.approx(report.target, abs=report.bound + 1e-9)
 
 
+def brute_force_hyperplane(ctx, pts):
+    """The first (eta, u, count) minimising |count - |A|/p|, counting with
+    Hyperplane.contains over every Hyperplane(ctx, eta, u), eta then u in
+    lexicographic order."""
+    target = len(pts) / ctx.p
+    best = None
+    for eta in enumerate_directions(ctx):
+        for u in range(ctx.p):
+            count = sum(Hyperplane(ctx, eta, u).contains(x) for x in pts)
+            if best is None or abs(count - target) < abs(best[2] - target):
+                best = (eta, u, count)
+    return best
+
+
 def test_hyperplane_scan_matches_brute_force():
-    # every Hyperplane(ctx, eta, u), eta then u in lexicographic order
+    # (3, 4) reaches every leading-1 block of the direction list, and (11, 2)
+    # an even-sized half table (p // 2 + 1 = 6)
     rng = np.random.default_rng(10)
-    for p, d in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3)]:
+    for p, d in [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (7, 3), (3, 4)]:
         ctx = GroupContext(p, d)
         for _ in range(4):
             pts = _rand_points(rng, ctx, int(rng.integers(1, ctx.size + 1)))
-            target = len(pts) / p
-            best = None
-            for eta in enumerate_directions(ctx):
-                for u in range(p):
-                    count = sum(Hyperplane(ctx, eta, u).contains(x) for x in pts)
-                    if best is None or abs(count - target) < abs(best[2] - target):
-                        best = (eta, u, count)
             report = find_balanced_hyperplane(pts, ctx)
-            assert (report.found.eta, report.found.u, report.count) == best
+            assert (report.found.eta, report.found.u, report.count) == brute_force_hyperplane(ctx, pts)
+
+
+def test_hyperplane_scan_matches_brute_force_on_every_subset_of_z3_squared():
+    ctx = GroupContext(3, 2)
+    cells = list(ctx.points())
+    for mask in range(1, 1 << len(cells)):
+        pts = [x for i, x in enumerate(cells) if mask >> i & 1]
+        report = find_balanced_hyperplane(pts, ctx)
+        assert (report.found.eta, report.found.u, report.count) == brute_force_hyperplane(ctx, pts)
+
+
+def test_scan_invariants_raise_without_asserts(monkeypatch):
+    # off-integer counts, then integer counts that miss |A|: each must raise,
+    # also under python -O
+    ctx = GroupContext(7, 2)
+    pts = _rand_points(np.random.default_rng(0), ctx, 20)
+    irfft = np.fft.irfft
+    for shift, message in ((0.25, "not integers"), (1.0, "do not sum")):
+        monkeypatch.setattr(reduction.np.fft, "irfft", lambda *a, s=shift, **k: irfft(*a, **k) + s)
+        with pytest.raises(RuntimeError, match=message):
+            find_balanced_hyperplane(pts, ctx)
 
 
 def test_balanced_hyperplanes_are_pinned():
