@@ -64,11 +64,9 @@ def cmd_eval(args) -> int:
     print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
     if args.spectrum:
         records = [report_header(__version__, {"input": args.input})]
-        for xi in sorted(f.ctx.points()):
-            c = spec[xi]
-            records.append(
-                {"record": "coefficient", "xi": list(xi), "re": c.real, "im": c.imag}
-            )
+        # points() runs in lexicographic order, the C order of the table
+        records += [{"record": "coefficient", "xi": list(xi), "re": c.real, "im": c.imag}
+                    for xi, c in zip(f.ctx.points(), spec.coefficients.ravel().tolist())]
         write_report_file(args.spectrum, records)
     return 0
 
@@ -93,7 +91,7 @@ def cmd_verify(args) -> int:
 # Wiener norms, and the function whose norm is norm_after.
 
 
-def _reduce_line(f, args):
+def _reduce_line(f):
     result = find_balanced_line(f.support, f.ctx)
     records = [
         {"record": "balance", "eta": list(step.found.eta), "u": step.found.u,
@@ -110,14 +108,14 @@ def _reduce_line(f, args):
     return records, restrict_to_line(f, result.line)
 
 
-def _reduce_separating_map(f, args):
+def _reduce_separating_map(f):
     sep = find_separating_map(f.support, f.ctx)
     record = {"record": "separating-map", "matrix": [list(row) for row in sep.map.matrix],
               "row": list(sep.row), "first_coords": list(sep.first_coords)}
     return [record], pushforward(f, sep.map)
 
 
-def _reduce_dirichlet(f, args):
+def _reduce_dirichlet(f):
     if f.ctx.d != 1:
         raise ValueError("dirichlet mode needs a d = 1 input")
     rescaled = rescale_to_short_interval(f)
@@ -137,7 +135,7 @@ _REDUCTIONS = {
 
 def cmd_reduce(args) -> int:
     f = read_function_file(args.input)
-    records, g = _REDUCTIONS[args.mode](f, args)
+    records, g = _REDUCTIONS[args.mode](f)
     before, after = wiener_norm(f), wiener_norm(g)
     records[-1].update(norm_before=before, norm_after=after)
     if args.mode == "dirichlet":

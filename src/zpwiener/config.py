@@ -18,9 +18,8 @@ class ToolConfig:
     dense_budget: int = 1 << 24       # max p^d allowed for dense spectral tables
     norm_tol: float = 1e-9            # norm identities and norm inequalities
     energy_tol: float = 1e-6          # T_k comparisons
-    exact_dim_cap: int = 16           # max |S| for exact additive dimension
     q_scan_cap: int = 1 << 22         # max modulus for the exhaustive dilation scan
-    op_budget: int = 1 << 24          # work cap for T_k convolution tables
+    op_budget: int = 1 << 24          # work cap: T_k convolution tables, exact dimension search
 
     def __post_init__(self):
         for field in fields(self):

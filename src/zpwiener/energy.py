@@ -35,8 +35,8 @@ from .groups import (
     signed_rep,
 )
 
-# dissociation searches fall back from sum-set growth to meet-in-the-middle
-# once the reachable-sum set would exceed this
+# a dimension search keeps its signed sums as one sorted left half while they
+# number at most this; the points chosen after that form the right half
 _SUMS_CAP = 1 << 18
 
 # T_k tables whose first round forms at most this many sums, (k - 1) |supp|^2,
@@ -61,12 +61,12 @@ def _group(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.add.reduceat(vals, starts)
 
 
-def _check_work(work: int) -> None:
-    """Refuse T_k convolution work past the op_budget in force."""
+def _check_work(work: int, what: str = "T_k convolution") -> None:
+    """Refuse work past the op_budget in force."""
     op_budget = active().op_budget
     if work > op_budget:
         raise BudgetError(
-            f"T_k convolution work {work} exceeds budget {op_budget} "
+            f"{what} work {work} exceeds budget {op_budget} "
             f"by {work - op_budget}; raise op_budget"
         )
 
@@ -233,6 +233,35 @@ def _signed_sums(ctx: GroupContext, arr: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _check_dissociation_cap(n: int) -> None:
+    if n > DISSOCIATION_CAP:
+        raise BudgetError(
+            f"dissociation search capped at {DISSOCIATION_CAP} elements, got {n} "
+            f"({n - DISSOCIATION_CAP} over); raise DISSOCIATION_CAP"
+        )
+
+
+def _grow_sums(ctx: GroupContext, sums: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The sorted distinct codes of s, s + x and s - x over the codes s; steps codes x, -x."""
+    out = np.sort(np.concatenate((sums, _add_codes(ctx, steps[:, None], sums).ravel())))
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
+def _signed_sum_member(ctx: GroupContext, left, right, codes: np.ndarray) -> np.ndarray:
+    """Whether each code x is a signed sum of points whose signed sums split
+    into the sorted codes `left` and the negation-closed codes `right`: x + r
+    in left for some r in right, tested a chunk of codes at a time."""
+    if len(right) == 1:  # right is {0}: one lookup a code
+        return left.take(left.searchsorted(codes), mode="clip") == codes
+    rows = max(1, ARRAY_CHUNK // len(right))
+    out = np.empty(len(codes), dtype=bool)
+    for start in range(0, len(codes), rows):
+        want = _add_codes(ctx, codes[start : start + rows, None], right)
+        hit = left.take(left.searchsorted(want), mode="clip") == want
+        out[start : start + rows] = hit.any(axis=1)
+    return out
+
+
 def _pattern(index: int, m: int) -> tuple[int, ...]:
     """Entry `index` of itertools.product((-1, 0, 1), repeat=m)."""
     return tuple(index // 3 ** (m - 1 - i) % 3 - 1 for i in range(m))
@@ -249,11 +278,7 @@ def is_dissociated(points: Iterable, ctx: GroupContext) -> DissociationCertifica
     """
     arr = ctx.point_array(points)
     n = len(arr)
-    if n > DISSOCIATION_CAP:
-        raise BudgetError(
-            f"dissociation search capped at {DISSOCIATION_CAP} elements, got {n} "
-            f"({n - DISSOCIATION_CAP} over); raise DISSOCIATION_CAP"
-        )
+    _check_dissociation_cap(n)
     pts = list(map(tuple, arr.tolist()))
     left, right = pts[: n // 2], pts[n // 2 :]
     lsums = _signed_sums(ctx, arr[: n // 2])
@@ -264,14 +289,9 @@ def is_dissociated(points: Iterable, ctx: GroupContext) -> DissociationCertifica
         witness = dict(zip(left, _pattern(int(zeros[0]), len(left))))
         witness.update({pt: 0 for pt in right})
         return DissociationCertificate(False, witness)
-    # a stable sort keeps equal sums in product order, so the leftmost match
-    # of a target is its first left pattern
-    order = np.argsort(lsums, kind="stable")
-    lkeys = lsums[order]
     # negating a pattern mirrors its index, so these are the negated right sums
     targets = _signed_sums(ctx, arr[n // 2 :])[::-1]
-    pos = np.minimum(np.searchsorted(lkeys, targets), len(lkeys) - 1)
-    hit = lkeys[pos] == targets
+    hit = _signed_sum_member(ctx, np.sort(lsums), np.zeros(1, dtype=np.int64), targets)
     # all-zero on both sides is no relation; the only zero-sum left pattern
     # is all-zero here, so that pair is the all-zero right pattern's hit
     hit[(3 ** len(right) - 1) // 2] = False
@@ -279,7 +299,8 @@ def is_dissociated(points: Iterable, ctx: GroupContext) -> DissociationCertifica
     if not hits.size:
         return DissociationCertificate(True)
     j = int(hits[0])
-    witness = dict(zip(left, _pattern(int(order[pos[j]]), len(left))))
+    first = int(np.flatnonzero(lsums == targets[j])[0])  # in product order
+    witness = dict(zip(left, _pattern(first, len(left))))
     witness.update(zip(right, _pattern(j, len(right))))
     return DissociationCertificate(False, witness)
 
@@ -305,67 +326,55 @@ def additive_dimension(
 
     exact: maximum cardinality by depth-first branch and bound (first maximum
     in lexicographic inclusion order wins ties), which stops once a subset
-    reaches floor(log2 |G|), the most a dissociated set can have.  greedy:
-    lexicographic scan, returning an inclusion-maximal subset, a lower bound
-    for the exact value.
-    A dissociated subset extends by x iff x is not one of its signed sums;
-    those are kept as a sorted code array while they number at most
-    _SUMS_CAP, and meet-in-the-middle decides beyond that, on at most
-    DISSOCIATION_CAP points.
+    reaches floor(log2 |G|), the most a dissociated set can have; its work
+    counts against op_budget.  greedy: the first path of the same search, an
+    inclusion-maximal subset and a lower bound for the exact value.
+    A subset extends by x iff x is not one of its signed sums: a sorted left
+    half while they number at most _SUMS_CAP, then the right half of the
+    points chosen since, of which DISSOCIATION_CAP bounds the total.
     """
     arr = ctx.point_array(points)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    exact_cap = active().exact_dim_cap
-    if mode == "exact" and len(arr) > exact_cap:
-        raise BudgetError(
-            f"exact dimension capped at {exact_cap} elements, got {len(arr)} "
-            f"({len(arr) - exact_cap} over); raise exact_dim_cap"
-        )
     pts = list(map(tuple, arr.tolist()))
+    n = len(pts)
     codes = _codes(ctx, arr)
-    negs = _codes(ctx, -arr % ctx.p)
+    steps = np.stack((codes, _codes(ctx, -arr % ctx.p)), axis=1)
+    work, budget = 0, active().op_budget if mode == "exact" else math.inf
 
-    def grow(sums: Optional[np.ndarray], i: int) -> Optional[np.ndarray]:
-        if sums is None:
-            return None
-        out = np.sort(
-            np.concatenate((sums, _add_codes(ctx, sums, codes[i]), _add_codes(ctx, sums, negs[i])))
-        )
-        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
-        return None if len(out) > _SUMS_CAP else out
+    def grow(left: np.ndarray, right: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The halves of the signed sums once pts[i] joins."""
+        if len(right) == 1 and len(out := _grow_sums(ctx, left, steps[i])) <= _SUMS_CAP:
+            return out, right
+        return left, _grow_sums(ctx, right, steps[i])
 
-    def extends(chosen: list[Point], sums: Optional[np.ndarray], i: int) -> bool:
-        if sums is None:
-            return is_dissociated(chosen + [pts[i]], ctx).dissociated
-        j = np.searchsorted(sums, codes[i])
-        return j == len(sums) or sums[j] != codes[i]
-
-    empty_sums = np.zeros(1, dtype=np.int64)  # {0}, the signed sums of no points
-    if mode == "greedy":
-        chosen: list[Point] = []
-        sums: Optional[np.ndarray] = empty_sums
-        for i, x in enumerate(pts):
-            if extends(chosen, sums, i):
-                chosen.append(x)
-                sums = grow(sums, i)
-        return len(chosen), tuple(chosen)
     best: list[Point] = []
     # a dissociated set of m points has 2^m distinct subset sums, so m is at
     # most floor(log2 |G|); once best has that many, no branch can beat it
     ceiling = ctx.size.bit_length() - 1
 
-    def dfs(i: int, chosen: list[Point], sums) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if len(best) >= ceiling or i == len(pts) or len(chosen) + (len(pts) - i) <= len(best):
-            return
-        if extends(chosen, sums, i):
-            dfs(i + 1, chosen + [pts[i]], grow(sums, i))
-        dfs(i + 1, chosen, sums)
+    def dfs(i: int, chosen: list[Point], left: np.ndarray, right: np.ndarray) -> None:
+        # test at once the j that may still join, len(chosen) + (n - j) > len(best)
+        nonlocal best, work
+        hi = n - len(best) + len(chosen)
+        # the node's work: the sums its grow kept, and the points it tests times |right|
+        work += (len(right) if len(right) > 1 else len(left)) + (hi - i) * len(right)
+        if work > budget:
+            _check_work(work, "exact dimension search")
+        if len(right) > 1:
+            _check_dissociation_cap(len(chosen) + 1)
+        for j in ((~_signed_sum_member(ctx, left, right, codes[i:hi])).nonzero()[0] + i).tolist():
+            if len(best) >= ceiling or len(chosen) + (n - j) <= len(best):
+                return
+            child = chosen + [pts[j]]
+            if len(child) > len(best):
+                best = child
+            if len(best) < ceiling and len(child) + (n - j - 1) > len(best):
+                dfs(j + 1, child, *grow(left, right, j))
+            if mode == "greedy":
+                return
 
-    dfs(0, [], empty_sums)
+    dfs(0, [], np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))  # no points' sums: {0}
     return len(best), tuple(best)
 
 
@@ -462,15 +471,9 @@ def build_scattered_family(
     l0 = -1
     while 3 * (2 ** (l0 + 1)) * m <= p:
         l0 += 1
-    if l0 < 0:
-        return ScatteredFamily(m, shell_size, ())
 
-    def ring(l: int) -> list[int]:
-        lo = 2 ** (l - 1) * m if l >= 1 else 0
-        hi = 2**l * m
-        if l == 0:
-            return [v for v in signed if abs(v) <= hi]
-        return [v for v in signed if lo < abs(v) <= hi]
+    def ring(l: int) -> list[int]:  # D_l \ D_{l-1}, for l >= 1
+        return [v for v in signed if 2 ** (l - 1) * m < abs(v) <= 2**l * m]
 
     thin_at = None
     for l in range(1, l0 + 1):

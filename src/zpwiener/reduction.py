@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
-from .energy import _signed_sums, additive_dimension
+from .energy import _signed_sum_member, _signed_sums, additive_dimension
 from .errors import BudgetError
 from .fourier import SparseFunction, dft
 from .groups import (
@@ -27,10 +27,10 @@ from .groups import (
     Hyperplane,
     Line,
     Point,
-    _codes,
     _decode,
     _direction_array,
     _dots,
+    _weights,
     canonical_abs,
     signed_rep,
 )
@@ -76,7 +76,8 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     for axis in range(1, d):
         spectrum = np.fft.fft(spectrum, axis=axis)
     spectrum = spectrum.ravel()
-    t = np.arange(p // 2 + 1, dtype=np.int64)
+    tc = np.arange(p, dtype=np.int64)[:, None] * np.arange(p // 2 + 1) % p  # t c mod p
+    weights = _weights(ctx).tolist()
     n = len(arr)
     density = n / ctx.size
     target = density * p ** (d - 1)
@@ -84,7 +85,7 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     rows = max(1, ARRAY_CHUNK // (2 * p))  # h complex entries and p counts a row
     for start in range(0, len(dirs), rows):
         block = dirs[start : start + rows]
-        flat = _codes(ctx, block[:, None, :] * t[:, None] % p)
+        flat = sum(tc[block[:, k]] * w for k, w in enumerate(weights))  # codes of t eta
         exact = np.fft.irfft(spectrum[flat], n=p, axis=1)
         counts = np.rint(exact)
         if np.abs(exact - counts).max() > 1e-6:
@@ -291,18 +292,12 @@ def rescale_to_short_interval(f: SparseFunction) -> RescaleResult:
     p = ctx.p
     _, core = additive_dimension(f.support, ctx, mode="greedy")
     lam_vals = [x[0] for x in core]
-    # greedy maximality makes each support point x a signed sum of the core, checked
-    # by meet in the middle: x - r is a second-half sum for some first-half sum r
+    # greedy maximality makes each support point a signed sum of the core; check it
     halves = np.array(lam_vals, dtype=np.int64).reshape(-1, 1)
-    firsts = _signed_sums(ctx, halves[: len(halves) // 2])
-    seconds = np.sort(_signed_sums(ctx, halves[len(halves) // 2 :]))
+    left = np.sort(_signed_sums(ctx, halves[: len(halves) // 2]))
+    right = _signed_sums(ctx, halves[len(halves) // 2 :])
     rest = np.array(sorted({x[0] for x in f.support} - set(lam_vals)), dtype=np.int64)
-    rows, missing = max(1, ARRAY_CHUNK // len(firsts)), []
-    for start in range(0, len(rest), rows):
-        block = rest[start : start + rows]
-        want = (block[:, None] - firsts) % p
-        found = seconds[np.searchsorted(seconds, want).clip(max=len(seconds) - 1)] == want
-        missing += [(int(x),) for x in block[~found.any(axis=1)]]
+    missing = [(int(x),) for x in rest[~_signed_sum_member(ctx, left, right, rest)]]
     if missing:
         raise RuntimeError(
             f"support points {missing[:3]} are not {{-1,0,1}} combinations of the core"

@@ -475,7 +475,7 @@ def _mon_dim_bound(inst):
     big_k = wiener_norm(f)
     try:
         mode, (dim, _) = "exact", additive_dimension(f.support, f.ctx, mode="exact")
-    except BudgetError:  # past the exact search's cap, the greedy lower bound
+    except BudgetError:  # past the exact search's op_budget, the greedy lower bound
         mode, (dim, _) = "greedy", additive_dimension(f.support, f.ctx, mode="greedy")
     denom = big_k**2 * (1 + math.log(max(f.l2_norm / big_k, 1.0)))
     return MonitorRecord(

@@ -226,8 +226,8 @@ def test_budget_errors_name_their_knob():
         (ToolConfig(op_budget=10),
          lambda: t_k_direct(SparseFunction.indicator(ctx, range(20)), 3),
          "work 400 exceeds budget 10 by 390; raise op_budget"),
-        (DEFAULT_CONFIG, lambda: additive_dimension(range(1, 18), ctx),
-         r"got 17 \(1 over\); raise exact_dim_cap"),
+        (ToolConfig(op_budget=10), lambda: additive_dimension(range(1, 18), ctx),
+         "exact dimension search work 18 exceeds budget 10 by 8; raise op_budget"),
         (ToolConfig(q_scan_cap=2), lambda: find_dirichlet_q([1, 35], ctx),
          "past q_scan_cap = 2 by up to 99; raise q_scan_cap"),
         (DEFAULT_CONFIG, lambda: enumerate_directions(GroupContext(3, 15)),

@@ -81,11 +81,17 @@ def test_the_config_in_force_is_per_task():
     assert active() is DEFAULT_CONFIG
 
 
-@pytest.mark.parametrize("field", ["dense_budget", "exact_dim_cap", "q_scan_cap", "op_budget"])
+@pytest.mark.parametrize("field", ["dense_budget", "q_scan_cap", "op_budget"])
 @pytest.mark.parametrize("value", [0, -3, 1.5, True, "8", None])
 def test_caps_must_be_positive_integers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
         ToolConfig(**{field: value})
+
+
+def test_the_exact_dimension_cap_is_gone():
+    # the exact dimension search is bounded by its work, against op_budget
+    with pytest.raises(TypeError):
+        ToolConfig(exact_dim_cap=16)
 
 
 @pytest.mark.parametrize("field", ["norm_tol", "energy_tol"])

@@ -266,8 +266,8 @@ def test_dimension_subsets_are_pinned():
 
 
 def test_dimension_sum_set_fallback_matches_default(monkeypatch):
-    # past _SUMS_CAP reachable sums the search decides extensions by
-    # meet-in-the-middle instead; both must choose the same subsets
+    # past _SUMS_CAP signed sums the search keeps the points it chooses next
+    # in the right half; both must choose the same subsets
     cases = []
     for i, (p, d) in enumerate([(101, 1), (10007, 1), (7, 2), (31, 2)] * 4):
         rng = np.random.default_rng(i)
@@ -278,19 +278,85 @@ def test_dimension_sum_set_fallback_matches_default(monkeypatch):
         return additive_dimension(pts, ctx, "exact"), additive_dimension(pts, ctx, "greedy")
 
     expected = [both(ctx, pts) for ctx, pts in cases]
-    fallbacks = 0
+    split_tests = 0
+    member = energy._signed_sum_member
 
-    def counting(*args, **kwargs):
-        nonlocal fallbacks
-        fallbacks += 1
-        return is_dissociated(*args, **kwargs)
+    def counting(ctx, left, right, codes):
+        nonlocal split_tests
+        split_tests += len(right) > 1
+        return member(ctx, left, right, codes)
 
-    monkeypatch.setattr(energy, "is_dissociated", counting)
+    monkeypatch.setattr(energy, "_signed_sum_member", counting)
     for cap in (1, 3, 27):
         monkeypatch.setattr(energy, "_SUMS_CAP", cap)
-        start = fallbacks
+        start = split_tests
         assert [both(ctx, pts) for ctx, pts in cases] == expected
-        assert fallbacks > start
+        assert split_tests > start
+
+
+def search_halves(ctx, arr):
+    """The left and right halves of the signed sums of arr, split at
+    _SUMS_CAP as the dimension search splits them."""
+    steps = np.stack((groups._codes(ctx, arr), groups._codes(ctx, -arr % ctx.p)), axis=1)
+    left = right = np.zeros(1, dtype=np.int64)
+    for step in steps:
+        grown = energy._grow_sums(ctx, left, step)
+        if len(right) == 1 and len(grown) <= energy._SUMS_CAP:
+            left = grown
+        else:
+            right = energy._grow_sums(ctx, right, step)
+    return left, right
+
+
+@pytest.mark.parametrize("cap", [1, 3, 27, 1 << 18])
+def test_signed_sum_membership_matches_literal_enumeration(monkeypatch, cap):
+    monkeypatch.setattr(energy, "_SUMS_CAP", cap)
+    splits = 0
+    for i, (p, d) in enumerate([(101, 1), (10007, 1), (31, 2), (101, 3)] * 2):
+        rng = np.random.default_rng(50 + i)
+        ctx = GroupContext(p, d)
+        arr = ctx.point_array(_rand_points(rng, ctx, int(rng.integers(3, 8))))
+        sums = set()
+        for eps in itertools.product((-1, 0, 1), repeat=len(arr)):
+            sums.add(tuple(int(c) for c in np.array(eps) @ arr % p))
+        # every signed sum, and a seeded draw of the other points
+        draw = _rand_points(rng, ctx, min(ctx.size, 2000))
+        queries = ctx.point_array(sorted(sums) + draw)
+        left, right = search_halves(ctx, arr)
+        assert (len(right) > 1) == (len(sums) > cap)
+        splits += len(right) > 1
+        got = energy._signed_sum_member(ctx, left, right, groups._codes(ctx, queries))
+        assert got.tolist() == [tuple(x) in sums for x in queries.tolist()]
+    assert splits >= (8 if cap < 27 else 1 if cap == 27 else 0)
+
+
+def test_exact_dimension_reaches_the_ceiling_on_a_large_input():
+    # 1,000 points of Z_1009 hold a dissociated set of floor(log2 1009) = 9
+    ctx = GroupContext(1009)
+    pts = _rand_points(np.random.default_rng(0), ctx, 1000)
+    value, subset = additive_dimension(pts, ctx, "exact")
+    assert value == len(subset) == 9
+    assert is_dissociated(subset, ctx).dissociated
+
+
+def test_default_op_budget_answers_sixteen_points_and_refuses_seventeen():
+    # 16 points was the most the old |S| cap let in; at the default op_budget
+    # they are still answered, and 17 of Z_10007 run past it
+    ctx = GroupContext(10007)
+    assert additive_dimension(_rand_points(np.random.default_rng(1000), ctx, 16), ctx)[0] == 10
+    with pytest.raises(BudgetError, match="raise op_budget"):
+        additive_dimension(_rand_points(np.random.default_rng(1000), ctx, 17), ctx)
+
+
+def test_exact_dimension_is_bounded_by_the_op_budget():
+    # the search recurses only as deep as the chosen subset, so a large input
+    # runs into op_budget and not into the recursion limit
+    ctx = GroupContext(10007)
+    pts = _rand_points(np.random.default_rng(0), ctx, 2000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="exact dimension search work .* raise op_budget"):
+        additive_dimension(pts, ctx, "exact")
+    assert time.perf_counter() - start < 3.0
 
 
 def test_dimension_fallback_is_bounded_by_the_dissociation_cap():

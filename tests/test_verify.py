@@ -121,14 +121,15 @@ def test_monitors_produce_ratios():
     assert rec4.ratio > 0
 
 
-def test_dim_bound_monitor_reads_the_exact_cap():
-    # 18 points: exact mode needs exact_dim_cap >= 18 to reach the search too
+def test_dim_bound_monitor_reads_the_op_budget():
+    # past op_budget the exact search gives way to the greedy lower bound
     inst = random_instance("unimodular-function", 3, p=101, size=18)
-    assert monitor("dim-bound", inst).details["mode"] == "greedy"
-    with using(ToolConfig(exact_dim_cap=18)):
-        rec = monitor("dim-bound", inst)
+    rec = monitor("dim-bound", inst)
     assert rec.details["mode"] == "exact"
-    assert rec.details["dim"] >= monitor("dim-bound", inst).details["dim"]
+    with using(ToolConfig(op_budget=10)):
+        fallback = monitor("dim-bound", inst)
+    assert fallback.details["mode"] == "greedy"
+    assert rec.details["dim"] >= fallback.details["dim"]
 
 
 def test_ap_scan_rows():
