@@ -18,8 +18,7 @@ class ToolConfig:
     dense_budget: int = 1 << 24       # max p^d allowed for dense spectral tables
     norm_tol: float = 1e-9            # norm identities and norm inequalities
     energy_tol: float = 1e-6          # T_k comparisons
-    q_scan_cap: int = 1 << 22         # max modulus for the exhaustive dilation scan
-    op_budget: int = 1 << 24          # work cap: T_k convolution tables, exact dimension search
+    op_budget: int = 1 << 24          # work cap of T_k and of every search, in element operations
 
     def __post_init__(self):
         for field in fields(self):
@@ -59,7 +58,6 @@ def using(config: ToolConfig):
 
 
 ZERO_CLAMP = 1e-10          # inverse-transform sparsification threshold
-DISSOCIATION_CAP = 20       # max set size for the sign-pattern search
 DIRECTION_CAP = 1 << 22     # max number of enumerated directions
 LINE_DENSITY_CONST = 4.0    # line search requires density >= const/p
 

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, DISSOCIATION_CAP, active
+from .config import ARRAY_CHUNK, active
 from .errors import BudgetError
 from .fourier import SparseFunction, dft
 from .groups import (
@@ -233,14 +233,6 @@ def _signed_sums(ctx: GroupContext, arr: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _check_dissociation_cap(n: int) -> None:
-    if n > DISSOCIATION_CAP:
-        raise BudgetError(
-            f"dissociation search capped at {DISSOCIATION_CAP} elements, got {n} "
-            f"({n - DISSOCIATION_CAP} over); raise DISSOCIATION_CAP"
-        )
-
-
 def _grow_sums(ctx: GroupContext, sums: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """The sorted distinct codes of s, s + x and s - x over the codes s; steps codes x, -x."""
     out = np.sort(np.concatenate((sums, _add_codes(ctx, steps[:, None], sums).ravel())))
@@ -271,14 +263,16 @@ def is_dissociated(points: Iterable, ctx: GroupContext) -> DissociationCertifica
     """Search all nonzero {-1,0,1} patterns for one summing to zero.
 
     Meet-in-the-middle over the two halves of the (sorted) set, so the cost is
-    O(3^{n/2}) rather than O(3^n).  The witness is the first zero-sum pattern
+    O(3^{n/2}) rather than O(3^n): the 3^{floor(n/2)} + 3^{ceil(n/2)} signed
+    sums of the halves count against op_budget before any is formed, which
+    at the default admits 28 points.  The witness is the first zero-sum pattern
     of the left half, or else the first right pattern (in product order)
     whose negated sum is a left sum, paired with the first left pattern
     reaching that sum.
     """
     arr = ctx.point_array(points)
     n = len(arr)
-    _check_dissociation_cap(n)
+    _check_work(3 ** (n // 2) + 3 ** (n - n // 2), "dissociation search")
     pts = list(map(tuple, arr.tolist()))
     left, right = pts[: n // 2], pts[n // 2 :]
     lsums = _signed_sums(ctx, arr[: n // 2])
@@ -326,12 +320,12 @@ def additive_dimension(
 
     exact: maximum cardinality by depth-first branch and bound (first maximum
     in lexicographic inclusion order wins ties), which stops once a subset
-    reaches floor(log2 |G|), the most a dissociated set can have; its work
-    counts against op_budget.  greedy: the first path of the same search, an
-    inclusion-maximal subset and a lower bound for the exact value.
-    A subset extends by x iff x is not one of its signed sums: a sorted left
-    half while they number at most _SUMS_CAP, then the right half of the
-    points chosen since, of which DISSOCIATION_CAP bounds the total.
+    reaches floor(log2 |G|), the most a dissociated set can have.  greedy:
+    the first path of the same search, an inclusion-maximal subset and a
+    lower bound for the exact value.  A subset extends by x iff x is not one
+    of its signed sums: a sorted left half while they number at most
+    _SUMS_CAP, then the right half of the points chosen since.  In both
+    modes the search's work counts against op_budget.
     """
     arr = ctx.point_array(points)
     if mode not in ("exact", "greedy"):
@@ -340,7 +334,7 @@ def additive_dimension(
     n = len(pts)
     codes = _codes(ctx, arr)
     steps = np.stack((codes, _codes(ctx, -arr % ctx.p)), axis=1)
-    work, budget = 0, active().op_budget if mode == "exact" else math.inf
+    work, budget = 0, active().op_budget
 
     def grow(left: np.ndarray, right: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The halves of the signed sums once pts[i] joins."""
@@ -360,9 +354,7 @@ def additive_dimension(
         # the node's work: the sums its grow kept, and the points it tests times |right|
         work += (len(right) if len(right) > 1 else len(left)) + (hi - i) * len(right)
         if work > budget:
-            _check_work(work, "exact dimension search")
-        if len(right) > 1:
-            _check_dissociation_cap(len(chosen) + 1)
+            _check_work(work, f"{mode} dimension search")
         for j in ((~_signed_sum_member(ctx, left, right, codes[i:hi])).nonzero()[0] + i).tolist():
             if len(best) >= ceiling or len(chosen) + (n - j) <= len(best):
                 return

@@ -5,6 +5,7 @@ output never lands at the target path.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -51,7 +52,11 @@ def read_function_file(path: str) -> SparseFunction:
     head = lines[0].split()
     if len(head) != 2 or head[0] != FUNCTION_FORMAT:
         raise FileFormatError(f"{path}:1: expected '{FUNCTION_FORMAT} <version>' header")
-    if int(head[1]) != FORMAT_VERSION:
+    try:
+        version = int(head[1])
+    except ValueError:
+        version = None
+    if version != FORMAT_VERSION:
         raise FileFormatError(f"{path}:1: unsupported version {head[1]}")
     if len(lines) < 2:
         raise FileFormatError(f"{path}:2: missing 'p <p> d <d>' line")
@@ -76,6 +81,8 @@ def read_function_file(path: str) -> SparseFunction:
             value = complex(float(fields[ctx.d]), float(fields[ctx.d + 1]))
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise FileFormatError(f"{path}:{lineno}: non-finite value {value}")
         if any(not 0 <= c < ctx.p for c in coords):
             raise FileFormatError(f"{path}:{lineno}: coordinate out of [0, p)")
         if coords in entries:

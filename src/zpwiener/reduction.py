@@ -18,8 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
-from .energy import _signed_sum_member, _signed_sums, additive_dimension
-from .errors import BudgetError
+from .energy import _check_work, _signed_sum_member, _signed_sums, additive_dimension
 from .fourier import SparseFunction, dft
 from .groups import (
     AffineMap,
@@ -237,8 +236,8 @@ def find_dirichlet_q(lams: Iterable[int], ctx: GroupContext) -> DirichletRescali
 
     Existence below p is a pigeonhole fact, and the scan walks q upward from
     1, so any hit is the global minimum.  The bound test is exact integer
-    arithmetic, max_abs^n <= p^{n-1}.  The q_scan_cap in force only limits
-    how far the scan may walk before giving up with a budget error.
+    arithmetic, max_abs^n <= p^{n-1}.  Each q costs n residues, so the scan
+    tests q while q n <= op_budget and past that gives up with a budget error.
     """
     if ctx.d != 1:
         raise ValueError("dilation search runs over Z_p (d = 1)")
@@ -248,8 +247,7 @@ def find_dirichlet_q(lams: Iterable[int], ctx: GroupContext) -> DirichletRescali
         raise ValueError("the set must be nonempty and must not contain 0")
     n = len(vals)
     bound = p ** (1.0 - 1.0 / n)
-    scan_cap = active().q_scan_cap
-    limit = min(p, scan_cap)
+    limit = min(p, active().op_budget // n + 1)
     for q in range(1, limit):
         max_abs = max(canonical_abs(q * l, p) for l in vals)
         if max_abs**n <= p ** (n - 1):
@@ -257,11 +255,9 @@ def find_dirichlet_q(lams: Iterable[int], ctx: GroupContext) -> DirichletRescali
                 q, max_abs, bound,
                 tuple(sorted(signed_rep(q * l, p) for l in vals)),
             )
-    raise BudgetError(
-        f"no dilation found scanning q < {limit}: the smallest q lies in "
-        f"[{limit}, {p - 1}], past q_scan_cap = {scan_cap} by up to {p - scan_cap}; "
-        f"raise q_scan_cap"
-    )
+    if limit < p:  # q = limit takes the work past op_budget
+        _check_work(limit * n, f"dilation scan (the smallest q lies in [{limit}, {p - 1}])")
+    raise RuntimeError(f"no dilation q < {p} found, although pigeonhole guarantees one")
 
 
 @dataclass(frozen=True)

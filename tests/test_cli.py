@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ def test_function_file_roundtrip_is_canonical(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
-def test_function_file_parse_errors(tmp_path):
+def test_function_file_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("zpwiener-function 1\np 5 d 1\n0 1\n")
     code = main(["eval", str(bad)])
@@ -51,6 +53,11 @@ def test_function_file_parse_errors(tmp_path):
     bad2.write_text("something else\n")
     assert main(["eval", str(bad2)]) == 2
 
+    version = tmp_path / "version.txt"
+    version.write_text("zpwiener-function x\np 5 d 1\n")
+    assert main(["eval", str(version)]) == 2
+    assert f"{version}:1: unsupported version x" in capsys.readouterr().err
+
     missing = tmp_path / "nope.txt"
     assert main(["eval", str(missing)]) == 2
 
@@ -59,12 +66,13 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
     nan = tmp_path / "nan.txt"
     nan.write_text("zpwiener-function 1\np 5 d 1\n0 nan 0\n")
     assert main(["eval", str(nan)]) == 2
+    assert f"{nan}:3: non-finite value" in capsys.readouterr().err  # the file and line
     inf = tmp_path / "inf.txt"
     inf.write_text("zpwiener-function 1\np 5 d 1\n1 1 0\n2 inf 0\n")
     assert main(["energy", "--input", str(inf), "--k", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "non-finite value" in captured.err
+    assert f"{inf}:4: non-finite value" in captured.err
 
 
 def test_method_choices(tmp_path, capsys):
@@ -228,16 +236,23 @@ def test_budget_errors_name_their_knob():
          "work 400 exceeds budget 10 by 390; raise op_budget"),
         (ToolConfig(op_budget=10), lambda: additive_dimension(range(1, 18), ctx),
          "exact dimension search work 18 exceeds budget 10 by 8; raise op_budget"),
-        (ToolConfig(q_scan_cap=2), lambda: find_dirichlet_q([1, 35], ctx),
-         "past q_scan_cap = 2 by up to 99; raise q_scan_cap"),
+        (ToolConfig(op_budget=10),
+         lambda: additive_dimension(range(1, 18), ctx, "greedy"),
+         "greedy dimension search work 18 exceeds budget 10 by 8; raise op_budget"),
+        (ToolConfig(op_budget=4), lambda: find_dirichlet_q([1, 35], ctx),
+         r"dilation scan \(the smallest q lies in \[3, 100\]\) work 6 exceeds budget 4 "
+         r"by 2; raise op_budget"),
         (DEFAULT_CONFIG, lambda: enumerate_directions(GroupContext(3, 15)),
          r"cap 4194304 \(DIRECTION_CAP\) by 2980149"),
-        (DEFAULT_CONFIG, lambda: is_dissociated(range(1, 25), ctx),
-         r"got 24 \(4 over\); raise DISSOCIATION_CAP"),
+        (ToolConfig(op_budget=10), lambda: is_dissociated(range(1, 25), ctx),
+         "dissociation search work 1062882 exceeds budget 10 by 1062872; raise op_budget"),
     ]
+    knobs = {field.name for field in fields(ToolConfig)}
     for config, call, message in cases:
-        with using(config), pytest.raises(BudgetError, match=message):
+        with using(config), pytest.raises(BudgetError, match=message) as exc:
             call()
+        # a message names only a knob a caller can turn, never a constant
+        assert set(re.findall(r"raise (\w+)", str(exc.value))) <= knobs
 
 
 def test_reduce_line(tmp_path, capsys):

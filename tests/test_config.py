@@ -81,7 +81,7 @@ def test_the_config_in_force_is_per_task():
     assert active() is DEFAULT_CONFIG
 
 
-@pytest.mark.parametrize("field", ["dense_budget", "q_scan_cap", "op_budget"])
+@pytest.mark.parametrize("field", ["dense_budget", "op_budget"])
 @pytest.mark.parametrize("value", [0, -3, 1.5, True, "8", None])
 def test_caps_must_be_positive_integers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
@@ -89,9 +89,12 @@ def test_caps_must_be_positive_integers(field, value):
 
 
 def test_the_exact_dimension_cap_is_gone():
-    # the exact dimension search is bounded by its work, against op_budget
-    with pytest.raises(TypeError):
-        ToolConfig(exact_dim_cap=16)
+    # the dimension, dilation and dissociation searches are bounded by their
+    # work, against op_budget, and by no cap of their own
+    for knob in ("exact_dim_cap", "q_scan_cap"):
+        with pytest.raises(TypeError):
+            ToolConfig(**{knob: 16})
+    assert not hasattr(zpwiener.config, "DISSOCIATION_CAP")
 
 
 @pytest.mark.parametrize("field", ["norm_tol", "energy_tol"])
@@ -108,9 +111,11 @@ def test_valid_values_are_kept():
 
 def test_the_config_reaches_nested_calls():
     # the caps reach calls made inside library functions, with no parameter on the way
-    f = SparseFunction.indicator(GroupContext(101), [1, 35])
-    with using(ToolConfig(q_scan_cap=2)), pytest.raises(BudgetError, match="q_scan_cap = 2"):
+    # (the greedy core {2} fits op_budget = 10; its dilation q = 50 does not)
+    f = SparseFunction.indicator(GroupContext(101), [2])
+    with using(ToolConfig(op_budget=10)), pytest.raises(BudgetError, match="dilation scan"):
         rescale_to_short_interval(f)
+    assert rescale_to_short_interval(f).q == 50
     g = SparseFunction.indicator(GroupContext(11, 2), [(0, 0), (1, 3)])
     with using(ToolConfig(dense_budget=120)), pytest.raises(BudgetError, match="budget 120"):
         separated_projection_bound(g)

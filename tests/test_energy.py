@@ -227,8 +227,13 @@ def test_dissociation_witnesses_are_pinned():
 
 
 def test_dissociation_cap():
+    # the sign-pattern search counts the 2 * 3^12 signed sums of 24 points'
+    # halves against op_budget before it forms them; the default admits them
     ctx = GroupContext(101)
-    with pytest.raises(BudgetError):
+    assert not is_dissociated(range(1, 25), ctx).dissociated
+    with using(ToolConfig(op_budget=2 * 3**12 - 1)), pytest.raises(
+        BudgetError, match="dissociation search work 1062882 .* raise op_budget"
+    ):
         is_dissociated(range(1, 25), ctx)
 
 
@@ -361,14 +366,19 @@ def test_exact_dimension_is_bounded_by_the_op_budget():
 
 def test_dimension_fallback_is_bounded_by_the_dissociation_cap():
     # 24 random points of a large group are dissociated, so the greedy scan
-    # passes _SUMS_CAP sums and then needs the meet-in-the-middle search on
-    # 21 points, one more than DISSOCIATION_CAP allows
+    # passes _SUMS_CAP sums and then grows the right half of its signed sums;
+    # that work counts against op_budget, which the default admits
     ctx = GroupContext(1599977, 3)
     pts = _rand_points(np.random.default_rng(0), ctx, 24)
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"got 21 \(1 over\); raise DISSOCIATION_CAP"):
-        additive_dimension(pts, ctx, "greedy")
+    value, subset = additive_dimension(pts, ctx, "greedy")
     assert time.perf_counter() - start < 1.0
+    assert value == len(subset) == 24
+    assert is_dissociated(subset, ctx).dissociated
+    with using(ToolConfig(op_budget=1 << 21)), pytest.raises(
+        BudgetError, match="greedy dimension search work .* raise op_budget"
+    ):
+        additive_dimension(pts, ctx, "greedy")
 
 
 def dimension_without_ceiling(points, ctx):

@@ -126,7 +126,8 @@ def test_dim_bound_monitor_reads_the_op_budget():
     inst = random_instance("unimodular-function", 3, p=101, size=18)
     rec = monitor("dim-bound", inst)
     assert rec.details["mode"] == "exact"
-    with using(ToolConfig(op_budget=10)):
+    # the greedy search fits op_budget = 1000 and the exact one does not
+    with using(ToolConfig(op_budget=1000)):
         fallback = monitor("dim-bound", inst)
     assert fallback.details["mode"] == "greedy"
     assert rec.details["dim"] >= fallback.details["dim"]
