@@ -40,6 +40,8 @@ def _config_from(args) -> ToolConfig:
     overrides = {}
     if getattr(args, "budget", None) is not None:
         overrides["dense_budget"] = args.budget
+    if getattr(args, "op_budget", None) is not None:
+        overrides["op_budget"] = args.op_budget
     if getattr(args, "tolerance", None) is not None:
         overrides["norm_tol"] = args.tolerance
         overrides["energy_tol"] = args.tolerance
@@ -59,8 +61,8 @@ def cmd_eval(args) -> int:
         print("warning: function has empty support", file=sys.stderr)
         print("wiener_norm 0.000000000000")
         return 0
-    spec = dft(f)
-    print(f"wiener_norm {spec.l1:.12f}")
+    spec = dft(f) if args.spectrum else None  # else only the norm: no complex table
+    print(f"wiener_norm {wiener_norm(f) if spec is None else spec.l1:.12f}")
     print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
     if args.spectrum:
         records = [report_header(__version__, {"input": args.input})]
@@ -191,6 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     dense.add_argument("--budget", type=int,
                        help="max p^d for dense tables (dense_budget): transforms, "
                             "Wiener norms, the exhaustive hyperplane scan")
+    # the commands that run a search or a T_k convolution share one --op-budget
+    ops = argparse.ArgumentParser(add_help=False)
+    ops.add_argument("--op-budget", type=int,
+                     help="max work in element operations (op_budget): dim's search, "
+                          "energy's direct T_k, reduce dirichlet's core and dilation scan")
 
     p_eval = sub.add_parser("eval", parents=[dense],
                             help="Wiener norm and spectrum summary of a function file")
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_reduce = sub.add_parser("reduce", parents=[dense],
+    p_reduce = sub.add_parser("reduce", parents=[dense, ops],
                               help="run a reduction on a function file")
     p_reduce.add_argument("mode", choices=list(_REDUCTIONS))
     p_reduce.add_argument("--input", required=True)
@@ -221,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--output")
     p_scan.set_defaults(func=cmd_scan)
 
-    p_dim = sub.add_parser("dim", help="additive dimension of a file's support")
+    p_dim = sub.add_parser("dim", parents=[ops], help="additive dimension of a file's support")
     p_dim.add_argument("--input", required=True)
     p_dim.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p_dim.set_defaults(func=cmd_dim)
 
-    p_energy = sub.add_parser("energy", parents=[dense],
+    p_energy = sub.add_parser("energy", parents=[dense, ops],
                               help="T_k energy of a function file")
     p_energy.add_argument("--input", required=True)
     p_energy.add_argument("--k", type=int, required=True)

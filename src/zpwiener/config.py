@@ -65,3 +65,7 @@ LINE_DENSITY_CONST = 4.0    # line search requires density >= const/p
 # large enough that numpy's per-call cost is amortised, small enough that
 # the temporaries do not raise a process's peak memory
 ARRAY_CHUNK = 1 << 15
+
+# complex cells in one slab of `magnitudes` (1 MiB): smaller slabs pay numpy's
+# per-call cost more often, larger ones raise a process's peak memory
+SLAB_CELLS = 1 << 16

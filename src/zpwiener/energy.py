@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ARRAY_CHUNK, active
 from .errors import BudgetError
-from .fourier import SparseFunction, dft
+from .fourier import SparseFunction, magnitudes
 from .groups import (
     _CODE_LIMIT,
     GroupContext,
@@ -159,12 +159,13 @@ def t_k_spectral(g: SparseFunction, k: int) -> float:
     """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    spec = dft(g)
     # |G| is folded into each coefficient first: |G|^{2k-1} alone can exceed
     # the float range when the sum itself does not
     size = g.ctx.size
-    mags = abs(spec.coefficients.ravel(order="C"))
-    return float(((size * mags) ** (2 * k)).sum() / size)
+    mags = magnitudes(g).ravel(order="C")
+    mags *= size
+    mags **= 2 * k
+    return float(mags.sum() / size)
 
 
 def t_k_enumerated(g: SparseFunction, k: int) -> float:

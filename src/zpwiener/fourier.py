@@ -12,10 +12,14 @@ without its bookkeeping.  At d >= 2, when fewer than half the last-axis lines
 could hold a point (2 |supp f| < p^{d-1}), the first call transforms only the
 lines that do and fills the empty ones with the transform of a zero line:
 the same per-line work, so the table is the one `fftn` gives bit for bit,
-signed zeros included.  The quadratic-time transform, tensorized axis by
-axis, is the oracle `dft_naive` that tests compare against; it reduces every
-phase exponent mod p before touching floating point, so angles stay in
-(-2*pi, 0].
+signed zeros included.  Every axis is transformed in place (`out=`, numpy
+>= 2.0), so a transform holds one complex p^d table.  The Wiener norm,
+spectral T_k and the separation bound read only |fhat|: `magnitudes` returns
+it as a float64 table, bit for bit `np.abs` of `dft`'s, and below the switch
+builds it one slab of last-axis columns at a time, with no complex p^d table.
+The quadratic-time transform, tensorized axis by axis, is the oracle
+`dft_naive` that tests compare against; it reduces every phase exponent mod p
+before touching floating point, so angles stay in (-2*pi, 0].
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import ZERO_CLAMP
+from .config import SLAB_CELLS, ZERO_CLAMP
 from .errors import BudgetError
 from .groups import GroupContext, Point
 
@@ -165,7 +169,7 @@ class Spectrum:
 def _dft1d_fast(values: np.ndarray) -> np.ndarray:
     """Unnormalized transform along the last axis: X[k] = sum_n v[n] w^{kn}."""
     # Only the acceptance ladder calls this; `dft` transforms the occupied
-    # last-axis lines itself (see _occupied_lines_fft).
+    # last-axis lines itself (see _occupied_lines).
     return np.fft.fft(values, axis=-1)
 
 
@@ -190,40 +194,83 @@ def _dft_naive(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _occupied_lines_fft(f: SparseFunction) -> np.ndarray:
-    """`np.fft.fft(f.to_dense(), norm="forward")`, the transform along the
-    last axis, run only on the lines that hold a point.
+def _occupied_lines(f: SparseFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The transforms along the last axis (`norm="forward"`) of the lines of
+    f that hold a point, and where they go.
 
-    Every other line gets the transform of a zero line, signed zeros and
-    all, from a zero row transformed in the same batch.
+    Row i of the table belongs to the line whose prefix (x_0, ..., x_{d-2})
+    has C-order index at[i]; the last row is the transform of a zero line,
+    signed zeros and all, which every other line gets.  The rows are
+    transformed in place, in one batch.
     """
     ctx = f.ctx
     ctx.check_dense_budget()
     p, d = ctx.p, ctx.d
-    lines: dict[Point, int] = {}  # prefix (x_0, ..., x_{d-2}) -> row of the table
+    lines: dict[Point, int] = {}  # prefix -> row of the table
     table = np.zeros((len(f) + 1, p), dtype=np.complex128)
     for pt, v in f._entries.items():
         table[lines.setdefault(pt[:-1], len(lines)), pt[-1]] = v
-    rows = np.fft.fft(table[: len(lines) + 1], norm="forward")  # row len(lines) is zero
+    rows = table[: len(lines) + 1]  # row len(lines) is zero
+    np.fft.fft(rows, norm="forward", out=rows)
     prefixes = np.array(list(lines), dtype=np.int64).reshape(len(lines), d - 1)
-    arr = np.empty((ctx.size // p, p), dtype=np.complex128)
-    arr[:] = rows[-1]
-    arr[prefixes @ (p ** np.arange(d - 2, -1, -1, dtype=np.int64))] = rows[:-1]
-    return arr.reshape((p,) * d)
+    return rows, prefixes @ (p ** np.arange(d - 2, -1, -1, dtype=np.int64))
+
+
+def _sparse_lines(ctx: GroupContext, n: int) -> bool:
+    """Whether fewer than half the last-axis lines can hold one of n points."""
+    return 2 * n < ctx.size // ctx.p
 
 
 def dft(f: SparseFunction) -> Spectrum:
     """Forward transform over all d axes: `np.fft.fftn`'s calls, the last
-    axis first, then each axis before it; unlike `fftn`, each table is
-    dropped as soon as the next one is made."""
+    axis first, then each axis before it, all in place in one table."""
     ctx = f.ctx
-    if 2 * len(f) < ctx.size // ctx.p:  # most last-axis lines are empty
-        arr = _occupied_lines_fft(f)
+    if _sparse_lines(ctx, len(f)):
+        rows, at = _occupied_lines(f)
+        arr = np.empty((ctx.size // ctx.p, ctx.p), dtype=np.complex128)
+        arr[:] = rows[-1]
+        arr[at] = rows[:-1]
+        arr = arr.reshape((ctx.p,) * ctx.d)
     else:
-        arr = np.fft.fft(f.to_dense(), norm="forward")
+        arr = f.to_dense()
+        np.fft.fft(arr, norm="forward", out=arr)
     for axis in range(ctx.d - 2, -1, -1):
-        arr = np.fft.fft(arr, axis=axis, norm="forward")
+        np.fft.fft(arr, axis=axis, norm="forward", out=arr)
     return Spectrum(ctx, arr)
+
+
+def magnitudes(f: SparseFunction) -> np.ndarray:
+    """|fhat| as a C-order float64 table, `np.abs(dft(f).coefficients)` bit
+    for bit.
+
+    Below `dft`'s switch, on a table larger than one slab, no complex p^d
+    table is made: each block of `width` last-axis columns is filled from the
+    occupied lines' transforms into a slab of about SLAB_CELLS cells,
+    transformed in place along axes d-2 ... 0 (the per-line calls `dft`
+    makes) and only its magnitudes are kept.  At d = 1, above the switch and
+    on tables of one slab or less, this is `np.abs(dft(f).coefficients)`.
+    """
+    ctx = f.ctx
+    p, d = ctx.p, ctx.d
+    lines = ctx.size // p
+    width = max(1, SLAB_CELLS // lines)
+    if width >= p or not _sparse_lines(ctx, len(f)):
+        return np.abs(dft(f).coefficients)
+    rows, at = _occupied_lines(f)
+    slab_buf = np.empty(lines * width, dtype=np.complex128)
+    mag_buf = np.empty(lines * width)
+    out = np.empty((lines, p))
+    for lo in range(0, p, width):
+        w = min(width, p - lo)
+        slab = slab_buf[: lines * w].reshape(lines, w)
+        slab[:] = rows[-1, lo : lo + w]
+        slab[at] = rows[:-1, lo : lo + w]
+        cube = slab.reshape((p,) * (d - 1) + (w,))
+        for axis in range(d - 2, -1, -1):
+            np.fft.fft(cube, axis=axis, norm="forward", out=cube)
+        # |.| between contiguous buffers, as the dense path takes it
+        out[:, lo : lo + w] = np.abs(slab, out=mag_buf[: lines * w].reshape(lines, w))
+    return out.reshape((p,) * d)
 
 
 def dft_naive(f: SparseFunction) -> Spectrum:
@@ -256,5 +303,5 @@ def inverse_dft(spectrum: Spectrum) -> SparseFunction:
 
 
 def wiener_norm(f: SparseFunction) -> float:
-    """l1 norm of the Fourier transform."""
-    return dft(f).l1
+    """l1 norm of the Fourier transform, summed in C order as `Spectrum.l1`."""
+    return float(magnitudes(f).ravel(order="C").sum())

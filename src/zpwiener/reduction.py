@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
 from .energy import _check_work, _signed_sum_member, _signed_sums, additive_dimension
-from .fourier import SparseFunction, dft
+from .fourier import SparseFunction, magnitudes
 from .groups import (
     AffineMap,
     GroupContext,
@@ -408,8 +408,8 @@ def separated_projection_bound(f: SparseFunction) -> SeparationBound:
     """
     ctx = f.ctx
     sep = find_separating_map(f.support, ctx)
-    mags = np.abs(dft(f).coefficients)
-    norm = float(mags.ravel().sum())  # the sum Spectrum.l1 takes: wiener_norm(f)
+    mags = magnitudes(f)
+    norm = float(mags.ravel().sum())  # the sum wiener_norm(f) takes
     p, d, row = ctx.p, ctx.d, sep.row
     pivot = next(i for i, c in enumerate(row) if c)
     t_inv = pow(row[pivot], -1, p)

@@ -360,6 +360,43 @@ def test_dim_command(tmp_path, capsys):
     assert "dim 2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--mode", "exact"],
+        ["dim", "--mode", "greedy"],
+        ["energy", "--k", "2", "--method", "direct"],
+        ["reduce", "dirichlet"],
+    ],
+)
+def test_op_budget_flag_reaches_the_searches(tmp_path, capsys, argv):
+    path = write_file(tmp_path, "s.txt", GroupContext(101), {1: 1.0, 2: 1.0, 35: 1.0})
+    assert main(argv + ["--input", path, "--op-budget", "1"]) == 3
+    assert capsys.readouterr().err.rstrip().endswith("raise op_budget")
+    assert main(argv + ["--input", path, "--op-budget", str(1 << 24)]) == 0
+    assert main(argv + ["--input", path, "--op-budget", "0"]) == 2
+    assert "op_budget must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def test_dim_answers_forty_points_with_a_raised_op_budget(tmp_path, capsys):
+    # 13 unit multiples of the powers of two (2^13 distinct subset sums below
+    # p, so dissociated) among 27 random points: the search finds dimension
+    # floor(log2 p) = 13 after 28.7M operations, past the default 2^24
+    p = 10007
+    rng = np.random.default_rng(32)
+    unit = int(rng.integers(2, p - 1))
+    core = [unit * 2**i % p for i in range(13)]
+    rest = rng.choice(np.setdiff1d(np.arange(1, p), core), 27, replace=False).tolist()
+    path = write_file(tmp_path, "s.txt", GroupContext(p), {x: 1.0 for x in core + rest})
+    assert main(["dim", "--input", path, "--mode", "exact"]) == 3
+    assert capsys.readouterr().err == (
+        "budget error: exact dimension search work 16785267 exceeds budget 16777216 by 8051; "
+        "raise op_budget\n"
+    )
+    assert main(["dim", "--input", path, "--mode", "exact", "--op-budget", str(1 << 25)]) == 0
+    assert capsys.readouterr().out.startswith("dim 13  mode exact\n")
+
+
 def test_energy_command(tmp_path, capsys):
     path = write_file(tmp_path, "s.txt", GroupContext(5), {0: 1.0, 1: 1.0})
     assert main(["energy", "--input", path, "--k", "2"]) == 0

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpwiener import energy
+from zpwiener import energy, fourier
 from zpwiener.config import ZERO_CLAMP, ToolConfig, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import (
@@ -15,13 +16,14 @@ from zpwiener.fourier import (
     dft_direct_sum,
     dft_naive,
     inverse_dft,
+    magnitudes,
     wiener_norm,
     _dft1d_fast,
     _dft1d_naive,
     _dft_naive,
 )
 from zpwiener.groups import AffineMap, GroupContext
-from zpwiener.reduction import pushforward
+from zpwiener.reduction import pushforward, separated_projection_bound
 from zpwiener.verify import _rand_points, ap_scan
 
 
@@ -296,31 +298,101 @@ def _switch_supports(p, d):
 @pytest.mark.parametrize(
     "p,d", [(3, 1), (101, 1), (3, 2), (11, 2), (101, 2), (3, 3), (11, 3), (101, 3)]
 )
-def test_dft_is_fftn_bit_for_bit_around_the_switch(p, d, monkeypatch):
-    def plain(g):
-        return Spectrum(g.ctx, np.fft.fftn(g.to_dense(), norm="forward"))
-
+def test_dft_is_fftn_bit_for_bit_around_the_switch(p, d):
     ctx, rng, supports = _switch_supports(p, d)
     for name, pts in supports.items():
         vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
         f = SparseFunction(ctx, dict(zip(pts, vals)))
-        want = plain(f).coefficients
+        want = np.fft.fftn(f.to_dense(), norm="forward")
         assert dft(f).coefficients.tobytes() == want.tobytes(), name
         if ctx.size > 20_000:
             continue  # the norms read the table just compared; skip the slow repeats
         assert wiener_norm(f) == float(np.abs(want).sum()), name
-        got = energy.t_k_spectral(f, 2)
-        with monkeypatch.context() as m:
-            m.setattr(energy, "dft", plain)
-            assert got == energy.t_k_spectral(f, 2), name
+        mags = np.abs(want).ravel()
+        assert energy.t_k_spectral(f, 2) == float(((ctx.size * mags) ** 4).sum() / ctx.size), name
+
+
+@pytest.mark.parametrize(
+    "p,d,slab",
+    [
+        (101, 1, None),
+        (257, 2, None),  # the default slab: 255 columns, then 2
+        (101, 2, 3 * 101),  # 3 columns a slab; 101 is not a multiple of 3
+        (101, 2, 100),  # p^{d-1} exceeds the slab: one column a slab
+        (11, 3, 4 * 121),
+        (11, 3, 120),
+        (7, 4, 2 * 343),
+        (7, 4, 342),
+    ],
+)
+def test_magnitudes_is_abs_fftn_bit_for_bit(p, d, slab, monkeypatch):
+    if slab is not None:
+        monkeypatch.setattr(fourier, "SLAB_CELLS", slab)
+    lines = p ** (d - 1)
+    transforms = []
+    monkeypatch.setattr(fourier, "dft", lambda g: transforms.append(g) or dft(g))
+    ctx, rng, supports = _switch_supports(p, d)
+    for name, pts in supports.items():
+        vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        f = SparseFunction(ctx, dict(zip(pts, vals)))
+        want = np.abs(np.fft.fftn(f.to_dense(), norm="forward"))
+        transforms.clear()
+        got = magnitudes(f)
+        assert got.dtype == np.float64 and got.flags.c_contiguous, name
+        assert got.tobytes() == want.tobytes(), name
+        # below the switch, on a table wider than one slab, no complex table
+        sliced = 2 * len(f) < lines and fourier.SLAB_CELLS // lines < p
+        assert bool(transforms) != sliced, name
 
 
 def test_dft_below_the_switch_builds_no_dense_input(monkeypatch):
     ctx, _, supports = _switch_supports(11, 3)
     f = SparseFunction.indicator(ctx, supports["below"])
+    small = SparseFunction.indicator(ctx, supports["below"][:4])  # |A| < sqrt(2p)
     want = np.fft.fftn(f.to_dense(), norm="forward")
+    mags = np.abs(want).ravel()
     monkeypatch.setattr(SparseFunction, "to_dense", lambda self: pytest.fail("to_dense"))
     assert dft(f).coefficients.tobytes() == want.tobytes()
+    assert wiener_norm(f) == float(mags.sum())
+    assert energy.t_k_spectral(f, 2) == float(((ctx.size * mags) ** 4).sum() / ctx.size)
+    assert separated_projection_bound(small).norm == wiener_norm(small)
+
+
+def test_magnitudes_checks_the_dense_budget_before_it_allocates():
+    ctx = GroupContext(1009, 2)
+    rng = np.random.default_rng(5)
+    for n in (30, 600):  # the slab path, then the dense path
+        f = SparseFunction.indicator(ctx, _rand_points(rng, ctx, n))
+        tracemalloc.start()
+        try:
+            with using(ToolConfig(dense_budget=ctx.size - 1)):
+                with pytest.raises(BudgetError, match="dense_budget"):
+                    magnitudes(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ctx.size, n  # less than one byte a cell
+
+
+def _peak_bytes_per_cell(call, f) -> float:
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        call(f)
+        return tracemalloc.get_traced_memory()[1] / f.ctx.size
+    finally:
+        tracemalloc.stop()
+
+
+def test_transforms_hold_one_table_at_a_time():
+    # the parent of the in-place transforms measured 32, 32 and 40 B/cell
+    ctx = GroupContext(1009, 2)
+    rng = np.random.default_rng(7)
+    sparse = SparseFunction.indicator(ctx, _rand_points(rng, ctx, 30))
+    dense = SparseFunction.indicator(ctx, _rand_points(rng, ctx, 600))
+    assert 2 * len(sparse) < ctx.p <= 2 * len(dense)  # both sides of the switch
+    assert _peak_bytes_per_cell(wiener_norm, sparse) <= 12
+    assert _peak_bytes_per_cell(dft, dense) <= 17
+    assert _peak_bytes_per_cell(lambda g: energy.t_k_spectral(g, 2), sparse) <= 17
 
 
 def test_dft_below_the_switch_keeps_the_dense_budget():
