@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from zpwiener.energy import is_dissociated
+from zpwiener.energy import _grow_sums, _signed_sum_member
 from zpwiener.groups import GroupContext
 from zpwiener.verify import monitor, random_instance
 
@@ -24,11 +24,15 @@ def dissociated_instance(seed: int, p: int, size: int) -> dict:
     ctx = GroupContext(p)
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
-    for x in rng.permutation(np.arange(1, p)):
+    # the chosen set is dissociated, so it stays so with x iff x is not one of
+    # its signed sums; those are kept sorted as the set grows
+    sums = zero = np.zeros(1, dtype=np.int64)
+    for x in rng.permutation(np.arange(1, p)).tolist():
         if len(chosen) == size:
             break
-        if is_dissociated(chosen + [int(x)], ctx).dissociated:
-            chosen.append(int(x))
+        if not _signed_sum_member(ctx, sums, zero, np.array([x]))[0]:
+            chosen.append(x)
+            sums = _grow_sums(ctx, sums, np.array([x, p - x]))
     if len(chosen) < size:
         print(
             f"warning: the greedy walk found a dissociated set of {len(chosen)} points "

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import DEFAULT_CONFIG, ToolConfig, using
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG, ToolConfig, using
 from .energy import additive_dimension, t_k_direct, t_k_spectral
 from .errors import BudgetError, FileFormatError
 from .fileio import (
@@ -65,11 +66,16 @@ def cmd_eval(args) -> int:
     print(f"wiener_norm {wiener_norm(f) if spec is None else spec.l1:.12f}")
     print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
     if args.spectrum:
-        records = [report_header(__version__, {"input": args.input})]
-        # points() runs in lexicographic order, the C order of the table
-        records += [{"record": "coefficient", "xi": list(xi), "re": c.real, "im": c.imag}
-                    for xi, c in zip(f.ctx.points(), spec.coefficients.ravel().tolist())]
-        write_report_file(args.spectrum, records)
+        # points() runs in lexicographic order, the C order of the table; the
+        # records are made as they are written, from one chunk of it at a time
+        table = spec.coefficients.ravel()
+        values = itertools.chain.from_iterable(
+            table[lo : lo + ARRAY_CHUNK].tolist() for lo in range(0, len(table), ARRAY_CHUNK)
+        )
+        records = ({"record": "coefficient", "xi": list(xi), "re": c.real, "im": c.imag}
+                   for xi, c in zip(f.ctx.points(), values))
+        header = report_header(__version__, {"input": args.input})
+        write_report_file(args.spectrum, itertools.chain([header], records))
     return 0
 
 

@@ -7,8 +7,16 @@ For a function g on an abelian group (Z_p^d here, or Z for shell families),
              g(x_1)...g(x_k) * conj(g(x_1'))...conj(g(x_k'))
            = sum_s |R_k(s)|^2,   R_k = k-fold convolution of g,
 
-which is how the direct path computes it.  A literal 2k-tuple enumeration is
-kept as a micro-oracle for supports of size at most 8.
+which is how the direct path computes it: k - 1 rounds, each of which forms
+the sums of the table's keys with the support and groups equal keys.  A round
+groups by sorting, or, when the values are real integers with
+(sum |v|)^{2k} <= 2^53 and the keys lie in a span of at most ARRAY_CHUNK
+codes, by counting: a boolean mask marks the keys hit and a weighted
+np.bincount sums their values.  Under that guard every partial sum is an
+exact integer in float64, so the order of the additions cannot change a bit
+and both ways give the same table and the same float.  Complex, fractional
+and larger inputs are always sorted.  A literal 2k-tuple enumeration is kept
+as a micro-oracle for supports of size at most 8.
 """
 
 from __future__ import annotations
@@ -61,6 +69,42 @@ def _group(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.add.reduceat(vals, starts)
 
 
+def _group_by_sort(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """_group over all the (keys, values) chunks: each chunk, then their union."""
+    parts = [_group(keys, vals) for keys, vals in chunks]
+    if len(parts) == 1:
+        return parts[0]
+    return _group(*(np.concatenate(part) for part in zip(*parts)))
+
+
+def _group_by_count(chunks, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """_group over all the chunks, for keys in [0, span) and real values:
+    a key is present iff it is hit, so a key whose values sum to 0 stays."""
+    hit, sums = np.zeros(span, dtype=bool), None
+    for keys, vals in chunks:
+        hit[keys] = True
+        part = np.bincount(keys, weights=vals, minlength=span)
+        if sums is None:  # most rounds are one chunk: no zeroed table to add to
+            sums = part
+        else:
+            sums += part
+    keys = hit.nonzero()[0]
+    return keys, sums[keys]
+
+
+def _exact_in_float(vals: np.ndarray, k: int) -> bool:
+    """Whether vals are real integers with (sum |v|)^{2k} <= 2^53.
+
+    Then every partial sum of every R_r(s), r <= k, and of T_k is an integer
+    of absolute value at most 2^53, exact in float64 whatever the order of
+    the additions.
+    """
+    if vals.dtype.kind == "c" or not (vals == np.trunc(vals)).all():
+        return False
+    total = np.abs(vals).sum()
+    return total <= 1 << 53 and int(total) ** (2 * k) <= 1 << 53
+
+
 def _check_work(work: int, what: str = "T_k convolution") -> None:
     """Refuse work past the op_budget in force."""
     op_budget = active().op_budget
@@ -87,33 +131,36 @@ def _tk_from_entries(entries: dict, add, k: int) -> float:
     return float(sum(abs(v) ** 2 for v in table.values()))
 
 
-def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int) -> float:
+def _tk_table(keys: np.ndarray, vals: np.ndarray, add, k: int, span: int) -> float:
     """sum_s |R_k(s)|^2 for the function keys -> vals, R_k its k-fold convolution.
 
     Each of the k - 1 rounds forms the outer sum of the table's keys with the
     base keys and the outer product of the values, a chunk of table rows at a
     time, and groups equal keys.  The work count and budget are those of
-    _tk_from_entries.
+    _tk_from_entries.  The keys of every round lie in [0, span).  When that
+    span is at most ARRAY_CHUNK and the values pass _exact_in_float, a round
+    groups by counting (_group_by_count, two tables of span cells, at most
+    256 KiB each), else by sorting (_group_by_sort).  Under the guard both
+    give the same sorted keys, zero-sum keys included, and the same exact
+    integer sums: the same work, the same refusals and the same float.
     """
     if not vals.imag.any():
         vals = vals.real
     rows = max(1, ARRAY_CHUNK // len(keys))
+    count = span <= ARRAY_CHUNK and _exact_in_float(vals, k)
     tkeys, tvals = keys, vals
     work = 0
     for _ in range(k - 1):
         work += len(tkeys) * len(keys)
         _check_work(work)
-        parts = [
-            _group(
+        chunks = (
+            (
                 add(tkeys[i : i + rows, None], keys).ravel(),
                 (tvals[i : i + rows, None] * vals).ravel(),
             )
             for i in range(0, len(tkeys), rows)
-        ]
-        if len(parts) == 1:
-            tkeys, tvals = parts[0]
-        else:
-            tkeys, tvals = _group(*(np.concatenate(part) for part in zip(*parts)))
+        )
+        tkeys, tvals = _group_by_count(chunks, span) if count else _group_by_sort(chunks)
     return float(np.vdot(tvals, tvals).real)
 
 
@@ -129,7 +176,7 @@ def t_k_direct(g: SparseFunction, k: int) -> float:
         return _tk_from_entries(dict(g.entries), ctx.add, k)
     keys = _codes(ctx, list(g.entries))
     vals = np.array(list(g.entries.values()), dtype=np.complex128)
-    return _tk_table(keys, vals, functools.partial(_add_codes, ctx), k)
+    return _tk_table(keys, vals, functools.partial(_add_codes, ctx), k, ctx.size)
 
 
 def t_k_int(values: dict[int, complex], k: int) -> float:
@@ -145,9 +192,11 @@ def t_k_int(values: dict[int, complex], k: int) -> float:
         )
     if (k - 1) * len(entries) ** 2 <= _LOOP_TK_WORK:
         return _tk_from_entries(entries, operator.add, k)
-    keys = np.array(list(entries), dtype=np.int64)
+    # shifted by their minimum, the k-fold sums lie in [0, k (max - min)]
+    lo, hi = min(entries), max(entries)
+    keys = np.array(list(entries), dtype=np.int64) - lo
     vals = np.array(list(entries.values()), dtype=np.complex128)
-    return _tk_table(keys, vals, np.add, k)
+    return _tk_table(keys, vals, np.add, k, k * (hi - lo) + 1)
 
 
 def t_k_int_set(points: Iterable[int], k: int) -> float:

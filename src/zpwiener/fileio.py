@@ -22,12 +22,13 @@ REPORT_FORMAT = "zpwiener-report"
 FORMAT_VERSION = 1
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces of text in order, each as it comes, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-zpw-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -41,7 +42,7 @@ def write_function_file(path: str, f: SparseFunction) -> None:
     for x, v in sorted(f.entries.items()):
         coords = " ".join(str(c) for c in x)
         lines.append(f"{coords} {v.real:.17g} {v.imag:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def read_function_file(path: str) -> SparseFunction:
@@ -103,15 +104,18 @@ def report_header(tool_version: str, config: dict) -> dict:
     }
 
 
+def _dumps(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def dump_records(records: Iterable[dict]) -> str:
-    return (
-        "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)
-        + "\n"
-    )
+    return "\n".join(map(_dumps, records)) + "\n"
 
 
 def write_report_file(path: str, records: Iterable[dict]) -> None:
-    _atomic_write(path, dump_records(records))
+    """One line a record, as dump_records joins them, each written as it
+    comes: given a generator, the records are never all held at once."""
+    _atomic_write(path, (_dumps(r) + "\n" for r in records))
 
 
 def read_report_file(path: str) -> list[dict]:
@@ -151,4 +155,4 @@ def dump_scan_csv(rows) -> str:
 
 
 def write_scan_csv(path: str, rows) -> None:
-    _atomic_write(path, dump_scan_csv(rows))
+    _atomic_write(path, [dump_scan_csv(rows)])

@@ -245,10 +245,11 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
 
     Below `dft`'s switch, on a table larger than one slab, no complex p^d
     table is made: each block of `width` last-axis columns is filled from the
-    occupied lines' transforms into a slab of about SLAB_CELLS cells,
-    transformed in place along axes d-2 ... 0 (the per-line calls `dft`
-    makes) and only its magnitudes are kept.  At d = 1, above the switch and
-    on tables of one slab or less, this is `np.abs(dft(f).coefficients)`.
+    occupied lines' transforms into a slab of about SLAB_CELLS cells, stored
+    column by column, transformed in place along axes d-2 ... 0 (the per-line
+    calls `dft` makes) and only its magnitudes are kept.  At d = 1, above the
+    switch and on tables of one slab or less, this is
+    `np.abs(dft(f).coefficients)`.
     """
     ctx = f.ctx
     p, d = ctx.p, ctx.d
@@ -262,14 +263,16 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
     out = np.empty((lines, p))
     for lo in range(0, p, width):
         w = min(width, p - lo)
-        slab = slab_buf[: lines * w].reshape(lines, w)
-        slab[:] = rows[-1, lo : lo + w]
-        slab[at] = rows[:-1, lo : lo + w]
-        cube = slab.reshape((p,) * (d - 1) + (w,))
-        for axis in range(d - 2, -1, -1):
+        # column-major: slab[j] is the (p,) * (d - 1) cube of last-axis column
+        # lo + j, so every transform below runs over contiguous cubes
+        slab = slab_buf[: lines * w].reshape(w, lines)
+        slab[:] = rows[-1, lo : lo + w, None]
+        slab[:, at] = rows[:-1, lo : lo + w].T
+        cube = slab.reshape((w,) + (p,) * (d - 1))
+        for axis in range(d - 1, 0, -1):
             np.fft.fft(cube, axis=axis, norm="forward", out=cube)
         # |.| between contiguous buffers, as the dense path takes it
-        out[:, lo : lo + w] = np.abs(slab, out=mag_buf[: lines * w].reshape(lines, w))
+        out[:, lo : lo + w] = np.abs(slab, out=mag_buf[: lines * w].reshape(w, lines)).T
     return out.reshape((p,) * d)
 
 

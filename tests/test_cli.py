@@ -1,14 +1,17 @@
+import argparse
 import hashlib
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from zpwiener.cli import main
+from zpwiener import cli
+from zpwiener.cli import build_parser, main
 from zpwiener.config import DEFAULT_CONFIG, ToolConfig, using
 from zpwiener.energy import additive_dimension, is_dissociated, t_k_direct
 from zpwiener.errors import BudgetError
@@ -180,7 +183,11 @@ def test_verify_reports_are_byte_identical_across_runs(tmp_path):
 
 
 def test_verify_all_stdout_is_pinned(capsys):
-    # sha256 of the report recorded before point sets moved to the array form
+    # sha256 of the report recorded before point sets moved to the array form.
+    # Byte-identical means per numpy build and per CPU SIMD level: with numpy
+    # 2.4.6 restricted to baseline SSE (NPY_DISABLE_CPU_FEATURES="AVX512_SPR
+    # AVX512_ICL X86_V4 X86_V3") 14 records differ in their last digit; CI
+    # prints both before the tests run
     assert main(["verify", "all", "--seed", "1", "--count", "20"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -430,7 +437,8 @@ def test_eval_spectrum_of_a_sparse_plane_function_is_pinned(tmp_path, monkeypatc
     # the occupied last-axis lines.  Each occupied line holds v and -v, so its
     # transform nearly cancels at xi_last = 0, and p = 89 is a length whose
     # empty line transforms to signed zeros: a drift in the rounding of either
-    # changes the bytes.
+    # changes the bytes.  Like every pin, byte-identical means per numpy
+    # build and per CPU SIMD level (see test_verify_all_stdout_is_pinned).
     ctx = GroupContext(89, 2)
     rng = np.random.default_rng(2024)
     rows = rng.choice(89, size=6, replace=False)
@@ -446,3 +454,96 @@ def test_eval_spectrum_of_a_sparse_plane_function_is_pinned(tmp_path, monkeypatc
     assert capsys.readouterr().out.startswith("wiener_norm 3.754163659989\n")
     digest = hashlib.sha256((tmp_path / "out.jsonl").read_bytes()).hexdigest()
     assert digest == "172213a1527692767ea9e6ba056bffba3a1d951a83ec20cd38633c930a5c2163"
+
+
+def test_eval_spectrum_streams_its_records(tmp_path, monkeypatch):
+    # the report is written as its records are made: the peak stays far below
+    # one record dict per coefficient (the spectrum table itself is 16 bytes
+    # a coefficient, its magnitudes 8 more); a small chunk keeps the records'
+    # source values small next to the table
+    ctx = GroupContext(127, 2)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ARRAY_CHUNK", 1024)
+    write_function_file("f.txt", SparseFunction(ctx, {(0, 0): 1.0, (3, 5): 2.0 - 1j}))
+    tracemalloc.start()
+    try:
+        assert main(["eval", "f.txt", "--spectrum", "out.jsonl"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    record = {"record": "coefficient", "xi": [0, 0], "re": 0.0, "im": 0.0}
+    per_record = sys.getsizeof(record) + sys.getsizeof(record["xi"])
+    assert peak < ctx.size * per_record // 4
+    lines = (tmp_path / "out.jsonl").read_text().splitlines()
+    assert len(lines) == ctx.size + 1
+    assert lines[-1].startswith('{"im":') and '"xi":[126,126]' in lines[-1]
+
+
+# The caps each command's flags set, by command and mode, and the argv that
+# runs it.  A flag a command accepts but a mode never reads is listed in
+# _UNREACHED with the reason; every other one must refuse at 1.
+_CAP_FLAGS = {"--budget": "dense_budget", "--op-budget": "op_budget"}
+_COMMAND_MODES = {
+    ("eval", "norm"): ["eval", "{plane}"],
+    ("eval", "spectrum"): ["eval", "{plane}", "--spectrum", "out.jsonl"],
+    ("verify", "all"): ["verify", "all", "--count", "1"],
+    ("reduce", "line"): ["reduce", "line", "--input", "{square}"],
+    ("reduce", "separating-map"): ["reduce", "separating-map", "--input", "{pair}"],
+    ("reduce", "dirichlet"): ["reduce", "dirichlet", "--input", "{line}"],
+    ("scan", "ap"): ["scan", "ap", "--p", "101", "--sizes", "5"],
+    ("scan", "random"): ["scan", "random", "--p", "101", "--sizes", "5"],
+    ("dim", "exact"): ["dim", "--input", "{line}", "--mode", "exact"],
+    ("dim", "greedy"): ["dim", "--input", "{line}", "--mode", "greedy"],
+    ("energy", "direct"): ["energy", "--input", "{line}", "--k", "2", "--method", "direct"],
+    ("energy", "spectral"): ["energy", "--input", "{line}", "--k", "2", "--method", "spectral"],
+    ("energy", "both"): ["energy", "--input", "{line}", "--k", "2", "--method", "both"],
+}
+_UNREACHED = {
+    ("reduce", "line", "--op-budget"): "the line search runs no op-counted search",
+    ("reduce", "separating-map", "--op-budget"): "the row scan runs no op-counted search",
+    ("energy", "direct", "--budget"): "the direct T_k builds no dense table",
+    ("energy", "spectral", "--op-budget"): "the spectral T_k runs no op-counted search",
+}
+
+
+def test_every_command_reaches_every_cap_it_reads(tmp_path, monkeypatch, capsys):
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    # the table covers every command and every choice of its mode
+    for name, sub in subparsers.choices.items():
+        modes = {m for command, m in _COMMAND_MODES if command == name}
+        choices = [a.choices for a in sub._actions if a.choices]
+        assert modes, name
+        for options in choices:
+            assert set(options) == modes, name
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "plane": write_file(tmp_path, "plane.txt", GroupContext(11, 2), {(1, 2): 1.0}),
+        "square": write_file(tmp_path, "square.txt", GroupContext(5, 2),
+                             {x: 1.0 for x in GroupContext(5, 2).points()}),
+        "pair": write_file(tmp_path, "pair.txt", GroupContext(5, 2),
+                           {(0, 0): 1.0, (0, 1): 1.0}),
+        "line": write_file(tmp_path, "line.txt", GroupContext(101),
+                           {1: 1.0, 2: 1.0, 35: 1.0}),
+    }
+    reached = set()
+    for (command, mode), template in _COMMAND_MODES.items():
+        argv = [arg.format(**inputs) for arg in template]
+        sub = subparsers.choices[command]
+        flags = [f for a in sub._actions for f in a.option_strings if f in _CAP_FLAGS]
+        for flag in flags:
+            code = main(argv + [flag, "1"])
+            err = capsys.readouterr().err
+            if (command, mode, flag) in _UNREACHED:
+                assert code == 0, (argv, flag, err)
+            else:
+                assert code == 3, (argv, flag, err)
+                assert f"raise {_CAP_FLAGS[flag]}" in err, (argv, flag, err)
+                reached.add((command, flag))
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    # every command that takes a cap flag reaches it in some mode
+    takes = {(name, f) for name, sub in subparsers.choices.items()
+             for a in sub._actions for f in a.option_strings if f in _CAP_FLAGS}
+    assert reached == takes

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpwiener import energy, groups
-from zpwiener.config import ToolConfig, using
+from zpwiener.config import ARRAY_CHUNK, ToolConfig, using
 from zpwiener.energy import (
     additive_dimension,
     build_scattered_family,
@@ -138,7 +138,7 @@ def test_t_k_loop_and_array_paths_agree(k):
             keys = groups._codes(ctx, pts)
             for v in (vals, np.ones(len(pts), dtype=complex)):
                 loop = energy._tk_from_entries(dict(zip(pts, v)), ctx.add, k)
-                array = energy._tk_table(keys, v, partial(groups._add_codes, ctx), k)
+                array = energy._tk_table(keys, v, partial(groups._add_codes, ctx), k, ctx.size)
                 if v is vals:
                     assert array == pytest.approx(loop, rel=1e-12)
                 else:
@@ -158,6 +158,98 @@ def test_t_k_work_budget_on_both_paths():
             with pytest.raises(BudgetError, match="work"):
                 t_k_direct(f, 3)
             assert t_k_direct(f, 2) > 0
+
+
+def _integer_tables(rng):
+    """(keys, values, add, span) of seeded integer-valued functions on Z_p^d,
+    d = 1..4: indicators, values in -3..3 (some keys then sum to exactly 0)
+    and positive integers, each small enough to pass the counting guard."""
+    for ctx in (GroupContext(10007), GroupContext(101, 2), GroupContext(23, 3),
+                GroupContext(11, 4)):
+        add = partial(groups._add_codes, ctx)
+        for size in (5, 17, 60):
+            keys = groups._codes(ctx, _rand_points(rng, ctx, size))
+            signed = rng.integers(1, 4, size) * rng.choice((-1, 1), size)
+            for vals in (np.ones(size), signed, rng.integers(1, 6, size)):
+                yield keys, vals.astype(complex), add, ctx.size
+
+
+def test_counting_and_sorting_give_the_same_float(monkeypatch):
+    # a span past ARRAY_CHUNK is still a bound on the keys, and takes the sort
+    calls = []
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    rng = np.random.default_rng(18)
+    for keys, vals, add, span in _integer_tables(rng):
+        for k in (2, 3):
+            before = len(calls)
+            fast = energy._tk_table(keys, vals, add, k, span)
+            after = len(calls)
+            slow = energy._tk_table(keys, vals, add, k, ARRAY_CHUNK + 1)
+            assert before < after == len(calls)
+            assert fast.hex() == slow.hex()
+    for size, k in ((12, 2), (50, 3)):  # t_k_int, shifted to [0, k (max - min)]
+        xs = rng.choice(np.arange(-3000, 3000), size, replace=False).tolist()
+        vals = dict(zip(xs, rng.integers(-3, 4, size).tolist()))
+        entries = {x: v for x, v in vals.items() if v}
+        keys = np.array(list(entries)) - min(entries)
+        slow = energy._tk_table(keys, np.array(list(entries.values()), dtype=complex),
+                                np.add, k, ARRAY_CHUNK + 1)
+        before = len(calls)
+        assert t_k_int(vals, k).hex() == slow.hex()
+        assert len(calls) > before
+
+
+def test_only_exact_integer_inputs_reach_bincount(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.bincount reached")
+
+    monkeypatch.setattr(np, "bincount", refuse)
+    rng = np.random.default_rng(7)
+    ctx = GroupContext(101)
+    pts = _rand_points(rng, ctx, 30)
+    cases = [
+        rng.standard_normal(30) + 1j * rng.standard_normal(30),  # complex
+        rng.integers(-3, 4, 30) + 0.5,  # fractional
+        np.full(30, 1.0 + 1j),  # integer parts, nonzero imaginary part
+        np.full(30, 42.0),  # (sum |v|)^4 = 1260^4 < 2^53, but (sum |v|)^6 is not
+    ]
+    for vals in cases:
+        f = SparseFunction(ctx, dict(zip(pts, vals)))
+        t_k_direct(f, 3)
+    huge = GroupContext(101, 3)  # span p^3 = 1030301 > ARRAY_CHUNK
+    t_k_direct(SparseFunction.indicator(huge, _rand_points(rng, huge, 30)), 2)
+    t_k_int({x: 1.0 for x in range(0, 20 * 5000, 5000)}, 2)  # span 2 * 95000 + 1
+    t_k_int({x: 3000.0 for x in range(20)}, 2)  # (20 * 3000)^4 > 2^53
+    # the guard itself: 9741^4 <= 2^53 < 9742^4
+    assert energy._exact_in_float(np.array([9741.0]), 2)
+    assert not energy._exact_in_float(np.array([9742.0]), 2)
+
+
+def test_counting_and_sorting_refuse_with_the_same_work():
+    # values in -3..3 give keys whose values sum to exactly 0; both ways keep
+    # them, so the second round's work, and the refusal, are the same
+    rng = np.random.default_rng(5)
+    ctx = GroupContext(31)
+    keys = np.arange(0, 31, 2)
+    vals = (rng.integers(1, 4, len(keys)) * rng.choice((-1, 1), len(keys))).astype(complex)
+    add = partial(groups._add_codes, ctx)
+    table = energy._group_by_sort([(add(keys[:, None], keys).ravel(),
+                                    np.outer(vals, vals).real.ravel())])
+    assert (table[1] == 0).any()
+    messages = []
+    for span in (ctx.size, ARRAY_CHUNK + 1):
+        with using(ToolConfig(op_budget=len(keys) ** 2 + 1)), pytest.raises(BudgetError) as exc:
+            energy._tk_table(keys, vals, add, 3, span)
+        messages.append(str(exc.value))
+    work = len(keys) ** 2 + len(table[0]) * len(keys)
+    assert messages == [f"T_k convolution work {work} exceeds budget {len(keys) ** 2 + 1} "
+                        f"by {work - len(keys) ** 2 - 1}; raise op_budget"] * 2
 
 
 def test_int64_code_limits():

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run against the library and print what they say."""
 
 import csv
+import hashlib
 import io
 import os
 import re
@@ -40,6 +41,16 @@ def test_run_monitors_defaults_reach_every_requested_size():
     assert proc.stderr == ""
     rows = list(csv.reader(io.StringIO(proc.stdout)))[1:]
     assert [int(row[1]) for row in rows] == [s for s in (4, 6, 8) for _ in range(5)]
+
+
+def test_run_monitors_default_csv_is_pinned():
+    # sha256 of the default CSV (its \r\n line ends read as \n) recorded when
+    # each candidate was tested with is_dissociated on the whole grown set;
+    # byte-identical means on one numpy build and one CPU SIMD level (README)
+    out = run_script("run_monitors.py").stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4c0921a7ef2aa9aebdee8c9a098620e40ffe3ef380309e26ea99a8cc0e157868"
+    )
 
 
 def test_run_monitors_rejects_sizes_past_log2_p():
