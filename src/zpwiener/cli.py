@@ -198,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     dense = argparse.ArgumentParser(add_help=False)
     dense.add_argument("--budget", type=int,
                        help="max p^d for dense tables (dense_budget): transforms, "
-                            "Wiener norms, the exhaustive hyperplane scan")
+                            "Wiener norms, energy --method spectral or both, "
+                            "reduce line's hyperplane scans")
     # the commands that run a search or a T_k convolution share one --op-budget
     ops = argparse.ArgumentParser(add_help=False)
     ops.add_argument("--op-budget", type=int,
                      help="max work in element operations (op_budget): dim's search, "
-                          "energy's direct T_k, reduce dirichlet's core and dilation scan")
+                          "energy --method direct or both, reduce line's hyperplane "
+                          "scans (directions x p), reduce dirichlet's core and dilation scan")
 
     p_eval = sub.add_parser("eval", parents=[dense],
                             help="Wiener norm and spectrum summary of a function file")

@@ -12,6 +12,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
+from .errors import BudgetError
+
 
 @dataclass(frozen=True)
 class ToolConfig:
@@ -57,8 +59,17 @@ def using(config: ToolConfig):
         _ACTIVE.reset(token)
 
 
+def _check_work(work: int, what: str = "T_k convolution") -> None:
+    """Refuse work past the op_budget in force."""
+    op_budget = active().op_budget
+    if work > op_budget:
+        raise BudgetError(
+            f"{what} work {work} exceeds budget {op_budget} "
+            f"by {work - op_budget}; raise op_budget"
+        )
+
+
 ZERO_CLAMP = 1e-10          # inverse-transform sparsification threshold
-DIRECTION_CAP = 1 << 22     # max number of enumerated directions
 LINE_DENSITY_CONST = 4.0    # line search requires density >= const/p
 
 # elements in one temporary of the chunked array kernels (256 KiB of int64):

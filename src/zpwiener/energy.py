@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, active
+from .config import ARRAY_CHUNK, _check_work, active
 from .errors import BudgetError
 from .fourier import SparseFunction, magnitudes
 from .groups import (
@@ -103,16 +103,6 @@ def _exact_in_float(vals: np.ndarray, k: int) -> bool:
         return False
     total = np.abs(vals).sum()
     return total <= 1 << 53 and int(total) ** (2 * k) <= 1 << 53
-
-
-def _check_work(work: int, what: str = "T_k convolution") -> None:
-    """Refuse work past the op_budget in force."""
-    op_budget = active().op_budget
-    if work > op_budget:
-        raise BudgetError(
-            f"{what} work {work} exceeds budget {op_budget} "
-            f"by {work - op_budget}; raise op_budget"
-        )
 
 
 def _tk_from_entries(entries: dict, add, k: int) -> float:

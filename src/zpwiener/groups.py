@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import DIRECTION_CAP, active
+from .config import _check_work, active
 from .errors import BudgetError
 
 Point = tuple[int, ...]
@@ -241,36 +241,32 @@ def _dots(ctx: GroupContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b % ctx.p
 
 
-def _direction_array(ctx: GroupContext) -> np.ndarray:
-    """The directions of `enumerate_directions` as an (r, d) int64 array."""
-    p, d = ctx.p, ctx.d
-    r = (p**d - 1) // (p - 1)
-    if r > DIRECTION_CAP:
-        raise BudgetError(
-            f"direction count {r} exceeds the cap {DIRECTION_CAP} (DIRECTION_CAP) "
-            f"by {r - DIRECTION_CAP}"
-        )
-    # Vectors with more leading zeros sort first, so emit blocks by the
-    # position of the leading 1, from the last coordinate backwards; within a
-    # block the tails run over Z_p^k in lexicographic order.
-    blocks = []
-    for lead in range(d - 1, -1, -1):
-        k = d - 1 - lead
-        block = np.zeros((p**k, d), dtype=np.int64)
-        block[:, lead] = 1
-        block[:, lead + 1 :] = np.indices((p,) * k).reshape(k, p**k).T
-        blocks.append(block)
-    return np.concatenate(blocks)
+def _direction_rows(ctx: GroupContext, start: int, stop: int) -> np.ndarray:
+    """Directions start, ..., stop - 1 of `enumerate_directions`, as int64 rows.
+
+    A canonical direction, first nonzero coordinate 1, is a point whose code
+    lies in a block [p^k, 2 p^k), k < d, and code order is lexicographic: so
+    block k starts at direction (p^k - 1)/(p - 1), and direction i in it has
+    code i + p^k - (p^k - 1)/(p - 1).
+    """
+    powers = _weights(ctx)[::-1]  # p^0, ..., p^(d-1)
+    firsts = (powers - 1) // (ctx.p - 1)
+    i = np.arange(start, stop, dtype=np.int64)
+    k = np.searchsorted(firsts, i, side="right") - 1
+    return _decode(ctx, i + powers[k] - firsts[k])
 
 
 def enumerate_directions(ctx: GroupContext) -> list[Point]:
     """One canonical representative per projective direction of Z_p^d.
 
-    Returns exactly (p^d - 1)/(p - 1) vectors, each with first nonzero
-    coordinate equal to 1, in lexicographic order.  Every nonzero vector of
-    Z_p^d is a scalar multiple of exactly one of them.
+    Returns exactly r = (p^d - 1)/(p - 1) vectors, each with first nonzero
+    coordinate equal to 1, in lexicographic order, and their r d coordinates
+    count against the op_budget in force.  Every nonzero vector of Z_p^d is
+    a scalar multiple of exactly one of them.
     """
-    return list(map(tuple, _direction_array(ctx).tolist()))
+    r = (ctx.size - 1) // (ctx.p - 1)
+    _check_work(r * ctx.d, "direction list")
+    return list(map(tuple, _direction_rows(ctx, 0, r).tolist()))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, active
-from .energy import _check_work, _signed_sum_member, _signed_sums, additive_dimension
+from .config import ARRAY_CHUNK, LINE_DENSITY_CONST, _check_work, active
+from .energy import _signed_sum_member, _signed_sums, additive_dimension
 from .fourier import SparseFunction, magnitudes
 from .groups import (
     AffineMap,
@@ -27,7 +27,7 @@ from .groups import (
     Line,
     Point,
     _decode,
-    _direction_array,
+    _direction_rows,
     _dots,
     _weights,
     canonical_abs,
@@ -60,13 +60,14 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     so F(-xi) is the conjugate of F(xi): a real transform along axis 0 keeps
     the half table xi_0 < h = p // 2 + 1.  Every direction has eta_0 in
     {0, 1}, so F(t eta) for t < h lies in it, and a real inverse transform
-    of those h values gives the p counts.  Directions go in chunks, and the
-    first minimiser of the flattened (direction, u) table is the
-    lexicographically first one.
+    of those h values gives the p counts.  Directions are decoded a chunk at
+    a time, and the first minimiser of the flattened (direction, u) table is
+    the lexicographically first one.
     """
     p, d = ctx.p, ctx.d
-    dirs = _direction_array(ctx)
     ctx.check_dense_budget()
+    r = (ctx.size - 1) // (p - 1)
+    _check_work(r * p, "hyperplane scan")
     indicator = np.zeros((p,) * d)
     indicator[tuple(arr.T)] = 1.0
     # the calls np.fft.rfftn(indicator, axes=(*range(1, d), 0)) makes, without
@@ -82,8 +83,8 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     target = density * p ** (d - 1)
     best = None
     rows = max(1, ARRAY_CHUNK // (2 * p))  # h complex entries and p counts a row
-    for start in range(0, len(dirs), rows):
-        block = dirs[start : start + rows]
+    for start in range(0, r, rows):
+        block = _direction_rows(ctx, start, min(start + rows, r))
         flat = sum(tc[block[:, k]] * w for k, w in enumerate(weights))  # codes of t eta
         exact = np.fft.irfft(spectrum[flat], n=p, axis=1)
         counts = np.rint(exact)
@@ -95,9 +96,8 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
         dev = np.abs(counts - target)
         j = int(dev.argmin())
         if best is None or dev.flat[j] < best[0]:
-            best = (dev.flat[j], start + j // p, j % p, int(counts.flat[j]))
-    _, row, u, count = best
-    eta = tuple(int(c) for c in dirs[row])
+            best = (dev.flat[j], tuple(block[j // p].tolist()), j % p, int(counts.flat[j]))
+    _, eta, u, count = best
     bound = math.sqrt(density) * p ** ((d - 1) / 2)
     dev = abs(count - target)
     return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
@@ -108,8 +108,8 @@ def find_balanced_hyperplane(points: Iterable, ctx: GroupContext) -> BalanceRepo
 
     Scans every (direction, u) pair in lexicographic order and returns the
     first minimizer; the returned deviation is always at most the bound.  It
-    transforms a dense p^d table, so p^d must not exceed the dense_budget in
-    force.
+    transforms a table of p^d <= dense_budget cells and counts r p <= op_budget
+    (direction, u) pairs, r = (p^d - 1)/(p - 1), with the budgets in force.
     """
     if ctx.d < 2:
         raise ValueError("hyperplane balancing needs d >= 2")
@@ -142,7 +142,7 @@ def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     Every step's report obeys theta <= 1, and the line's density deviates
     from the base density by at most the sum of per-step bounds (tracked
     exactly, no asymptotics).  Each step is an exhaustive hyperplane scan,
-    so p^d must not exceed the dense_budget in force.
+    bounded as `find_balanced_hyperplane` is, the first one the most.
     """
     if ctx.d < 2:
         raise ValueError("line search needs d >= 2")

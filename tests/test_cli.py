@@ -23,7 +23,7 @@ from zpwiener.fileio import (
 )
 from zpwiener.fourier import SparseFunction
 from zpwiener.groups import GroupContext, enumerate_directions
-from zpwiener.reduction import find_dirichlet_q
+from zpwiener.reduction import find_balanced_hyperplane, find_dirichlet_q
 from zpwiener.verify import CHECKS, _rand_points, ap_scan
 
 
@@ -250,7 +250,10 @@ def test_budget_errors_name_their_knob():
          r"dilation scan \(the smallest q lies in \[3, 100\]\) work 6 exceeds budget 4 "
          r"by 2; raise op_budget"),
         (DEFAULT_CONFIG, lambda: enumerate_directions(GroupContext(3, 15)),
-         r"cap 4194304 \(DIRECTION_CAP\) by 2980149"),
+         "direction list work 107616795 exceeds budget 16777216 by 90839579; raise op_budget"),
+        (ToolConfig(op_budget=154),
+         lambda: find_balanced_hyperplane([(0, 0, 0)], GroupContext(5, 3)),
+         "hyperplane scan work 155 exceeds budget 154 by 1; raise op_budget"),
         (ToolConfig(op_budget=10), lambda: is_dissociated(range(1, 25), ctx),
          "dissociation search work 1062882 exceeds budget 10 by 1062872; raise op_budget"),
     ]
@@ -284,6 +287,16 @@ def test_reduce_line_budget(tmp_path, capsys):
     assert main(["reduce", "line", "--input", path, "--budget", "124"]) == 3
     assert "budget error" in capsys.readouterr().err
     assert main(["reduce", "line", "--input", path, "--budget", "125"]) == 0
+
+
+def test_reduce_line_op_budget(tmp_path, capsys):
+    # the scan of Z_5^3 makes 31 directions x 5 offsets = 155 (direction, u)
+    # pairs, the larger of its two scans
+    ctx = GroupContext(5, 3)
+    path = write_file(tmp_path, "cube.txt", ctx, {x: 1.0 for x in ctx.points()})
+    assert main(["reduce", "line", "--input", path, "--op-budget", "154"]) == 3
+    assert "hyperplane scan work 155 exceeds budget 154" in capsys.readouterr().err
+    assert main(["reduce", "line", "--input", path, "--op-budget", "155"]) == 0
 
 
 def test_reduce_line_has_no_density_constant_flag(tmp_path, capsys):
@@ -499,7 +512,6 @@ _COMMAND_MODES = {
     ("energy", "both"): ["energy", "--input", "{line}", "--k", "2", "--method", "both"],
 }
 _UNREACHED = {
-    ("reduce", "line", "--op-budget"): "the line search runs no op-counted search",
     ("reduce", "separating-map", "--op-budget"): "the row scan runs no op-counted search",
     ("energy", "direct", "--budget"): "the direct T_k builds no dense table",
     ("energy", "spectral", "--op-budget"): "the spectral T_k runs no op-counted search",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zpwiener.config import ToolConfig, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction
 from zpwiener.groups import (
@@ -72,9 +73,15 @@ def test_directions_cover_every_nonzero_vector_once(p, d):
 
 
 def test_directions_budget():
-    # (3^15 - 1) / 2 = 7,174,453 directions; the cap raises before any is built
-    with pytest.raises(BudgetError, match="DIRECTION_CAP"):
+    # (3^15 - 1) / 2 = 7,174,453 directions of 15 coordinates each; the
+    # op_budget refuses the list before any is built
+    with pytest.raises(BudgetError, match="direction list work 107616795 exceeds budget"):
         enumerate_directions(GroupContext(3, 15))
+    # Z_5^3 has 31 directions, 93 coordinates
+    with using(ToolConfig(op_budget=92)), pytest.raises(BudgetError, match="raise op_budget"):
+        enumerate_directions(GroupContext(5, 3))
+    with using(ToolConfig(op_budget=93)):
+        assert len(enumerate_directions(GroupContext(5, 3))) == 31
 
 
 def test_affine_apply_examples():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,36 @@ def test_exhaustive_scan_needs_the_dense_budget():
     with using(ToolConfig(dense_budget=ctx.size)):
         assert find_balanced_hyperplane(pts, ctx).theta <= 1.0
         assert find_balanced_line(dense, ctx).count >= 1
+
+
+@pytest.mark.parametrize("p,d", [(3, 4), (7, 3), (5, 2)])
+def test_scan_is_the_same_in_chunks_of_one_two_and_three_directions(p, d, monkeypatch):
+    # the code blocks [p^k, 2 p^k) start at direction (p^k - 1)/(p - 1): at
+    # 1, 4 and 13, at 1 and 8, and at 1 here, so a chunk of 2 or 3 directions
+    # straddles each start, and a chunk of 1 begins at each
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p * d)
+    sets = [_rand_points(rng, ctx, int(rng.integers(1, ctx.size + 1))) for _ in range(3)]
+    reports = [find_balanced_hyperplane(pts, ctx) for pts in sets]
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(reduction, "ARRAY_CHUNK", 2 * p * rows)
+        assert [find_balanced_hyperplane(pts, ctx) for pts in sets] == reports
+
+
+def test_scan_builds_no_direction_table():
+    # Z_3^12 has r = 265,720 directions: an (r, d) int64 table of them alone
+    # takes 25.5 MB, more than the whole scan may peak at
+    ctx = GroupContext(3, 12)
+    pts = _rand_points(np.random.default_rng(12), ctx, 2000)
+    table = (ctx.size - 1) // 2 * ctx.d * 8
+    tracemalloc.start()
+    try:
+        report = find_balanced_hyperplane(pts, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.theta <= 1.0
+    assert peak < table, (peak, table)
 
 
 def test_removed_keywords_are_refused():
