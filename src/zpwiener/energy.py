@@ -43,8 +43,9 @@ from .groups import (
     signed_rep,
 )
 
-# a dimension search keeps its signed sums as one sorted left half while they
-# number at most this; the points chosen after that form the right half
+# a dimension search in a group of fewer than this many elements keeps its
+# signed sums as a mask over the group; else as one sorted left half while they
+# number at most this, and the points chosen after that form the right half
 _SUMS_CAP = 1 << 18
 
 # T_k tables whose first round forms at most this many sums, (k - 1) |supp|^2,
@@ -363,9 +364,11 @@ def additive_dimension(
     reaches floor(log2 |G|), the most a dissociated set can have.  greedy:
     the first path of the same search, an inclusion-maximal subset and a
     lower bound for the exact value.  A subset extends by x iff x is not one
-    of its signed sums: a sorted left half while they number at most
-    _SUMS_CAP, then the right half of the points chosen since.  In both
-    modes the search's work counts against op_budget.
+    of its signed sums.  When |G| < _SUMS_CAP the sums are a boolean mask
+    over the codes of G; else a sorted left half while they number at
+    most _SUMS_CAP, then the right half of the points chosen since.  In both
+    modes the search's work counts against op_budget: per node, the sums
+    kept and the points tested times the right half's size (1 for a mask).
     """
     arr = ctx.point_array(points)
     if mode not in ("exact", "greedy"):
@@ -373,40 +376,84 @@ def additive_dimension(
     pts = list(map(tuple, arr.tolist()))
     n = len(pts)
     codes = _codes(ctx, arr)
-    steps = np.stack((codes, _codes(ctx, -arr % ctx.p)), axis=1)
     work, budget = 0, active().op_budget
 
-    def grow(left: np.ndarray, right: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The halves of the signed sums once pts[i] joins."""
-        if len(right) == 1 and len(out := _grow_sums(ctx, left, steps[i])) <= _SUMS_CAP:
-            return out, right
-        return left, _grow_sums(ctx, right, steps[i])
+    if ctx.size < _SUMS_CAP:
+        # the sums never pass the cap, so the sorted right half would stay
+        # {0}: a mask of at most 256 KiB a level, grown by shifting.  The
+        # sorted halves do not split at |G| = _SUMS_CAP either, so with the
+        # cap set to |G| they run the same search on the same work.
+        p, d = ctx.p, ctx.d
+        shape = (p,) * d
+
+        def grow(mask: np.ndarray, i: int) -> np.ndarray:
+            """The mask of the signed sums once pts[i] = x joins: mask, and
+            mask shifted by x and by -x."""
+            if d == 1:  # np.roll costs more than these four slices
+                (c,) = pts[i]
+                out = mask.copy()
+                out[c:] |= mask[: p - c]
+                out[:c] |= mask[p - c :]
+                out[: p - c] |= mask[c:]
+                out[p - c :] |= mask[:c]
+                return out
+            view, axes = mask.reshape(shape), tuple(range(d))
+            out = view | np.roll(view, pts[i], axis=axes)
+            out |= np.roll(view, tuple(-c for c in pts[i]), axis=axes)
+            return out.ravel()
+
+        def member(mask: np.ndarray, cand: np.ndarray) -> np.ndarray:
+            return mask[cand]
+
+        def node_work(mask: np.ndarray, tested: int) -> int:
+            return int(np.count_nonzero(mask)) + tested
+
+        root = np.zeros(ctx.size, dtype=bool)
+        root[0] = True  # no points' sums: {0}
+    else:
+        steps = np.stack((codes, _codes(ctx, -arr % ctx.p)), axis=1)
+
+        def grow(sums, i):
+            """The halves of the signed sums once pts[i] joins."""
+            left, right = sums
+            if len(right) == 1 and len(out := _grow_sums(ctx, left, steps[i])) <= _SUMS_CAP:
+                return out, right
+            return left, _grow_sums(ctx, right, steps[i])
+
+        def member(sums, cand):
+            return _signed_sum_member(ctx, *sums, cand)
+
+        def node_work(sums, tested):
+            # the sums its grow kept, and the points it tests times |right|
+            left, right = sums
+            return (len(right) if len(right) > 1 else len(left)) + tested * len(right)
+
+        root = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))  # {0}, {0}
 
     best: list[Point] = []
     # a dissociated set of m points has 2^m distinct subset sums, so m is at
     # most floor(log2 |G|); once best has that many, no branch can beat it
     ceiling = ctx.size.bit_length() - 1
 
-    def dfs(i: int, chosen: list[Point], left: np.ndarray, right: np.ndarray) -> None:
+    def dfs(i: int, chosen: list[Point], sums) -> None:
         # test at once the j that may still join, len(chosen) + (n - j) > len(best)
         nonlocal best, work
         hi = n - len(best) + len(chosen)
-        # the node's work: the sums its grow kept, and the points it tests times |right|
-        work += (len(right) if len(right) > 1 else len(left)) + (hi - i) * len(right)
+        work += node_work(sums, hi - i)
         if work > budget:
             _check_work(work, f"{mode} dimension search")
-        for j in ((~_signed_sum_member(ctx, left, right, codes[i:hi])).nonzero()[0] + i).tolist():
+        for j in ((~member(sums, codes[i:hi])).nonzero()[0] + i).tolist():
             if len(best) >= ceiling or len(chosen) + (n - j) <= len(best):
                 return
             child = chosen + [pts[j]]
             if len(child) > len(best):
                 best = child
             if len(best) < ceiling and len(child) + (n - j - 1) > len(best):
-                dfs(j + 1, child, *grow(left, right, j))
+                dfs(j + 1, child, grow(sums, j))
             if mode == "greedy":
                 return
 
-    dfs(0, [], np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))  # no points' sums: {0}
+    dfs(0, [], root)
     return len(best), tuple(best)
 
 

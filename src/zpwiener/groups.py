@@ -118,12 +118,13 @@ class GroupContext:
         coordinate as int() does; other inputs go through `np.asarray`, and
         what neither reads into int64 (coordinates past int64, what `point`
         rejects) is read point by point.  Below p^d = 2^62 the rows are
-        sorted and de-duplicated by their int64 codes, past it by lexsort.
+        sorted and de-duplicated by their int64 codes (left as they are when
+        the codes already increase), past it by lexsort.
         """
         pts = list(points)
         d = self.d
         arr = None
-        if all(type(x) is tuple and len(x) == d for x in pts):
+        if set(map(type, pts)) == {tuple} and set(map(len, pts)) == {d}:
             try:
                 arr = np.fromiter(itertools.chain.from_iterable(pts), np.int64, len(pts) * d)
                 arr = arr.reshape(-1, d)
@@ -142,6 +143,8 @@ class GroupContext:
             arr = np.array([self.point(x) for x in pts], dtype=np.int64).reshape(-1, d)
         if self.size < _CODE_LIMIT:
             codes = _codes(self, arr)
+            if (codes[1:] > codes[:-1]).all():  # sorted and distinct already
+                return arr
             order = np.argsort(codes)
             keys = codes[order, None]
         else:

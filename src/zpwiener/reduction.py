@@ -30,7 +30,6 @@ from .groups import (
     _direction_rows,
     _dots,
     _weights,
-    canonical_abs,
     signed_rep,
 )
 
@@ -236,8 +235,13 @@ def find_dirichlet_q(lams: Iterable[int], ctx: GroupContext) -> DirichletRescali
 
     Existence below p is a pigeonhole fact, and the scan walks q upward from
     1, so any hit is the global minimum.  The bound test is exact integer
-    arithmetic, max_abs^n <= p^{n-1}.  Each q costs n residues, so the scan
-    tests q while q n <= op_budget and past that gives up with a budget error.
+    arithmetic: max_abs^n <= p^{n-1} exactly when max_abs <= t, the largest
+    integer with t^n <= p^{n-1}.  The scan tests a block of q at a time,
+    64 at first and twice as many each block up to ARRAY_CHUNK // n, so a
+    small q pays for a small block; it works in int64 while every product
+    q*lam fits, and in Python ints past that.  Each q costs n residues, so
+    the scan tests q while q n <= op_budget and past that gives up with a
+    budget error.
     """
     if ctx.d != 1:
         raise ValueError("dilation search runs over Z_p (d = 1)")
@@ -248,13 +252,29 @@ def find_dirichlet_q(lams: Iterable[int], ctx: GroupContext) -> DirichletRescali
     n = len(vals)
     bound = p ** (1.0 - 1.0 / n)
     limit = min(p, active().op_budget // n + 1)
-    for q in range(1, limit):
-        max_abs = max(canonical_abs(q * l, p) for l in vals)
-        if max_abs**n <= p ** (n - 1):
+    top = p ** (n - 1)
+    t = int(bound)  # then correct the float to the exact integer root
+    while t**n > top:
+        t -= 1
+    while (t + 1) ** n <= top:
+        t += 1
+    dtype = np.int64 if limit * (p - 1) < 1 << 63 else object
+    lam_arr = np.array(vals, dtype=dtype)
+    most = max(1, ARRAY_CHUNK // n)
+    q, rows = 1, min(64, most)
+    while q < limit:
+        stop = min(q + rows, limit)
+        r = np.arange(q, stop, dtype=dtype)[:, None] * lam_arr
+        r %= p
+        max_abs = np.minimum(r, p - r, out=r).max(axis=1)
+        hits = np.flatnonzero(max_abs <= t)
+        if hits.size:
+            q += int(hits[0])
             return DirichletRescaling(
-                q, max_abs, bound,
+                q, int(max_abs[hits[0]]), bound,
                 tuple(sorted(signed_rep(q * l, p) for l in vals)),
             )
+        q, rows = stop, min(2 * rows, most)
     if limit < p:  # q = limit takes the work past op_budget
         _check_work(limit * n, f"dilation scan (the smallest q lies in [{limit}, {p - 1}])")
     raise RuntimeError(f"no dilation q < {p} found, although pigeonhole guarantees one")

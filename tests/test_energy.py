@@ -391,6 +391,33 @@ def test_dimension_sum_set_fallback_matches_default(monkeypatch):
         assert split_tests > start
 
 
+def test_dimension_mask_matches_sorted_sums(monkeypatch):
+    # below _SUMS_CAP elements the search keeps its sums as a mask over G; with
+    # the cap set to |G| it keeps them as sorted codes that never split, and
+    # must return the same subsets and refuse with the same messages
+    def run(ctx, pts, mode, budget):
+        with using(ToolConfig(op_budget=budget)):
+            try:
+                return additive_dimension(pts, ctx, mode)
+            except BudgetError as err:
+                return str(err)
+
+    outcomes = set()
+    for i, (p, d) in enumerate([(101, 1), (10007, 1), (65537, 1), (31, 2), (11, 3)]):
+        ctx = GroupContext(p, d)
+        rng = np.random.default_rng(70 + i)
+        for size in (6, 12, 24, 40):
+            pts = _rand_points(rng, ctx, size)
+            for mode in ("exact", "greedy"):
+                for budget in (1 << 10, 1 << 14, 1 << 18):
+                    monkeypatch.setattr(energy, "_SUMS_CAP", 1 << 18)
+                    mask = run(ctx, pts, mode, budget)
+                    monkeypatch.setattr(energy, "_SUMS_CAP", ctx.size)
+                    assert run(ctx, pts, mode, budget) == mask
+                    outcomes.add(type(mask))
+    assert outcomes == {tuple, str}
+
+
 def search_halves(ctx, arr):
     """The left and right halves of the signed sums of arr, split at
     _SUMS_CAP as the dimension search splits them."""

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 from zpwiener import groups, reduction
-from zpwiener.config import ToolConfig, using
+from zpwiener.config import ToolConfig, active, using
 from zpwiener.errors import BudgetError
 from zpwiener.fourier import SparseFunction, wiener_norm
-from zpwiener.groups import AffineMap, GroupContext, Hyperplane, Line, enumerate_directions
+from zpwiener.groups import (
+    AffineMap,
+    GroupContext,
+    Hyperplane,
+    Line,
+    enumerate_directions,
+    signed_rep,
+)
 from zpwiener.reduction import (
     find_balanced_hyperplane,
     find_balanced_line,
@@ -365,6 +372,63 @@ def test_dirichlet_bound_and_minimality():
             assert found.max_abs**n <= p ** (n - 1)
             for q in range(1, found.q):
                 assert max(canonical_abs(q * l, p) for l in lams) ** n > p ** (n - 1)
+
+
+def dirichlet_loop(lams, p):
+    """Oracle: the literal scan, one q and one canonical_abs at a time, for
+    q below the scan's limit; (q, max_abs), or None past the limit."""
+    from zpwiener.groups import canonical_abs
+
+    vals = sorted({l % p for l in lams})
+    n = len(vals)
+    for q in range(1, min(p, active().op_budget // n + 1)):
+        max_abs = max(canonical_abs(q * l, p) for l in vals)
+        if max_abs**n <= p ** (n - 1):
+            return q, max_abs
+    return None
+
+
+def lams_with_q(rng, p, q, n):
+    """n distinct lambdas a / q mod p with small a, so q * lambda is short."""
+    inv = pow(q, -1, p)
+    return [int(a) * inv % p for a in rng.choice(np.r_[-60:0, 1:61], n, replace=False)]
+
+
+def test_dirichlet_blocks_match_the_literal_loop():
+    # blocks of 64, 128, 256, ... q: q = 1 and q on each side of the first
+    # two block boundaries, random sets, and one set whose products pass int64
+    rng = np.random.default_rng(21)
+    cases = [(p, [int(v) for v in rng.choice(np.arange(1, p), n, replace=False)], 1 << 20)
+             for p in (101, 1009, 10007) for n in (1, 2, 3, 5)]
+    cases += [(p, lams_with_q(rng, p, q, n), 1 << 20)
+              for p in (1000003, 16777213, 2147483647)
+              for q, n in ((1, 3), (64, 3), (65, 3), (192, 4), (193, 4), (999, 6))]
+    p_big = 4294967311  # (p - 1) * limit passes 2^63: Python ints
+    cases += [(p_big, lams_with_q(rng, p_big, q, 3), 1 << 40) for q in (64, 65, 300)]
+    hits = []
+    for p, lams, budget in cases:
+        with using(ToolConfig(op_budget=budget)):
+            want = dirichlet_loop(lams, p)
+            found = find_dirichlet_q(lams, GroupContext(p))
+        assert (found.q, found.max_abs) == want
+        assert found.rescaled_support == tuple(sorted(signed_rep(found.q * l, p) for l in lams))
+        hits.append(want[0])
+    assert {1, 64, 65, 192, 193, 300} <= set(hits)
+
+
+def test_dirichlet_refuses_exactly_past_the_budget():
+    # q* = 65 with n = 3 costs 195 residues: answered at op_budget 195,
+    # refused at 194, where the limit is 65
+    lams = lams_with_q(np.random.default_rng(3), 1000003, 65, 3)
+    ctx = GroupContext(1000003)
+    with using(ToolConfig(op_budget=3 * 65)):
+        assert find_dirichlet_q(lams, ctx).q == 65
+    with using(ToolConfig(op_budget=3 * 65 - 1)), pytest.raises(BudgetError) as err:
+        find_dirichlet_q(lams, ctx)
+    assert str(err.value) == (
+        "dilation scan (the smallest q lies in [65, 1000002]) work 195 exceeds "
+        "budget 194 by 1; raise op_budget"
+    )
 
 
 def test_dirichlet_rejects_zero():
