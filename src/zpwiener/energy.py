@@ -164,6 +164,10 @@ def t_k_direct(g: SparseFunction, k: int) -> float:
     ctx = g.ctx
     _check_codes(ctx)
     if (k - 1) * len(g) ** 2 <= _LOOP_TK_WORK:
+        if ctx.d == 1:  # keyed by residues: the same order and the same sums
+            p = ctx.p
+            entries = {x: v for (x,), v in g.entries.items()}
+            return _tk_from_entries(entries, lambda a, b: (a + b) % p, k)
         return _tk_from_entries(dict(g.entries), ctx.add, k)
     keys = _codes(ctx, list(g.entries))
     vals = np.array(list(g.entries.values()), dtype=np.complex128)

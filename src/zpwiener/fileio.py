@@ -104,8 +104,13 @@ def report_header(tool_version: str, config: dict) -> dict:
     }
 
 
+# the canonical JSON of report records and of instance digests: sorted keys,
+# no spaces; built once, where json.dumps would build an encoder every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(record)
 
 
 def dump_records(records: Iterable[dict]) -> str:

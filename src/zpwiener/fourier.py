@@ -221,19 +221,25 @@ def _sparse_lines(ctx: GroupContext, n: int) -> bool:
     return 2 * n < ctx.size // ctx.p
 
 
+def _dense_transform(f: SparseFunction) -> np.ndarray:
+    """The complex table of `dft` above its switch, from f's dense table."""
+    arr = f.to_dense()
+    for axis in range(f.ctx.d - 1, -1, -1):
+        np.fft.fft(arr, axis=axis, norm="forward", out=arr)
+    return arr
+
+
 def dft(f: SparseFunction) -> Spectrum:
     """Forward transform over all d axes: `np.fft.fftn`'s calls, the last
     axis first, then each axis before it, all in place in one table."""
     ctx = f.ctx
-    if _sparse_lines(ctx, len(f)):
-        rows, at = _occupied_lines(f)
-        arr = np.empty((ctx.size // ctx.p, ctx.p), dtype=np.complex128)
-        arr[:] = rows[-1]
-        arr[at] = rows[:-1]
-        arr = arr.reshape((ctx.p,) * ctx.d)
-    else:
-        arr = f.to_dense()
-        np.fft.fft(arr, norm="forward", out=arr)
+    if not _sparse_lines(ctx, len(f)):
+        return Spectrum(ctx, _dense_transform(f))
+    rows, at = _occupied_lines(f)
+    arr = np.empty((ctx.size // ctx.p, ctx.p), dtype=np.complex128)
+    arr[:] = rows[-1]
+    arr[at] = rows[:-1]
+    arr = arr.reshape((ctx.p,) * ctx.d)
     for axis in range(ctx.d - 2, -1, -1):
         np.fft.fft(arr, axis=axis, norm="forward", out=arr)
     return Spectrum(ctx, arr)
@@ -247,15 +253,18 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
     table is made: each block of `width` last-axis columns is filled from the
     occupied lines' transforms into a slab of about SLAB_CELLS cells, stored
     column by column, transformed in place along axes d-2 ... 0 (the per-line
-    calls `dft` makes) and only its magnitudes are kept.  At d = 1, above the
-    switch and on tables of one slab or less, this is
+    calls `dft` makes) and only its magnitudes are kept.  Above the switch,
+    every d = 1 function included, it is |.| of the table of `dft`'s dense
+    path, taken without a Spectrum; below it, on tables of one slab or less,
     `np.abs(dft(f).coefficients)`.
     """
     ctx = f.ctx
     p, d = ctx.p, ctx.d
+    if not _sparse_lines(ctx, len(f)):  # every d = 1 function
+        return np.abs(_dense_transform(f))
     lines = ctx.size // p
     width = max(1, SLAB_CELLS // lines)
-    if width >= p or not _sparse_lines(ctx, len(f)):
+    if width >= p:
         return np.abs(dft(f).coefficients)
     rows, at = _occupied_lines(f)
     slab_buf = np.empty(lines * width, dtype=np.complex128)

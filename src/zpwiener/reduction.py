@@ -11,6 +11,7 @@ reproducibility.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -50,6 +51,29 @@ class BalanceReport:
     theta: float
 
 
+def _multiples(ctx: GroupContext, tc: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The codes of t eta, for the directions eta number start ... stop - 1
+    (rows) and t < p // 2 + 1 (columns), from the table tc of `_t_c`."""
+    block = _direction_rows(ctx, start, stop)
+    return sum(tc[block[:, k]] * w for k, w in enumerate(_weights(ctx).tolist()))
+
+
+def _t_c(p: int) -> np.ndarray:
+    """t c mod p for c < p (rows) and t < p // 2 + 1 (columns)."""
+    return np.arange(p, dtype=np.int64)[:, None] * np.arange(p // 2 + 1) % p
+
+
+@functools.lru_cache(maxsize=16)
+def _multiples_table(p: int, d: int) -> np.ndarray:
+    """`_multiples` of every direction of Z_p^d, read-only.  The scan asks
+    for it only when its r h entries fit in ARRAY_CHUNK (256 KiB of int64),
+    so the 16 tables the cache keeps take at most 4 MiB."""
+    ctx = GroupContext(p, d)
+    table = _multiples(ctx, _t_c(p), 0, (ctx.size - 1) // (p - 1))
+    table.flags.writeable = False
+    return table
+
+
 def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     """The scan of find_balanced_hyperplane, on distinct points arr.
 
@@ -59,9 +83,11 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     so F(-xi) is the conjugate of F(xi): a real transform along axis 0 keeps
     the half table xi_0 < h = p // 2 + 1.  Every direction has eta_0 in
     {0, 1}, so F(t eta) for t < h lies in it, and a real inverse transform
-    of those h values gives the p counts.  Directions are decoded a chunk at
-    a time, and the first minimiser of the flattened (direction, u) table is
-    the lexicographically first one.
+    of those h values gives the p counts.  When the r h codes of the t eta
+    fit in ARRAY_CHUNK entries they come from a table kept per (p, d),
+    `_multiples_table`, else directions are decoded a chunk at a time; the
+    first minimiser of the flattened (direction, u) table is the
+    lexicographically first one, and only its direction is decoded.
     """
     p, d = ctx.p, ctx.d
     ctx.check_dense_budget()
@@ -75,16 +101,16 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     for axis in range(1, d):
         spectrum = np.fft.fft(spectrum, axis=axis)
     spectrum = spectrum.ravel()
-    tc = np.arange(p, dtype=np.int64)[:, None] * np.arange(p // 2 + 1) % p  # t c mod p
-    weights = _weights(ctx).tolist()
+    table = _multiples_table(p, d) if r * (p // 2 + 1) <= ARRAY_CHUNK else None
+    tc = _t_c(p) if table is None else None
     n = len(arr)
     density = n / ctx.size
     target = density * p ** (d - 1)
     best = None
     rows = max(1, ARRAY_CHUNK // (2 * p))  # h complex entries and p counts a row
     for start in range(0, r, rows):
-        block = _direction_rows(ctx, start, min(start + rows, r))
-        flat = sum(tc[block[:, k]] * w for k, w in enumerate(weights))  # codes of t eta
+        stop = min(start + rows, r)
+        flat = _multiples(ctx, tc, start, stop) if table is None else table[start:stop]
         exact = np.fft.irfft(spectrum[flat], n=p, axis=1)
         counts = np.rint(exact)
         if np.abs(exact - counts).max() > 1e-6:
@@ -95,8 +121,9 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
         dev = np.abs(counts - target)
         j = int(dev.argmin())
         if best is None or dev.flat[j] < best[0]:
-            best = (dev.flat[j], tuple(block[j // p].tolist()), j % p, int(counts.flat[j]))
-    _, eta, u, count = best
+            best = (dev.flat[j], start + j // p, j % p, int(counts.flat[j]))
+    _, i, u, count = best
+    eta = tuple(_direction_rows(ctx, i, i + 1)[0].tolist())
     bound = math.sqrt(density) * p ** ((d - 1) / 2)
     dev = abs(count - target)
     return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)

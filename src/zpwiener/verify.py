@@ -11,7 +11,6 @@ reports.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,6 +21,7 @@ from .config import active
 from .energy import (
     ScatteredFamily,
     additive_dimension,
+    level_index,
     level_sets,
     rudin_ratio,
     t_k_direct,
@@ -30,15 +30,15 @@ from .energy import (
     scattered_energy_bound,
 )
 from .errors import BudgetError
+from .fileio import _CANONICAL
 from .fourier import SparseFunction, dft_naive, wiener_norm
 from .groups import GroupContext, Line, _decode, enumerate_directions
 from .reduction import find_balanced_hyperplane, restrict_to_line
 
 
 def digest(obj) -> str:
-    """Stable 64-bit digest of a canonical JSON serialization."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """Stable 64-bit digest of the canonical JSON that report files use."""
+    return hashlib.sha256(_CANONICAL.encode(obj).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,6 @@ def _identity(name, lhs, rhs, tol_base, inst) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _fn_instance(f: SparseFunction, **extra) -> dict:
-    entries = [
-        {"x": list(x), "re": v.real, "im": v.imag}
-        for x, v in sorted(f.entries.items())
-    ]
-    return {"p": f.ctx.p, "d": f.ctx.d, "entries": entries, **extra}
-
-
 def _fn_from(inst: dict) -> SparseFunction:
     ctx = GroupContext(inst["p"], inst.get("d", 1))
     return SparseFunction(
@@ -129,10 +121,18 @@ def _points_from(inst: dict, key: str = "points") -> tuple[GroupContext, list]:
     return ctx, [tuple(x) for x in inst[key]]
 
 
-def _rand_points(rng, ctx: GroupContext, size: int) -> list[tuple[int, ...]]:
+def _rand_rows(rng, ctx: GroupContext, size: int) -> list[list[int]]:
+    """size distinct points of ctx drawn at random, sorted, as lists of ints."""
     # codes sort as their points do, so the decoded rows come out sorted
-    codes = np.sort(rng.choice(ctx.size, size=size, replace=False))
-    return list(map(tuple, _decode(ctx, codes).tolist()))
+    codes = rng.choice(ctx.size, size=size, replace=False)
+    codes.sort()
+    if ctx.d == 1:
+        return codes[:, None].tolist()
+    return _decode(ctx, codes).tolist()
+
+
+def _rand_points(rng, ctx: GroupContext, size: int) -> list[tuple[int, ...]]:
+    return list(map(tuple, _rand_rows(rng, ctx, size)))
 
 
 def _rand_values(rng, size: int, kind: str) -> list[complex]:
@@ -141,10 +141,8 @@ def _rand_values(rng, size: int, kind: str) -> list[complex]:
     if kind == "unimodular":
         return [complex(np.exp(2j * np.pi * t)) for t in rng.random(size)]
     if kind == "gaussian":
-        return [
-            complex(a, b)
-            for a, b in zip(rng.standard_normal(size), rng.standard_normal(size))
-        ]
+        real, imag = rng.standard_normal(size).tolist(), rng.standard_normal(size).tolist()
+        return list(map(complex, real, imag))
     if kind == "geq1":
         # unit-circle values scaled by dyadic magnitudes; the 1.01 floor keeps
         # |f| >= 1 safe from the rounding of the unit phase factor
@@ -154,9 +152,16 @@ def _rand_values(rng, size: int, kind: str) -> list[complex]:
     raise ValueError(f"unknown value kind {kind!r}")
 
 
-def _rand_function(rng, ctx: GroupContext, size: int, kind: str) -> SparseFunction:
-    pts = _rand_points(rng, ctx, size)
-    return SparseFunction._reduced(ctx, zip(pts, _rand_values(rng, size, kind)))
+def _instance(ctx: GroupContext, rows, values, **extra) -> dict:
+    """The instance of the function rows -> values, whose rows are sorted,
+    distinct lists of residues; exact zeros are not stored."""
+    entries = [{"x": x, "re": v.real, "im": v.imag} for x, v in zip(rows, values) if v]
+    return {"p": ctx.p, "d": ctx.d, "entries": entries, **extra}
+
+
+def _rand_instance(rng, ctx: GroupContext, size: int, value_kind: str, **extra) -> dict:
+    rows = _rand_rows(rng, ctx, size)
+    return _instance(ctx, rows, _rand_values(rng, size, value_kind), **extra)
 
 
 def random_instance(kind: str, seed: int, **params) -> dict:
@@ -167,9 +172,9 @@ def random_instance(kind: str, seed: int, **params) -> dict:
     size = params.get("size", 5)
     ctx = GroupContext(p, d)
     if kind == "indicator":
-        return _fn_instance(_rand_function(rng, ctx, size, "indicator"), kind=kind)
+        return _rand_instance(rng, ctx, size, "indicator", kind=kind)
     if kind == "unimodular-function":
-        return _fn_instance(_rand_function(rng, ctx, size, "unimodular"), kind=kind)
+        return _rand_instance(rng, ctx, size, "unimodular", kind=kind)
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
@@ -195,7 +200,7 @@ def _gen_functions(kind: str, sizes=(2, 8)):
             p = int(_PRIMES[i % len(_PRIMES)])
             ctx = GroupContext(p)
             size = int(rng.integers(sizes[0], min(sizes[1], p) + 1))
-            out.append(_fn_instance(_rand_function(rng, ctx, size, kind)))
+            out.append(_rand_instance(rng, ctx, size, kind))
         return out
 
     return gen
@@ -214,10 +219,10 @@ def _gen_banach(rng, count):
         p = int(_PRIMES[i % len(_PRIMES)])
         ctx = GroupContext(p)
         fa, gb = (
-            _rand_function(rng, ctx, int(rng.integers(1, min(8, p) + 1)), "gaussian")
+            _rand_instance(rng, ctx, int(rng.integers(1, min(8, p) + 1)), "gaussian")
             for _ in range(2)
         )
-        out.append({"f": _fn_instance(fa), "g": _fn_instance(gb)})
+        out.append({"f": fa, "g": gb})
     return out
 
 
@@ -236,7 +241,8 @@ def _eval_parseval_upper(inst):
 def _eval_complement(inst):
     ctx, pts = _points_from(inst)
     a = SparseFunction.indicator(ctx, pts)
-    comp = SparseFunction.indicator(ctx, set(ctx.points()) - set(a.support))
+    held = a.entries
+    comp = SparseFunction._reduced(ctx, ((x, 1.0) for x in ctx.points() if x not in held))
     lhs = wiener_norm(a)
     rhs = wiener_norm(comp) + 2 * len(pts) / ctx.size - 1
     return _identity("complement-identity", lhs, rhs, active().norm_tol, inst)
@@ -248,7 +254,7 @@ def _gen_complement(rng, count):
         p = int(_PRIMES[i % len(_PRIMES)])
         ctx = GroupContext(p)
         size = int(rng.integers(1, p))
-        out.append({"p": p, "d": 1, "points": [list(x) for x in _rand_points(rng, ctx, size)]})
+        out.append({"p": p, "d": 1, "points": _rand_rows(rng, ctx, size)})
     return out
 
 
@@ -290,7 +296,7 @@ def _gen_energy_lower(rng, count):
         p = int(_PRIMES[i % len(_PRIMES)])
         ctx = GroupContext(p)
         size = int(rng.integers(2, min(8, p) + 1))
-        pts = _rand_points(rng, ctx, size)
+        rows = _rand_rows(rng, ctx, size)
         if i % 2:
             values = _rand_values(rng, size, "geq1")
         else:
@@ -299,13 +305,12 @@ def _gen_energy_lower(rng, count):
             mags = level * (1.01 + 0.89 * rng.random(size))
             phases = np.exp(2j * np.pi * rng.random(size))
             values = [complex(m * z) for m, z in zip(mags, phases)]
-        f = SparseFunction(ctx, dict(zip(pts, values)))
-        decomposition = level_sets(f)
-        j = max(decomposition.levels, key=lambda j: len(decomposition.levels[j]))
-        q_pts = sorted(decomposition.levels[j])
-        out.append(
-            _fn_instance(f, k=2 + i % 2, q_points=[list(x) for x in q_pts])
-        )
+        # the most populous dyadic level set, the first such level on a tie
+        levels: dict[int, list] = {}
+        for x, v in zip(rows, values):
+            levels.setdefault(level_index(abs(v)), []).append(x)
+        q_rows = max(levels.values(), key=len)
+        out.append(_instance(ctx, rows, values, k=2 + i % 2, q_points=q_rows))
     return out
 
 
@@ -335,6 +340,7 @@ def _eval_scattered(inst):
 
 
 def _gen_scattered(rng, count):
+    pools: dict[tuple[int, int], np.ndarray] = {}  # the ring of shell idx, by (m, idx)
     out = []
     for i in range(count):
         m = int(rng.integers(1, 4))
@@ -342,10 +348,13 @@ def _gen_scattered(rng, count):
         n_shells = int(rng.integers(1, 5))
         shells = []
         for idx in range(1, n_shells + 1):
-            bound = 4**idx * m
-            lo = bound // 2 + 1
-            pool = list(range(lo, bound + 1)) + list(range(-bound, -lo + 1))
-            vals = sorted(int(v) for v in rng.choice(pool, shell_size, replace=False))
+            if (m, idx) not in pools:
+                bound = 4**idx * m
+                lo = bound // 2 + 1
+                pools[m, idx] = np.concatenate(
+                    [np.arange(lo, bound + 1), np.arange(-bound, -lo + 1)]
+                )
+            vals = sorted(rng.choice(pools[m, idx], shell_size, replace=False).tolist())
             shells.append([idx, vals])
         out.append({"m": m, "shell_size": shell_size, "shells": shells, "k": 1 + i % 2})
     return out
@@ -360,15 +369,16 @@ def _eval_line_monotone(inst):
 
 
 def _gen_line_monotone(rng, count):
+    ctxs = [GroupContext(p, 2) for p in (3, 5)]
+    dirs = [enumerate_directions(ctx) for ctx in ctxs]
     out = []
     for i in range(count):
-        p = (3, 5)[i % 2]
-        ctx = GroupContext(p, 2)
-        f = _rand_function(rng, ctx, int(rng.integers(1, p * p // 2 + 1)), "gaussian")
-        dirs = enumerate_directions(ctx)
-        b = dirs[int(rng.integers(0, len(dirs)))]
-        c = tuple(int(v) for v in rng.integers(0, p, size=2))
-        out.append(_fn_instance(f, line={"b": list(b), "c": list(c)}))
+        ctx, ds = ctxs[i % 2], dirs[i % 2]
+        p = ctx.p
+        inst = _rand_instance(rng, ctx, int(rng.integers(1, p * p // 2 + 1)), "gaussian")
+        b = ds[int(rng.integers(0, len(ds)))]
+        inst["line"] = {"b": list(b), "c": rng.integers(0, p, size=2).tolist()}
+        out.append(inst)
     return out
 
 
@@ -387,9 +397,7 @@ def _gen_hyperplane_balance(rng, count):
         d = 2 + (i // 2) % 2
         ctx = GroupContext(p, d)
         size = int(rng.integers(1, ctx.size))
-        out.append(
-            {"p": p, "d": d, "points": [list(x) for x in _rand_points(rng, ctx, size)]}
-        )
+        out.append({"p": p, "d": d, "points": _rand_rows(rng, ctx, size)})
     return out
 
 
@@ -542,13 +550,14 @@ def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
     if method not in ("fast", "naive"):
         raise ValueError(f"unknown method {method!r}; expected 'fast' or 'naive'")
     ctx = GroupContext(p)
-    rows = []
-    for n in ns:
+    for n in ns:  # every n is checked before the first transform
         if n < 0:
             raise ValueError("n must be >= 0")
+        if 2 * (2 * n + 1) >= p:
+            raise ValueError(f"|A| = {2 * n + 1} violates the hypothesis |A| < p/2")
+    rows = []
+    for n in ns:
         size = 2 * n + 1
-        if 2 * size >= p:
-            raise ValueError(f"|A| = {size} violates the hypothesis |A| < p/2")
         f = SparseFunction.indicator(ctx, range(-n, n + 1))
         norm = wiener_norm(f) if method == "fast" else dft_naive(f).l1
         log_size = math.log(size)
@@ -560,11 +569,12 @@ def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
 def random_set_scan(p: int, sizes: list[int], seed: int = 0) -> list[ScanRow]:
     """Same row shape for uniform random subsets of Z_p."""
     ctx = GroupContext(p)
+    for size in sizes:  # every size is checked before the first transform
+        if not 1 <= size < p / 2:
+            raise ValueError(f"size {size} must satisfy 1 <= size < p/2")
     rng = np.random.default_rng(seed)
     rows = []
     for size in sizes:
-        if not 1 <= size < p / 2:
-            raise ValueError(f"size {size} must satisfy 1 <= size < p/2")
         pts = _rand_points(rng, ctx, size)
         norm = wiener_norm(SparseFunction.indicator(ctx, pts))
         log_size = math.log(size)

@@ -329,8 +329,10 @@ def test_magnitudes_is_abs_fftn_bit_for_bit(p, d, slab, monkeypatch):
     if slab is not None:
         monkeypatch.setattr(fourier, "SLAB_CELLS", slab)
     lines = p ** (d - 1)
-    transforms = []
+    transforms = []  # complex p^d tables: dft's, or the dense path's it shares
+    dense = fourier._dense_transform
     monkeypatch.setattr(fourier, "dft", lambda g: transforms.append(g) or dft(g))
+    monkeypatch.setattr(fourier, "_dense_transform", lambda g: transforms.append(g) or dense(g))
     ctx, rng, supports = _switch_supports(p, d)
     for name, pts in supports.items():
         vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))

@@ -195,6 +195,24 @@ def test_scan_builds_no_direction_table():
     assert peak < table, (peak, table)
 
 
+@pytest.mark.parametrize("p, d", [(5, 2), (7, 3), (23, 3), (31, 3), (11, 4)])
+def test_cached_scan_table_matches_the_streamed_scan(p, d, monkeypatch):
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p * d)
+    sets = [ctx.point_array(_rand_points(rng, ctx, n)) for n in (1, ctx.size // 7, ctx.size // 2)]
+    cached = [reduction._scan_hyperplanes(arr, ctx) for arr in sets]
+    table = reduction._multiples_table(p, d)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    # with ARRAY_CHUNK below the table's r h entries the scan decodes its
+    # directions chunk by chunk: one direction a chunk, then nearly all
+    monkeypatch.setattr(reduction, "_multiples_table", lambda *_: pytest.fail("table read"))
+    for chunk in (1, table.size - 1):
+        monkeypatch.setattr(reduction, "ARRAY_CHUNK", chunk)
+        assert [reduction._scan_hyperplanes(arr, ctx) for arr in sets] == cached, chunk
+
+
 def test_removed_keywords_are_refused():
     ctx = GroupContext(7, 2)
     with pytest.raises(TypeError):

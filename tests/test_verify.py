@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from zpwiener import verify
 from zpwiener.config import ToolConfig, using
 from zpwiener.verify import (
     CHECKS,
@@ -152,3 +153,11 @@ def test_random_set_scan_seeded():
     b = random_set_scan(101, [5, 10], seed=3)
     assert a == b
     assert all(row.structure == "random" for row in a)
+
+
+def test_scans_refuse_a_bad_last_size_before_any_transform(monkeypatch):
+    monkeypatch.setattr(verify, "wiener_norm", lambda f: pytest.fail("a transform was made"))
+    with pytest.raises(ValueError, match=r"\|A\| = 10001 violates the hypothesis"):
+        ap_scan(10007, [10, 31, 5000])
+    with pytest.raises(ValueError, match="size 5004 must satisfy"):
+        random_set_scan(10007, [10, 31, 5004])
