@@ -20,6 +20,7 @@ from .fourier import (
     dft_naive,
     inverse_dft,
     wiener_norm,
+    wiener_norms,
 )
 from .energy import (
     DissociationCertificate,

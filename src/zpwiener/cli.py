@@ -26,7 +26,7 @@ from .fileio import (
     write_report_file,
     write_scan_csv,
 )
-from .fourier import dft, wiener_norm
+from .fourier import dft, wiener_norm, wiener_norms
 from .reduction import (
     find_balanced_line,
     find_separating_map,
@@ -144,7 +144,7 @@ _REDUCTIONS = {
 def cmd_reduce(args) -> int:
     f = read_function_file(args.input)
     records, g = _REDUCTIONS[args.mode](f)
-    before, after = wiener_norm(f), wiener_norm(g)
+    before, after = wiener_norms([f, g])
     records[-1].update(norm_before=before, norm_after=after)
     if args.mode == "dirichlet":
         print(f"q {records[-1]['q']}")

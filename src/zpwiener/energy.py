@@ -174,6 +174,51 @@ def t_k_direct(g: SparseFunction, k: int) -> float:
     return _tk_table(keys, vals, functools.partial(_add_codes, ctx), k, ctx.size)
 
 
+def _indicator_t2(sets: list) -> list[float]:
+    """T_2 of the indicator of each (ctx, points) pair, bit for bit
+    `t_k_direct(SparseFunction.indicator(ctx, points), 2)`.
+
+    Every set's |S|^2 work counts against op_budget, in order, before any
+    set is counted.  Under _exact_in_float (for values 1: |S|^4 <= 2^53)
+    every R_2(s) and T_2 itself are exact integers, so the sets of one group
+    of at most ARRAY_CHUNK elements are counted together: one np.bincount of
+    their pairwise sums, keyed by (set, sum), gives every R_2, and T_2 is
+    the sum of their squares.  Other sets go to t_k_direct.
+    """
+    out = [0.0] * len(sets)
+    groups: dict[GroupContext, list[int]] = {}
+    for i, (ctx, pts) in enumerate(sets):
+        if pts:
+            _check_codes(ctx)
+            _check_work(len(pts) ** 2)
+            groups.setdefault(ctx, []).append(i)
+    for ctx, idx in groups.items():
+        biggest = max(len(sets[i][1]) for i in idx)
+        if ctx.size > ARRAY_CHUNK or not _exact_in_float(np.ones(biggest), 2):
+            for i in idx:
+                out[i] = t_k_direct(SparseFunction.indicator(ctx, sets[i][1]), 2)
+            continue
+        span = ctx.size
+        per = max(1, ARRAY_CHUNK // max(span, biggest**2))  # sets a bincount
+        for lo in range(0, len(idx), per):
+            chunk = idx[lo : lo + per]
+            sizes = [len(sets[i][1]) for i in chunk]
+            codes = _codes(ctx, [pt for i in chunk for pt in sets[i][1]])
+            # row j of the padded table holds set j's codes, then -1
+            owner = np.repeat(np.arange(len(chunk)), sizes)
+            starts = np.cumsum(sizes) - sizes
+            table = np.full((len(chunk), biggest), -1, dtype=np.int64)
+            table[owner, np.arange(len(codes)) - starts[owner]] = codes
+            held = table >= 0
+            pairs = held[:, :, None] & held[:, None, :]
+            sums = _add_codes(ctx, table[:, :, None], table[:, None, :])
+            keys = (np.arange(len(chunk))[:, None, None] * span + sums)[pairs]
+            counts = np.bincount(keys, minlength=len(chunk) * span).reshape(len(chunk), span)
+            for i, t2 in zip(chunk, (counts * counts).sum(axis=1).tolist()):
+                out[i] = float(t2)
+    return out
+
+
 def t_k_int(values: dict[int, complex], k: int) -> float:
     """T_k of a finitely supported function on the integers."""
     if k < 1:
@@ -203,10 +248,14 @@ def t_k_spectral(g: SparseFunction, k: int) -> float:
     """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _t_k_from_magnitudes(magnitudes(g).ravel(order="C"), g.ctx.size, k)
+
+
+def _t_k_from_magnitudes(mags: np.ndarray, size: int, k: int) -> float:
+    """|G|^{2k-1} * sum |ghat|^{2k} from the flat table of |ghat|, which it
+    overwrites; the last step of `t_k_spectral`."""
     # |G| is folded into each coefficient first: |G|^{2k-1} alone can exceed
     # the float range when the sum itself does not
-    size = g.ctx.size
-    mags = magnitudes(g).ravel(order="C")
     mags *= size
     mags **= 2 * k
     return float(mags.sum() / size)

@@ -17,6 +17,10 @@ signed zeros included.  Every axis is transformed in place (`out=`, numpy
 spectral T_k and the separation bound read only |fhat|: `magnitudes` returns
 it as a float64 table, bit for bit `np.abs` of `dft`'s, and below the switch
 builds it one slab of last-axis columns at a time, with no complex p^d table.
+Above the switch, the tables of several functions of one group are
+transformed as one stack (`_dense_tables`): pocketfft transforms each line
+on its own, so a line gets the same bits in a stack as alone, and
+`wiener_norms` pays numpy's per-call cost once a stack, not once a function.
 The quadratic-time transform, tensorized axis by axis, is the oracle
 `dft_naive` that tests compare against; it reduces every phase exponent mod p
 before touching floating point, so angles stay in (-2*pi, 0].
@@ -26,12 +30,13 @@ from __future__ import annotations
 
 import cmath
 from types import MappingProxyType
+from typing import Iterator
 
 import numpy as np
 
 from .config import SLAB_CELLS, ZERO_CLAMP
 from .errors import BudgetError
-from .groups import GroupContext, Point
+from .groups import GroupContext, Point, _codes
 
 
 class SparseFunction:
@@ -221,12 +226,38 @@ def _sparse_lines(ctx: GroupContext, n: int) -> bool:
     return 2 * n < ctx.size // ctx.p
 
 
-def _dense_transform(f: SparseFunction) -> np.ndarray:
-    """The complex table of `dft` above its switch, from f's dense table."""
-    arr = f.to_dense()
-    for axis in range(f.ctx.d - 1, -1, -1):
-        np.fft.fft(arr, axis=axis, norm="forward", out=arr)
-    return arr
+def _dense_tables(ctx: GroupContext, functions) -> Iterator[tuple[int, np.ndarray]]:
+    """The complex tables of `dft`'s dense path for a list of functions of
+    ctx, stacked: yields (start, stack), stack[i] the table of
+    functions[start + i].
+
+    A stack holds at most SLAB_CELLS cells, or one function whose table is
+    larger.  Its tables are filled from the entries and transformed in place
+    along axes d, ..., 1 of the stack, the calls `dft` makes on one table:
+    pocketfft transforms each line on its own, so a table's bits do not
+    depend on what it is stacked with.
+    """
+    ctx.check_dense_budget()
+    p, d, size = ctx.p, ctx.d, ctx.size
+    per = max(1, SLAB_CELLS // size)
+    for lo in range(0, len(functions), per):
+        chunk = functions[lo : lo + per]
+        stack = np.zeros((len(chunk), size), dtype=np.complex128)
+        pts = [pt for f in chunk for pt in f._entries]
+        if pts:
+            rows = np.repeat(np.arange(len(chunk)), [len(f) for f in chunk])
+            stack[rows, _codes(ctx, pts)] = [v for f in chunk for v in f._entries.values()]
+        stack = stack.reshape((len(chunk),) + (p,) * d)
+        for axis in range(d, 0, -1):
+            np.fft.fft(stack, axis=axis, norm="forward", out=stack)
+        yield lo, stack
+
+
+def _dense_magnitudes(ctx: GroupContext, functions) -> Iterator[tuple[int, np.ndarray]]:
+    """|.| of each stack of `_dense_tables`, taken once a stack, as
+    (start, (n, p^d) float64 array) with rows in C order."""
+    for lo, stack in _dense_tables(ctx, functions):
+        yield lo, np.abs(stack).reshape(len(stack), -1)
 
 
 def dft(f: SparseFunction) -> Spectrum:
@@ -234,7 +265,7 @@ def dft(f: SparseFunction) -> Spectrum:
     axis first, then each axis before it, all in place in one table."""
     ctx = f.ctx
     if not _sparse_lines(ctx, len(f)):
-        return Spectrum(ctx, _dense_transform(f))
+        return Spectrum(ctx, next(_dense_tables(ctx, [f]))[1][0])
     rows, at = _occupied_lines(f)
     arr = np.empty((ctx.size // ctx.p, ctx.p), dtype=np.complex128)
     arr[:] = rows[-1]
@@ -254,14 +285,13 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
     occupied lines' transforms into a slab of about SLAB_CELLS cells, stored
     column by column, transformed in place along axes d-2 ... 0 (the per-line
     calls `dft` makes) and only its magnitudes are kept.  Above the switch,
-    every d = 1 function included, it is |.| of the table of `dft`'s dense
-    path, taken without a Spectrum; below it, on tables of one slab or less,
-    `np.abs(dft(f).coefficients)`.
+    every d = 1 function included, it is the row of `_dense_magnitudes`;
+    below it, on tables of one slab or less, `np.abs(dft(f).coefficients)`.
     """
     ctx = f.ctx
     p, d = ctx.p, ctx.d
     if not _sparse_lines(ctx, len(f)):  # every d = 1 function
-        return np.abs(_dense_transform(f))
+        return next(_dense_magnitudes(ctx, [f]))[1].reshape((p,) * d)
     lines = ctx.size // p
     width = max(1, SLAB_CELLS // lines)
     if width >= p:
@@ -283,6 +313,29 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
         # |.| between contiguous buffers, as the dense path takes it
         out[:, lo : lo + w] = np.abs(slab, out=mag_buf[: lines * w].reshape(w, lines)).T
     return out.reshape((p,) * d)
+
+
+def _magnitude_stacks(functions: list) -> Iterator[tuple[list[int], np.ndarray]]:
+    """|fhat| of each function, as (indices, (n, p^d) float64 array) whose
+    row j is `magnitudes(functions[indices[j]])` flattened in C order, bit
+    for bit.
+
+    The functions are grouped by their group, in order of first appearance.
+    A group's functions above `dft`'s switch come in the stacks of
+    `_dense_magnitudes`; the rest, below the switch, one at a time from
+    `magnitudes`.  A group's dense-budget check comes before any of its
+    transforms.
+    """
+    groups: dict[GroupContext, list[int]] = {}
+    for i, f in enumerate(functions):
+        groups.setdefault(f.ctx, []).append(i)
+    for ctx, idx in groups.items():
+        dense = [i for i in idx if not _sparse_lines(ctx, len(functions[i]))]
+        for lo, mags in _dense_magnitudes(ctx, [functions[i] for i in dense]):
+            yield dense[lo : lo + len(mags)], mags
+        for i in idx:
+            if _sparse_lines(ctx, len(functions[i])):
+                yield [i], magnitudes(functions[i]).reshape(1, -1)
 
 
 def dft_naive(f: SparseFunction) -> Spectrum:
@@ -317,3 +370,18 @@ def inverse_dft(spectrum: Spectrum) -> SparseFunction:
 def wiener_norm(f: SparseFunction) -> float:
     """l1 norm of the Fourier transform, summed in C order as `Spectrum.l1`."""
     return float(magnitudes(f).ravel(order="C").sum())
+
+
+def wiener_norms(functions) -> list[float]:
+    """`[wiener_norm(f) for f in functions]` bit for bit, one transform a
+    stack of `_magnitude_stacks` instead of one a function.
+
+    The functions may live on different groups.  A budget refusal is the
+    one `wiener_norm` gives on the first function that refuses.
+    """
+    functions = list(functions)
+    norms = [0.0] * len(functions)
+    for at, mags in _magnitude_stacks(functions):
+        for i, norm in zip(at, mags.sum(axis=1).tolist()):
+            norms[i] = norm
+    return norms

@@ -244,8 +244,9 @@ def _dots(ctx: GroupContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b % ctx.p
 
 
-def _direction_rows(ctx: GroupContext, start: int, stop: int) -> np.ndarray:
-    """Directions start, ..., stop - 1 of `enumerate_directions`, as int64 rows.
+def _direction_rows(ctx: GroupContext, index: np.ndarray) -> np.ndarray:
+    """The directions of `enumerate_directions` numbered by a 1-d array of
+    indices, as int64 rows.
 
     A canonical direction, first nonzero coordinate 1, is a point whose code
     lies in a block [p^k, 2 p^k), k < d, and code order is lexicographic: so
@@ -254,7 +255,7 @@ def _direction_rows(ctx: GroupContext, start: int, stop: int) -> np.ndarray:
     """
     powers = _weights(ctx)[::-1]  # p^0, ..., p^(d-1)
     firsts = (powers - 1) // (ctx.p - 1)
-    i = np.arange(start, stop, dtype=np.int64)
+    i = np.asarray(index, dtype=np.int64)
     k = np.searchsorted(firsts, i, side="right") - 1
     return _decode(ctx, i + powers[k] - firsts[k])
 
@@ -269,7 +270,7 @@ def enumerate_directions(ctx: GroupContext) -> list[Point]:
     """
     r = (ctx.size - 1) // (ctx.p - 1)
     _check_work(r * ctx.d, "direction list")
-    return list(map(tuple, _direction_rows(ctx, 0, r).tolist()))
+    return list(map(tuple, _direction_rows(ctx, np.arange(r)).tolist()))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ class BalanceReport:
 def _multiples(ctx: GroupContext, tc: np.ndarray, start: int, stop: int) -> np.ndarray:
     """The codes of t eta, for the directions eta number start ... stop - 1
     (rows) and t < p // 2 + 1 (columns), from the table tc of `_t_c`."""
-    block = _direction_rows(ctx, start, stop)
+    block = _direction_rows(ctx, np.arange(start, stop))
     return sum(tc[block[:, k]] * w for k, w in enumerate(_weights(ctx).tolist()))
 
 
@@ -74,8 +74,9 @@ def _multiples_table(p: int, d: int) -> np.ndarray:
     return table
 
 
-def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
-    """The scan of find_balanced_hyperplane, on distinct points arr.
+def _scan_hyperplanes(arrs: list[np.ndarray], ctx: GroupContext) -> list[BalanceReport]:
+    """The scan of find_balanced_hyperplane, on each array of distinct points
+    of ctx in arrs.
 
     Projection-slice: with F the transform of the indicator of A, the count
     of A on {x . eta = u} is the inverse transform over t of t -> F(t eta)
@@ -86,47 +87,76 @@ def _scan_hyperplanes(arr: np.ndarray, ctx: GroupContext) -> BalanceReport:
     of those h values gives the p counts.  When the r h codes of the t eta
     fit in ARRAY_CHUNK entries they come from a table kept per (p, d),
     `_multiples_table`, else directions are decoded a chunk at a time; the
-    first minimiser of the flattened (direction, u) table is the
+    first minimiser of a set's flattened (direction, u) table is the
     lexicographically first one, and only its direction is decoded.
+
+    The budgets are checked once, before any transform.  When a set's r
+    directions fit one chunk of ARRAY_CHUNK // (2 p) rows, as many sets as
+    fit are stacked and scanned with one transform per axis, one gather and
+    one inverse transform; pocketfft transforms each line on its own, so a
+    set's counts do not depend on its stack.  Else each set is scanned
+    alone, its directions a chunk at a time.
     """
     p, d = ctx.p, ctx.d
     ctx.check_dense_budget()
     r = (ctx.size - 1) // (p - 1)
     _check_work(r * p, "hyperplane scan")
-    indicator = np.zeros((p,) * d)
-    indicator[tuple(arr.T)] = 1.0
-    # the calls np.fft.rfftn(indicator, axes=(*range(1, d), 0)) makes, without
-    # its bookkeeping; the half table's flat index of xi (xi_0 < h) is its code
-    spectrum = np.fft.rfft(indicator, axis=0)
-    for axis in range(1, d):
-        spectrum = np.fft.fft(spectrum, axis=axis)
-    spectrum = spectrum.ravel()
-    table = _multiples_table(p, d) if r * (p // 2 + 1) <= ARRAY_CHUNK else None
+    h = p // 2 + 1
+    table = _multiples_table(p, d) if r * h <= ARRAY_CHUNK else None
     tc = _t_c(p) if table is None else None
-    n = len(arr)
-    density = n / ctx.size
-    target = density * p ** (d - 1)
-    best = None
     rows = max(1, ARRAY_CHUNK // (2 * p))  # h complex entries and p counts a row
-    for start in range(0, r, rows):
-        stop = min(start + rows, r)
-        flat = _multiples(ctx, tc, start, stop) if table is None else table[start:stop]
-        exact = np.fft.irfft(spectrum[flat], n=p, axis=1)
-        counts = np.rint(exact)
-        if np.abs(exact - counts).max() > 1e-6:
-            raise RuntimeError("hyperplane counts from the transform are not integers")
-        counts = counts.astype(np.int64)
-        if (counts.sum(axis=1) != n).any():
-            raise RuntimeError("hyperplane counts along a direction do not sum to |A|")
-        dev = np.abs(counts - target)
-        j = int(dev.argmin())
-        if best is None or dev.flat[j] < best[0]:
-            best = (dev.flat[j], start + j // p, j % p, int(counts.flat[j]))
-    _, i, u, count = best
-    eta = tuple(_direction_rows(ctx, i, i + 1)[0].tolist())
-    bound = math.sqrt(density) * p ** ((d - 1) / 2)
-    dev = abs(count - target)
-    return BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
+    per = max(1, rows // r)  # sets a stack
+    reports = []
+    for lo in range(0, len(arrs), per):
+        group = arrs[lo : lo + per]
+        sizes = [len(arr) for arr in group]
+        targets = [n / ctx.size * p ** (d - 1) for n in sizes]
+        indicator = np.zeros((len(group),) + (p,) * d)
+        owner = np.repeat(np.arange(len(group)), sizes)
+        indicator[(owner, *np.concatenate(group).T)] = 1.0
+        # per set, the calls np.fft.rfftn(indicator[i], axes=(*range(1, d), 0))
+        # makes, without its bookkeeping; the half table's flat index of xi
+        # (xi_0 < h) is its code
+        spectrum = np.fft.rfft(indicator, axis=1)
+        for axis in range(2, d + 1):
+            spectrum = np.fft.fft(spectrum, axis=axis)
+        spectrum = spectrum.reshape(len(group), -1)
+        at = np.arange(len(group))
+        best = np.full((len(group), 4), np.inf)  # deviation, direction, u, count
+        step = max(1, rows // len(group))  # directions a chunk
+        for start in range(0, r, step):
+            stop = min(start + step, r)
+            flat = _multiples(ctx, tc, start, stop) if table is None else table[start:stop]
+            exact = np.fft.irfft(spectrum[:, flat], n=p, axis=2)
+            counts = np.rint(exact)
+            if np.abs(exact - counts).max() > 1e-6:
+                raise RuntimeError("hyperplane counts from the transform are not integers")
+            counts = counts.astype(np.int64)
+            if (counts.sum(axis=2) != np.array(sizes)[:, None]).any():
+                raise RuntimeError("hyperplane counts along a direction do not sum to |A|")
+            counts = counts.reshape(len(group), -1)
+            dev = np.abs(counts - np.array(targets)[:, None])
+            j = dev.argmin(axis=1)
+            cand = np.stack((dev[at, j], start + j // p, j % p, counts[at, j]), axis=1)
+            best = np.where(cand[:, :1] < best[:, :1], cand, best)
+        best = best[:, 1:].astype(np.int64)
+        etas = _direction_rows(ctx, best[:, 0]).tolist()
+        for n, target, eta, (_, u, count) in zip(sizes, targets, etas, best.tolist()):
+            bound = math.sqrt(n / ctx.size) * p ** ((d - 1) / 2)
+            dev = abs(count - target)
+            found = Hyperplane(ctx, tuple(eta), u)
+            reports.append(BalanceReport(found, count, target, dev, bound, dev / bound))
+    return reports
+
+
+def _scan_points(points: Iterable, ctx: GroupContext) -> np.ndarray:
+    """The point array of a hyperplane or line search: d >= 2, nonempty."""
+    if ctx.d < 2:
+        raise ValueError("hyperplane balancing needs d >= 2")
+    arr = ctx.point_array(points)
+    if not len(arr):
+        raise ValueError("point set must be nonempty")
+    return arr
 
 
 def find_balanced_hyperplane(points: Iterable, ctx: GroupContext) -> BalanceReport:
@@ -137,12 +167,7 @@ def find_balanced_hyperplane(points: Iterable, ctx: GroupContext) -> BalanceRepo
     transforms a table of p^d <= dense_budget cells and counts r p <= op_budget
     (direction, u) pairs, r = (p^d - 1)/(p - 1), with the budgets in force.
     """
-    if ctx.d < 2:
-        raise ValueError("hyperplane balancing needs d >= 2")
-    arr = ctx.point_array(points)
-    if not len(arr):
-        raise ValueError("point set must be nonempty")
-    return _scan_hyperplanes(arr, ctx)
+    return _scan_hyperplanes([_scan_points(points, ctx)], ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -172,9 +197,7 @@ def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     """
     if ctx.d < 2:
         raise ValueError("line search needs d >= 2")
-    arr = ctx.point_array(points)
-    if not len(arr):
-        raise ValueError("point set must be nonempty")
+    arr = _scan_points(points, ctx)
     p = ctx.p
     if LINE_DENSITY_CONST > p:
         raise ValueError(
@@ -192,7 +215,7 @@ def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
         cur_ctx = GroupContext(p, dim)
-        report = _scan_hyperplanes(cur, cur_ctx)
+        report = _scan_hyperplanes([cur], cur_ctx)[0]
         steps.append(report)
         composed_bound += report.bound / p ** (dim - 1)
         eta, u = report.found.eta, report.found.u

@@ -10,6 +10,7 @@ reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -20,20 +21,21 @@ import numpy as np
 from .config import active
 from .energy import (
     ScatteredFamily,
+    _indicator_t2,
+    _t_k_from_magnitudes,
     additive_dimension,
     level_index,
     level_sets,
     rudin_ratio,
     t_k_direct,
     t_k_int_set,
-    t_k_spectral,
     scattered_energy_bound,
 )
 from .errors import BudgetError
 from .fileio import _CANONICAL
-from .fourier import SparseFunction, dft_naive, wiener_norm
+from .fourier import SparseFunction, _magnitude_stacks, dft_naive, wiener_norm, wiener_norms
 from .groups import GroupContext, Line, _decode, enumerate_directions
-from .reduction import find_balanced_hyperplane, restrict_to_line
+from .reduction import _scan_hyperplanes, _scan_points, restrict_to_line
 
 
 def digest(obj) -> str:
@@ -109,16 +111,30 @@ def _identity(name, lhs, rhs, tol_base, inst) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _cached_group(p: int, d: int) -> GroupContext:
+    return GroupContext(p, d)
+
+
+def _group_of(inst: dict) -> GroupContext:
+    """The group of an instance: one GroupContext per (p, d) of plain ints."""
+    p, d = inst["p"], inst.get("d", 1)
+    if type(p) is int and type(d) is int:
+        return _cached_group(p, d)
+    return GroupContext(p, d)  # checked, and refused, as given
+
+
 def _fn_from(inst: dict) -> SparseFunction:
-    ctx = GroupContext(inst["p"], inst.get("d", 1))
+    """The function of an instance's entries; a point listed twice, as given
+    or up to a multiple of p, is refused as a duplicate."""
     return SparseFunction(
-        ctx, {tuple(e["x"]): complex(e["re"], e["im"]) for e in inst["entries"]}
+        _group_of(inst),
+        ((tuple(e["x"]), complex(e["re"], e["im"])) for e in inst["entries"]),
     )
 
 
 def _points_from(inst: dict, key: str = "points") -> tuple[GroupContext, list]:
-    ctx = GroupContext(inst["p"], inst.get("d", 1))
-    return ctx, [tuple(x) for x in inst[key]]
+    return _group_of(inst), [tuple(x) for x in inst[key]]
 
 
 def _rand_rows(rng, ctx: GroupContext, size: int) -> list[list[int]]:
@@ -185,7 +201,17 @@ def random_instance(kind: str, seed: int, **params) -> dict:
 
 @dataclass(frozen=True)
 class CheckDef:
-    evaluate: Callable[[dict], VerificationReport]
+    """A registered check: `evaluate` takes a list of instances and returns
+    their reports in order.
+
+    A list is evaluated at once: its norms come from one `wiener_norms` call,
+    its scans from one `_scan_hyperplanes` call per group, its T_2 counts
+    from `_indicator_t2`, so each transform serves a stack of instances of
+    one group.  Of the budget refusals, a list raises the one its first
+    refusing instance gives alone.
+    """
+
+    evaluate: Callable[[list[dict]], list[VerificationReport]]
     generate: Callable[[np.random.Generator, int], list]
     doc: str
 
@@ -206,11 +232,17 @@ def _gen_functions(kind: str, sizes=(2, 8)):
     return gen
 
 
-def _eval_banach(inst):
-    f, g = _fn_from(inst["f"]), _fn_from(inst["g"])
-    lhs = wiener_norm(f) * wiener_norm(g)
-    rhs = wiener_norm(f.pointwise_mul(g))
-    return _one_sided("banach", lhs, rhs, active().norm_tol, inst)
+def _eval_banach(insts):
+    fs = []
+    for inst in insts:
+        f, g = _fn_from(inst["f"]), _fn_from(inst["g"])
+        fs += (f, g, f.pointwise_mul(g))
+    norms = wiener_norms(fs)
+    tol = active().norm_tol
+    return [
+        _one_sided("banach", nf * ng, nfg, tol, inst)
+        for inst, nf, ng, nfg in zip(insts, norms[::3], norms[1::3], norms[2::3])
+    ]
 
 
 def _gen_banach(rng, count):
@@ -226,26 +258,38 @@ def _gen_banach(rng, count):
     return out
 
 
-def _eval_inversion(inst):
-    f = _fn_from(inst)
-    lhs = wiener_norm(f)
-    return _one_sided("inversion", lhs, f.max_abs, active().norm_tol, inst)
+def _eval_inversion(insts):
+    fs = [_fn_from(inst) for inst in insts]
+    tol = active().norm_tol
+    return [
+        _one_sided("inversion", lhs, f.max_abs, tol, inst)
+        for inst, f, lhs in zip(insts, fs, wiener_norms(fs))
+    ]
 
 
-def _eval_parseval_upper(inst):
-    f = _fn_from(inst)
-    rhs = wiener_norm(f)
-    return _one_sided("parseval-upper", f.l2_norm, rhs, active().norm_tol, inst)
+def _eval_parseval_upper(insts):
+    fs = [_fn_from(inst) for inst in insts]
+    tol = active().norm_tol
+    return [
+        _one_sided("parseval-upper", f.l2_norm, rhs, tol, inst)
+        for inst, f, rhs in zip(insts, fs, wiener_norms(fs))
+    ]
 
 
-def _eval_complement(inst):
-    ctx, pts = _points_from(inst)
-    a = SparseFunction.indicator(ctx, pts)
-    held = a.entries
-    comp = SparseFunction._reduced(ctx, ((x, 1.0) for x in ctx.points() if x not in held))
-    lhs = wiener_norm(a)
-    rhs = wiener_norm(comp) + 2 * len(pts) / ctx.size - 1
-    return _identity("complement-identity", lhs, rhs, active().norm_tol, inst)
+def _eval_complement(insts):
+    fs = []
+    for inst in insts:
+        ctx, pts = _points_from(inst)
+        a = SparseFunction.indicator(ctx, pts)
+        held = a.entries
+        fs += (a, SparseFunction._reduced(ctx, ((x, 1.0) for x in ctx.points() if x not in held)))
+    norms = wiener_norms(fs)
+    tol = active().norm_tol
+    return [
+        # |A| counts distinct points: the indicator holds each point once
+        _identity("complement-identity", lhs, comp + 2 * len(a) / a.ctx.size - 1, tol, inst)
+        for inst, a, lhs, comp in zip(insts, fs[::2], norms[::2], norms[1::2])
+    ]
 
 
 def _gen_complement(rng, count):
@@ -258,12 +302,19 @@ def _gen_complement(rng, count):
     return out
 
 
-def _eval_tk_identity(inst):
-    f = _fn_from(inst)
-    k = inst["k"]
-    lhs = t_k_direct(f, k)
-    rhs = t_k_spectral(f, k)
-    return _identity("tk-identity", lhs, rhs, active().energy_tol, inst)
+def _eval_tk_identity(insts):
+    fs = [_fn_from(inst) for inst in insts]
+    direct = [t_k_direct(f, inst["k"]) for inst, f in zip(insts, fs)]
+    # t_k_spectral's last step on the rows of stacked transforms
+    spectral = [0.0] * len(fs)
+    for at, mags in _magnitude_stacks(fs):
+        for i, row in zip(at, mags):
+            spectral[i] = _t_k_from_magnitudes(row, fs[i].ctx.size, insts[i]["k"])
+    tol = active().energy_tol
+    return [
+        _identity("tk-identity", lhs, rhs, tol, inst)
+        for inst, lhs, rhs in zip(insts, direct, spectral)
+    ]
 
 
 def _gen_tk(rng, count):
@@ -273,21 +324,24 @@ def _gen_tk(rng, count):
     return base
 
 
-def _eval_energy_lower(inst):
+def _eval_energy_lower(insts):
     """T_k(Q*f) >= |Q|^{2k} L^{4k} / (||f||_2^2 K^{2k-2}) with K the Wiener norm."""
-    f = _fn_from(inst)
-    k = inst["k"]
-    q_pts = [tuple(x) for x in inst["q_points"]]
-    g = f.restrict(q_pts)
-    level = min(abs(g[x]) for x in q_pts)
-    big_k = wiener_norm(f)
-    lhs = t_k_direct(g, k)
-    rhs = (
-        len(q_pts) ** (2 * k)
-        * level ** (4 * k)
-        / (f.l2_norm**2 * big_k ** (2 * k - 2))
-    )
-    return _one_sided("energy-lower", lhs, rhs, active().energy_tol, inst)
+    fs = [_fn_from(inst) for inst in insts]
+    tol = active().energy_tol
+    reports = []
+    for inst, f, big_k in zip(insts, fs, wiener_norms(fs)):
+        k = inst["k"]
+        q_pts = [tuple(x) for x in inst["q_points"]]
+        g = f.restrict(q_pts)
+        level = min(abs(g[x]) for x in q_pts)
+        lhs = t_k_direct(g, k)
+        rhs = (
+            len(q_pts) ** (2 * k)
+            * level ** (4 * k)
+            / (f.l2_norm**2 * big_k ** (2 * k - 2))
+        )
+        reports.append(_one_sided("energy-lower", lhs, rhs, tol, inst))
+    return reports
 
 
 def _gen_energy_lower(rng, count):
@@ -314,29 +368,36 @@ def _gen_energy_lower(rng, count):
     return out
 
 
-def _eval_superadditivity(inst):
-    f = _fn_from(inst)
-    decomposition = level_sets(f)
-    support_ind = SparseFunction.indicator(f.ctx, f.support)
-    lhs = t_k_direct(support_ind, 2)
-    rhs = sum(
-        t_k_direct(SparseFunction.indicator(f.ctx, pts), 2)
-        for _, pts in sorted(decomposition.levels.items())
-    )
-    return _one_sided("superadditivity-T2", lhs, rhs, active().energy_tol, inst)
+def _eval_superadditivity(insts):
+    sets, levels = [], []  # each instance's support, then its level sets
+    for inst in insts:
+        f = _fn_from(inst)
+        parts = [pts for _, pts in sorted(level_sets(f).levels.items())]
+        sets += [(f.ctx, pts) for pts in [f.support, *parts]]
+        levels.append(len(parts))
+    t2 = iter(_indicator_t2(sets))
+    tol = active().energy_tol
+    return [
+        _one_sided("superadditivity-T2", next(t2), sum(next(t2) for _ in range(n)), tol, inst)
+        for inst, n in zip(insts, levels)
+    ]
 
 
-def _eval_scattered(inst):
-    fam = ScatteredFamily(
-        inst["m"],
-        inst["shell_size"],
-        tuple((i, tuple(vals)) for i, vals in inst["shells"]),
-        inst.get("thin_at"),
-    )
-    k = inst["k"]
-    lhs = float(scattered_energy_bound(k, fam.shell_count, fam.shell_size))
-    rhs = t_k_int_set(fam.points, k)
-    return _one_sided("scattered-upper", lhs, rhs, active().energy_tol, inst)
+def _eval_scattered(insts):
+    tol = active().energy_tol
+    reports = []
+    for inst in insts:
+        fam = ScatteredFamily(
+            inst["m"],
+            inst["shell_size"],
+            tuple((i, tuple(vals)) for i, vals in inst["shells"]),
+            inst.get("thin_at"),
+        )
+        k = inst["k"]
+        lhs = float(scattered_energy_bound(k, fam.shell_count, fam.shell_size))
+        rhs = t_k_int_set(fam.points, k)
+        reports.append(_one_sided("scattered-upper", lhs, rhs, tol, inst))
+    return reports
 
 
 def _gen_scattered(rng, count):
@@ -360,12 +421,18 @@ def _gen_scattered(rng, count):
     return out
 
 
-def _eval_line_monotone(inst):
-    f = _fn_from(inst)
-    line = Line(f.ctx, tuple(inst["line"]["b"]), tuple(inst["line"]["c"]))
-    lhs = wiener_norm(f)
-    rhs = wiener_norm(restrict_to_line(f, line))
-    return _one_sided("line-monotone", lhs, rhs, active().norm_tol, inst)
+def _eval_line_monotone(insts):
+    fs = []
+    for inst in insts:
+        f = _fn_from(inst)
+        line = Line(f.ctx, tuple(inst["line"]["b"]), tuple(inst["line"]["c"]))
+        fs += (f, restrict_to_line(f, line))
+    norms = wiener_norms(fs)
+    tol = active().norm_tol
+    return [
+        _one_sided("line-monotone", lhs, rhs, tol, inst)
+        for inst, lhs, rhs in zip(insts, norms[::2], norms[1::2])
+    ]
 
 
 def _gen_line_monotone(rng, count):
@@ -382,12 +449,23 @@ def _gen_line_monotone(rng, count):
     return out
 
 
-def _eval_hyperplane_balance(inst):
-    ctx, pts = _points_from(inst)
-    report = find_balanced_hyperplane(pts, ctx)
-    return _one_sided(
-        "hyperplane-balance", report.bound, report.deviation, active().norm_tol, inst
-    )
+def _eval_hyperplane_balance(insts):
+    # find_balanced_hyperplane on each instance, one stacked scan a group
+    groups: dict[GroupContext, list[int]] = {}
+    arrs = []
+    for i, inst in enumerate(insts):
+        ctx, pts = _points_from(inst)
+        arrs.append(_scan_points(pts, ctx))
+        groups.setdefault(ctx, []).append(i)
+    found = [None] * len(insts)
+    for ctx, idx in groups.items():
+        for i, report in zip(idx, _scan_hyperplanes([arrs[i] for i in idx], ctx)):
+            found[i] = report
+    tol = active().norm_tol
+    return [
+        _one_sided("hyperplane-balance", report.bound, report.deviation, tol, inst)
+        for inst, report in zip(insts, found)
+    ]
 
 
 def _gen_hyperplane_balance(rng, count):
@@ -448,7 +526,7 @@ CHECKS: dict[str, CheckDef] = {
 def check(name: str, instance: dict) -> VerificationReport:
     if name not in CHECKS:
         raise ValueError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    return CHECKS[name].evaluate(instance)
+    return CHECKS[name].evaluate([instance])[0]
 
 
 def _suite_rng(seed: int, name: str) -> np.random.Generator:
@@ -466,9 +544,7 @@ def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[Verific
         raise ValueError(f"count must be >= 1, got {count}")
     reports = []
     for n in names:
-        gen = CHECKS[n].generate
-        for inst in gen(_suite_rng(seed, n), count):
-            reports.append(CHECKS[n].evaluate(inst))
+        reports += CHECKS[n].evaluate(CHECKS[n].generate(_suite_rng(seed, n), count))
     return sorted(reports, key=lambda r: (r.name, r.digest))
 
 
@@ -555,11 +631,11 @@ def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
             raise ValueError("n must be >= 0")
         if 2 * (2 * n + 1) >= p:
             raise ValueError(f"|A| = {2 * n + 1} violates the hypothesis |A| < p/2")
+    fs = [SparseFunction.indicator(ctx, range(-n, n + 1)) for n in ns]
+    norms = wiener_norms(fs) if method == "fast" else [dft_naive(f).l1 for f in fs]
     rows = []
-    for n in ns:
+    for n, norm in zip(ns, norms):
         size = 2 * n + 1
-        f = SparseFunction.indicator(ctx, range(-n, n + 1))
-        norm = wiener_norm(f) if method == "fast" else dft_naive(f).l1
         log_size = math.log(size)
         ratio = norm / log_size if size >= 2 else None
         rows.append(ScanRow(p, size, "ap", norm, log_size, ratio))
@@ -573,10 +649,9 @@ def random_set_scan(p: int, sizes: list[int], seed: int = 0) -> list[ScanRow]:
         if not 1 <= size < p / 2:
             raise ValueError(f"size {size} must satisfy 1 <= size < p/2")
     rng = np.random.default_rng(seed)
+    fs = [SparseFunction.indicator(ctx, _rand_points(rng, ctx, size)) for size in sizes]
     rows = []
-    for size in sizes:
-        pts = _rand_points(rng, ctx, size)
-        norm = wiener_norm(SparseFunction.indicator(ctx, pts))
+    for size, norm in zip(sizes, wiener_norms(fs)):
         log_size = math.log(size)
         ratio = norm / log_size if size >= 2 else None
         rows.append(ScanRow(p, size, "random", norm, log_size, ratio))

@@ -252,6 +252,56 @@ def test_counting_and_sorting_refuse_with_the_same_work():
                         f"by {work - len(keys) ** 2 - 1}; raise op_budget"] * 2
 
 
+def _indicator_sets(rng):
+    """(ctx, points) pairs over mixed groups, interleaved: sizes 0 to 8 in
+    five groups, one of them past ARRAY_CHUNK, a set whose sums wrap around
+    and one of 40 points."""
+    ctxs = [GroupContext(5), GroupContext(101), GroupContext(7, 2), GroupContext(3, 3),
+            GroupContext(101, 3)]
+    sets = []
+    for i in range(60):
+        ctx = ctxs[i % len(ctxs)]
+        n = int(rng.integers(0, min(8, ctx.size) + 1))
+        sets.append((ctx, frozenset(_rand_points(rng, ctx, n))))
+    sets.append((GroupContext(11), frozenset({(10,), (9,), (0,)})))
+    sets.append((GroupContext(1009), frozenset(_rand_points(rng, GroupContext(1009), 40))))
+    return sets
+
+
+def test_stacked_t2_is_t_k_direct_and_the_enumeration():
+    sets = _indicator_sets(np.random.default_rng(21))
+    got = energy._indicator_t2(sets)
+    want = [t_k_direct(SparseFunction.indicator(ctx, pts), 2) for ctx, pts in sets]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    for (ctx, pts), t2 in zip(sets, got):
+        if len(pts) <= 8:
+            assert t2 == t_k_enumerated(SparseFunction.indicator(ctx, pts), 2)
+
+
+def test_stacked_t2_in_small_chunks_and_past_the_guard(monkeypatch):
+    sets = _indicator_sets(np.random.default_rng(22))
+    want = energy._indicator_t2(sets)
+    monkeypatch.setattr(energy, "ARRAY_CHUNK", 150)  # a few sets a bincount
+    assert energy._indicator_t2(sets) == want
+    counted = []
+    direct = energy.t_k_direct
+    monkeypatch.setattr(energy, "t_k_direct", lambda g, k: counted.append(g) or direct(g, k))
+    monkeypatch.setattr(energy, "_exact_in_float", lambda vals, k: False)
+    assert energy._indicator_t2(sets) == want
+    assert len(counted) == sum(1 for _, pts in sets if pts)  # every set went to t_k_direct
+
+
+def test_stacked_t2_refuses_as_the_first_refusing_set():
+    sets = _indicator_sets(np.random.default_rng(23))
+    with using(ToolConfig(op_budget=30)):  # sets of 6 points or more refuse
+        with pytest.raises(BudgetError) as first:
+            for ctx, pts in sets:
+                t_k_direct(SparseFunction.indicator(ctx, pts), 2)
+        with pytest.raises(BudgetError) as batch:
+            energy._indicator_t2(sets)
+    assert str(batch.value) == str(first.value)
+
+
 def test_int64_code_limits():
     huge = GroupContext(2147483647, 3)  # p^3 >= 2^62
     with pytest.raises(BudgetError, match="int64"):

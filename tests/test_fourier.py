@@ -18,6 +18,7 @@ from zpwiener.fourier import (
     inverse_dft,
     magnitudes,
     wiener_norm,
+    wiener_norms,
     _dft1d_fast,
     _dft1d_naive,
     _dft_naive,
@@ -329,10 +330,10 @@ def test_magnitudes_is_abs_fftn_bit_for_bit(p, d, slab, monkeypatch):
     if slab is not None:
         monkeypatch.setattr(fourier, "SLAB_CELLS", slab)
     lines = p ** (d - 1)
-    transforms = []  # complex p^d tables: dft's, or the dense path's it shares
-    dense = fourier._dense_transform
+    transforms = []  # complex p^d tables: dft's, or the dense path's stacks it shares
+    dense = fourier._dense_tables
     monkeypatch.setattr(fourier, "dft", lambda g: transforms.append(g) or dft(g))
-    monkeypatch.setattr(fourier, "_dense_transform", lambda g: transforms.append(g) or dense(g))
+    monkeypatch.setattr(fourier, "_dense_tables", lambda c, fs: transforms.append(fs) or dense(c, fs))
     ctx, rng, supports = _switch_supports(p, d)
     for name, pts in supports.items():
         vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
@@ -345,6 +346,76 @@ def test_magnitudes_is_abs_fftn_bit_for_bit(p, d, slab, monkeypatch):
         # below the switch, on a table wider than one slab, no complex table
         sliced = 2 * len(f) < lines and fourier.SLAB_CELLS // lines < p
         assert bool(transforms) != sliced, name
+
+
+def _norm_functions(p, d, rng):
+    """Functions of Z_p^d on both sides of dft's switch: empty, one point,
+    below the switch (d >= 2), at it, and a denser one."""
+    ctx = GroupContext(p, d)
+    at = (p ** (d - 1) + 1) // 2
+    sizes = {0, 1, at, max(at, min(ctx.size // 4, 2000))} | ({at - 1} if d >= 2 else set())
+    out = []
+    for n in sorted(sizes):
+        pts = _rand_points(rng, ctx, min(n, ctx.size))
+        vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        out.append(SparseFunction(ctx, dict(zip(pts, vals))))
+    return out
+
+
+def _bits(norms):
+    return np.array(norms, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p,d",
+    [(p, d) for p in (3, 5, 7, 11, 101) for d in (1, 2, 3)] + [(1009, 1), (1009, 2), (10007, 1)],
+)
+def test_wiener_norms_is_wiener_norm_bit_for_bit(p, d):
+    rng = np.random.default_rng(p + d)
+    fs = _norm_functions(p, d, rng) * 2  # a stack holds several of each
+    assert _bits(wiener_norms(fs)) == _bits([wiener_norm(f) for f in fs])
+
+
+def test_wiener_norms_of_mixed_groups_keep_their_order():
+    rng = np.random.default_rng(8)
+    fs = [f for p, d in ((7, 1), (5, 2), (101, 1), (7, 2), (3, 3)) for f in _norm_functions(p, d, rng)]
+    order = rng.permutation(len(fs))
+    fs = [fs[i] for i in order]  # the groups interleaved
+    want = [wiener_norm(f) for f in fs]
+    assert _bits(wiener_norms(fs)) == _bits(want)
+    assert wiener_norms(iter(fs)) == want
+    assert wiener_norms([]) == []
+
+
+@pytest.mark.parametrize("p,d,per", [(101, 1, 2), (7, 3, 3), (11, 2, 1)])
+def test_wiener_norms_across_slab_chunks(p, d, per, monkeypatch):
+    rng = np.random.default_rng(p * d)
+    ctx = GroupContext(p, d)
+    fs = []
+    for _ in range(7):  # 7 dense tables: stacks of per, the last one short
+        pts = _rand_points(rng, ctx, ctx.size // 2)
+        fs.append(SparseFunction(ctx, dict(zip(pts, rng.standard_normal(len(pts))))))
+    want = [wiener_norm(f) for f in fs]
+    calls = []
+    dense = fourier._dense_tables
+    monkeypatch.setattr(fourier, "SLAB_CELLS", per * ctx.size + ctx.size - 1)
+    monkeypatch.setattr(fourier, "_dense_tables", lambda c, gs: calls.append(len(gs)) or dense(c, gs))
+    assert _bits(wiener_norms(fs)) == _bits(want)
+    assert calls == [7]  # one call for the group, which makes stacks of per
+
+
+def test_wiener_norms_refuses_as_the_first_refusing_norm():
+    rng = np.random.default_rng(3)
+    fs = [SparseFunction.indicator(GroupContext(p, d), _rand_points(rng, GroupContext(p, d), 3))
+          for p, d in ((5, 1), (101, 1), (7, 2), (11, 2), (101, 2))]
+    with using(ToolConfig(dense_budget=100)):
+        with pytest.raises(BudgetError) as first:
+            for f in fs:
+                wiener_norm(f)
+        with pytest.raises(BudgetError) as batch:
+            wiener_norms(fs)
+    assert str(batch.value) == str(first.value)
+    assert "p^d = 101 " in str(first.value)
 
 
 def test_dft_below_the_switch_builds_no_dense_input(monkeypatch):

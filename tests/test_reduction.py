@@ -200,7 +200,7 @@ def test_cached_scan_table_matches_the_streamed_scan(p, d, monkeypatch):
     ctx = GroupContext(p, d)
     rng = np.random.default_rng(p * d)
     sets = [ctx.point_array(_rand_points(rng, ctx, n)) for n in (1, ctx.size // 7, ctx.size // 2)]
-    cached = [reduction._scan_hyperplanes(arr, ctx) for arr in sets]
+    cached = [reduction._scan_hyperplanes([arr], ctx)[0] for arr in sets]
     table = reduction._multiples_table(p, d)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
@@ -210,7 +210,61 @@ def test_cached_scan_table_matches_the_streamed_scan(p, d, monkeypatch):
     monkeypatch.setattr(reduction, "_multiples_table", lambda *_: pytest.fail("table read"))
     for chunk in (1, table.size - 1):
         monkeypatch.setattr(reduction, "ARRAY_CHUNK", chunk)
-        assert [reduction._scan_hyperplanes(arr, ctx) for arr in sets] == cached, chunk
+        assert [reduction._scan_hyperplanes([arr], ctx)[0] for arr in sets] == cached, chunk
+
+
+def _scan_one(arr, ctx):
+    """The hyperplane scan of one point array as it was before sets were
+    stacked, kept as the oracle of the stacked scan."""
+    p, d = ctx.p, ctx.d
+    r = (ctx.size - 1) // (p - 1)
+    indicator = np.zeros((p,) * d)
+    indicator[tuple(arr.T)] = 1.0
+    spectrum = np.fft.rfft(indicator, axis=0)
+    for axis in range(1, d):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    spectrum = spectrum.ravel()
+    chunk = reduction.ARRAY_CHUNK
+    table = reduction._multiples_table(p, d) if r * (p // 2 + 1) <= chunk else None
+    tc = reduction._t_c(p) if table is None else None
+    n = len(arr)
+    density = n / ctx.size
+    target = density * p ** (d - 1)
+    best = None
+    rows = max(1, chunk // (2 * p))
+    for start in range(0, r, rows):
+        stop = min(start + rows, r)
+        if table is None:
+            flat = reduction._multiples(ctx, tc, start, stop)
+        else:
+            flat = table[start:stop]
+        exact = np.fft.irfft(spectrum[flat], n=p, axis=1)
+        counts = np.rint(exact).astype(np.int64)
+        dev = np.abs(counts - target)
+        j = int(dev.argmin())
+        if best is None or dev.flat[j] < best[0]:
+            best = (dev.flat[j], start + j // p, j % p, int(counts.flat[j]))
+    _, i, u, count = best
+    eta = tuple(groups._direction_rows(ctx, np.arange(i, i + 1))[0].tolist())
+    bound = math.sqrt(density) * p ** ((d - 1) / 2)
+    dev = abs(count - target)
+    return reduction.BalanceReport(Hyperplane(ctx, eta, u), count, target, dev, bound, dev / bound)
+
+
+@pytest.mark.parametrize("p, d", [(5, 2), (7, 3), (23, 3), (31, 3), (11, 4)])
+def test_stacked_scan_matches_the_single_array_scan(p, d, monkeypatch):
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p + d)
+    sizes = [1, 2, ctx.size // 50 + 1, ctx.size // 3, ctx.size - 1, 3, ctx.size // 2]
+    sets = [ctx.point_array(_rand_points(rng, ctx, n)) for n in sizes]
+    want = [_scan_one(arr, ctx) for arr in sets]
+    assert reduction._scan_hyperplanes(sets, ctx) == want
+    r = (ctx.size - 1) // (p - 1)
+    # stacks of 2 and of 3 sets (the last one short), then one set a stack
+    # with its directions 3 a chunk
+    for chunk in (2 * p * r * 2, 2 * p * r * 3, 2 * p * 3):
+        monkeypatch.setattr(reduction, "ARRAY_CHUNK", chunk)
+        assert reduction._scan_hyperplanes(sets, ctx) == want, chunk
 
 
 def test_removed_keywords_are_refused():
@@ -286,13 +340,14 @@ def test_lifted_line_lies_in_the_first_hyperplane(p, d, seed, monkeypatch):
     assert all(result.steps[0].found.contains(x) for x in result.line.points())
 
     # the scan's normals have a leading 1; any nonzero normal must lift too
-    def any_hyperplane(arr, sub):
+    def any_hyperplane(arrs, sub):
+        (arr,) = arrs  # the line search scans one array a step
         eta = tuple(int(c) for c in rng.integers(0, p, sub.d))
         if not any(eta):
             eta = (1,) + eta[1:]
         u = int(arr[0] @ eta % p)
         count = int(np.count_nonzero(arr @ eta % p == u))
-        return reduction.BalanceReport(Hyperplane(sub, eta, u), count, 0.0, 0.0, 1.0, 0.0)
+        return [reduction.BalanceReport(Hyperplane(sub, eta, u), count, 0.0, 0.0, 1.0, 0.0)]
 
     monkeypatch.setattr(reduction, "_scan_hyperplanes", any_hyperplane)
     for _ in range(10):

@@ -4,6 +4,7 @@ import pytest
 
 from zpwiener import verify
 from zpwiener.config import ToolConfig, using
+from zpwiener.errors import BudgetError
 from zpwiener.verify import (
     CHECKS,
     ap_scan,
@@ -45,6 +46,61 @@ def test_complement_identity_example():
     assert report.lhs == pytest.approx(1.0)
     assert report.rhs == pytest.approx(1.0, abs=1e-9)
     assert report.passed
+
+
+def test_complement_identity_counts_distinct_points():
+    # [3] twice and [10] = [3] mod 7 are one point: A = {3}
+    report = check("complement-identity", {"p": 7, "d": 1, "points": [[3], [3], [10]]})
+    assert report.rhs == pytest.approx(report.lhs, abs=1e-12)
+    assert report.passed
+
+
+@pytest.mark.parametrize("xs", [[[3], [3]], [[3], [10]]])
+def test_a_point_listed_twice_is_refused(xs):
+    inst = fn_instance(7, [])
+    inst["entries"] = [{"x": x, "re": v, "im": 0.0} for x, v in zip(xs, (1.0, 2.0))]
+    with pytest.raises(ValueError, match=r"duplicate entry for point \(3,\)"):
+        check("inversion", inst)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_is_the_suite_record_of_its_instance(name):
+    insts = CHECKS[name].generate(verify._suite_rng(2, name), 24)
+    singles = sorted((check(name, inst) for inst in insts), key=lambda r: r.digest)
+    assert singles == run_suite(name, seed=2, count=24)
+
+
+_BUDGETS_IN_BETWEEN = [
+    ToolConfig(dense_budget=10),  # Z_3, Z_5, Z_7 and Z_3^2 fit
+    ToolConfig(dense_budget=100),  # Z_101, Z_5^3 and Z_7^3 do not
+    ToolConfig(dense_budget=200),  # of the scans' groups only Z_7^3 does not
+    ToolConfig(op_budget=100),  # hyperplane scans past Z_7^2, T_k work past 100
+    ToolConfig(op_budget=30),
+]
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_a_batch_refuses_as_its_first_refusing_instance(name):
+    insts = CHECKS[name].generate(verify._suite_rng(0, name), 12)
+    refused = 0
+    for config in _BUDGETS_IN_BETWEEN:
+        with using(config):
+            first = None
+            for inst in insts:
+                try:
+                    check(name, inst)
+                except BudgetError as exc:
+                    first = str(exc)
+                    break
+            if first is None:
+                assert CHECKS[name].evaluate(insts) == [check(name, i) for i in insts]
+                continue
+            refused += 1
+            with pytest.raises(BudgetError) as batch:
+                CHECKS[name].evaluate(insts)
+            assert str(batch.value) == first, config
+    # every suite but the integer shells transforms or scans within a budget
+    assert refused >= (0 if name == "scattered-upper" else 1)
 
 
 def test_unknown_names_raise():
@@ -157,6 +213,7 @@ def test_random_set_scan_seeded():
 
 def test_scans_refuse_a_bad_last_size_before_any_transform(monkeypatch):
     monkeypatch.setattr(verify, "wiener_norm", lambda f: pytest.fail("a transform was made"))
+    monkeypatch.setattr(verify, "wiener_norms", lambda fs: pytest.fail("a transform was made"))
     with pytest.raises(ValueError, match=r"\|A\| = 10001 violates the hypothesis"):
         ap_scan(10007, [10, 31, 5000])
     with pytest.raises(ValueError, match="size 5004 must satisfy"):
