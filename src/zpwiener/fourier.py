@@ -21,6 +21,11 @@ Above the switch, the tables of several functions of one group are
 transformed as one stack (`_dense_tables`): pocketfft transforms each line
 on its own, so a line gets the same bits in a stack as alone, and
 `wiener_norms` pays numpy's per-call cost once a stack, not once a function.
+On a machine that lets the process run on two cores, large transforms share
+their work with one pool thread (`_claimed`): the slabs of `magnitudes`, and
+chunks of the lines of each axis call of the tables.  Each line is still one
+pocketfft call and each |.| is still taken cell by cell, so every byte is the
+one the calling thread alone computes.
 The quadratic-time transform, tensorized axis by axis, is the oracle
 `dft_naive` that tests compare against; it reduces every phase exponent mod p
 before touching floating point, so angles stay in (-2*pi, 0].
@@ -29,12 +34,14 @@ before touching floating point, so angles stay in (-2*pi, 0].
 from __future__ import annotations
 
 import cmath
+import os
+import threading
 from types import MappingProxyType
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import SLAB_CELLS, ZERO_CLAMP
+from .config import SLAB_CELLS, THREAD_CELLS, ZERO_CLAMP
 from .errors import BudgetError
 from .groups import GroupContext, Point, _codes
 
@@ -167,6 +174,176 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
+# the second core
+# ---------------------------------------------------------------------------
+
+# Threads a large transform runs on: the caller and, given a second core, one
+# pool thread.  Read once, at import, from the cores the process may run on
+# (_CORES, empty where the platform does not tell), so `taskset -c 0` makes
+# every transform serial.
+_CORES = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else frozenset()
+_THREADS = min(2, len(_CORES) or os.cpu_count() or 1)
+
+_pool = None  # the job queue the pool thread serves, made on first use
+_pool_lock = threading.Lock()
+_pool_cores = None  # the cores the pool thread last restricted itself to
+
+
+def _pool_jobs():
+    """The queue of the process's pool thread, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from queue import SimpleQueue  # imported here: most runs never thread
+
+            jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="zpwiener-pool", daemon=True).start()
+            _pool = jobs
+        return _pool
+
+
+def _serve(jobs) -> None:
+    while True:
+        jobs.get()()
+
+
+def _forget_pool() -> None:
+    # a forked child has no pool thread, and the lock may have been held by
+    # a thread that is not there either
+    global _pool, _pool_lock, _pool_cores
+    _pool, _pool_lock, _pool_cores = None, threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_away_from(caller_cores: frozenset) -> None:
+    """Restrict the pool thread, which calls this, to the cores of _CORES
+    that the caller may not run on, or to all of _CORES when there are none.
+
+    The scheduler does not move a busy thread off a shared core for tens of
+    milliseconds: a caller pinned to the core the pool thread last ran on
+    shared it with the pool thread for whole Z_101^3 norms, 73-97 ms each
+    against 33-48 ms with the pool thread on the other core.
+    """
+    global _pool_cores
+    cores = _CORES - caller_cores or _CORES
+    if cores and cores != _pool_cores:
+        try:
+            os.sched_setaffinity(0, cores)
+        except OSError:  # a core went offline: run where the kernel puts it
+            return
+        _pool_cores = cores
+
+
+class _Claims:
+    """Tasks 0 ... n-1, each run once by whichever thread claims it first."""
+
+    def __init__(
+        self, n: int, make_task: Callable[[], Callable[[int], None]], caller_cores: frozenset
+    ):
+        self.make_task, self.caller_cores = make_task, caller_cores
+        self.lo, self.hi = 0, n  # tasks lo ... hi - 1 are unclaimed
+        self.lock = threading.Lock()
+        self.started = self.closed = False  # the pool thread's drain
+        self.finished = threading.Event()
+        self.error: BaseException | None = None
+
+    def drain(self, from_back: bool = False) -> None:
+        """Claim and run tasks until none is left, the lowest unclaimed one
+        each time (the highest `from_back`); an error stops every thread and
+        is raised by the caller."""
+        try:
+            task = self.make_task()
+            while True:
+                with self.lock:
+                    if self.lo >= self.hi:
+                        return
+                    if from_back:
+                        self.hi -= 1
+                        i = self.hi
+                    else:
+                        i = self.lo
+                        self.lo += 1
+                task(i)
+        except BaseException as exc:
+            with self.lock:
+                self.lo = self.hi
+                if self.error is None:
+                    self.error = exc
+
+    def pool_drain(self) -> None:
+        """The pool thread's share: nothing once the caller has closed it."""
+        with self.lock:
+            if self.closed:
+                return
+            self.started = True
+        try:
+            _run_away_from(self.caller_cores)
+            self.drain(from_back=True)
+        finally:
+            self.finished.set()
+
+
+def _claimed(n: int, make_task: Callable[[], Callable[[int], None]]) -> None:
+    """Run task(i) for i = 0 ... n-1 on the calling thread and, given two
+    cores, the pool thread.
+
+    Each thread calls `make_task()` once, for buffers of its own, and takes
+    the next unclaimed index whenever it is free, so a stalled thread holds
+    up at most the task it is running.  The caller counts up from 0 and the
+    pool thread down from n-1: the two write far-apart parts of an output,
+    not the same cache lines (on Z_61^3 norms that took 0.63 of the serial
+    time down to 0.58).  The pool thread runs on the cores the caller may
+    not, if there are any (`_run_away_from`).  When the caller runs out of
+    tasks before the pool thread has begun, the pool's share is cancelled,
+    not awaited.  The first error of any task is raised here once both
+    threads have stopped.  Tasks must not read the config in force
+    (`active()` is per thread): the caller makes every budget check before
+    this.
+    """
+    if _THREADS < 2 or n < 2:
+        task = make_task()
+        for i in range(n):
+            task(i)
+        return
+    claims = _Claims(n, make_task, frozenset(os.sched_getaffinity(0)) if _CORES else _CORES)
+    _pool_jobs().put(claims.pool_drain)
+    claims.drain()
+    with claims.lock:
+        claims.closed = True
+        started = claims.started
+    if started:
+        claims.finished.wait()
+    if claims.error is not None:
+        raise claims.error
+
+
+def _fft_axis(arr: np.ndarray, axis: int) -> None:
+    """`np.fft.fft(arr, axis=axis, norm="forward", out=arr)`; a table of
+    THREAD_CELLS cells or more is cut along its longest other axis into
+    chunks of about THREAD_CELLS / 2 cells, which `_claimed` shares out.
+
+    pocketfft transforms each line on its own, so the bits do not depend on
+    the chunk a line is in.
+    """
+    if _THREADS < 2 or arr.size < THREAD_CELLS:
+        np.fft.fft(arr, axis=axis, norm="forward", out=arr)
+        return
+    split = max((a for a in range(arr.ndim) if a != axis), key=arr.shape.__getitem__)
+    length = arr.shape[split]
+    step = -(-length // min(length, max(2, 2 * arr.size // THREAD_CELLS)))
+    lead = (slice(None),) * split
+
+    def task(i):
+        chunk = arr[lead + (slice(i * step, (i + 1) * step),)]
+        np.fft.fft(chunk, axis=axis, norm="forward", out=chunk)
+
+    _claimed(-(-length // step), lambda: task)
+
+
+# ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
@@ -249,7 +426,7 @@ def _dense_tables(ctx: GroupContext, functions) -> Iterator[tuple[int, np.ndarra
             stack[rows, _codes(ctx, pts)] = [v for f in chunk for v in f._entries.values()]
         stack = stack.reshape((len(chunk),) + (p,) * d)
         for axis in range(d, 0, -1):
-            np.fft.fft(stack, axis=axis, norm="forward", out=stack)
+            _fft_axis(stack, axis)
         yield lo, stack
 
 
@@ -272,7 +449,7 @@ def dft(f: SparseFunction) -> Spectrum:
     arr[at] = rows[:-1]
     arr = arr.reshape((ctx.p,) * ctx.d)
     for axis in range(ctx.d - 2, -1, -1):
-        np.fft.fft(arr, axis=axis, norm="forward", out=arr)
+        _fft_axis(arr, axis)
     return Spectrum(ctx, arr)
 
 
@@ -282,9 +459,10 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
 
     Below `dft`'s switch, on a table larger than one slab, no complex p^d
     table is made: each block of `width` last-axis columns is filled from the
-    occupied lines' transforms into a slab of about SLAB_CELLS cells, stored
-    column by column, transformed in place along axes d-2 ... 0 (the per-line
-    calls `dft` makes) and only its magnitudes are kept.  Above the switch,
+    occupied lines' transforms into a slab of about SLAB_CELLS cells (half
+    that on each of two threads, see `_claimed`), stored column by column,
+    transformed in place along axes d-2 ... 0 (the per-line calls `dft`
+    makes) and only its magnitudes are kept.  Above the switch,
     every d = 1 function included, it is the row of `_dense_magnitudes`;
     below it, on tables of one slab or less, `np.abs(dft(f).coefficients)`.
     """
@@ -293,25 +471,33 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
     if not _sparse_lines(ctx, len(f)):  # every d = 1 function
         return next(_dense_magnitudes(ctx, [f]))[1].reshape((p,) * d)
     lines = ctx.size // p
-    width = max(1, SLAB_CELLS // lines)
-    if width >= p:
+    if SLAB_CELLS // lines >= p:
         return np.abs(dft(f).coefficients)
     rows, at = _occupied_lines(f)
-    slab_buf = np.empty(lines * width, dtype=np.complex128)
-    mag_buf = np.empty(lines * width)
+    width = max(1, SLAB_CELLS // _THREADS // lines)  # the threads share one slab's cells
     out = np.empty((lines, p))
-    for lo in range(0, p, width):
-        w = min(width, p - lo)
-        # column-major: slab[j] is the (p,) * (d - 1) cube of last-axis column
-        # lo + j, so every transform below runs over contiguous cubes
-        slab = slab_buf[: lines * w].reshape(w, lines)
-        slab[:] = rows[-1, lo : lo + w, None]
-        slab[:, at] = rows[:-1, lo : lo + w].T
-        cube = slab.reshape((w,) + (p,) * (d - 1))
-        for axis in range(d - 1, 0, -1):
-            np.fft.fft(cube, axis=axis, norm="forward", out=cube)
-        # |.| between contiguous buffers, as the dense path takes it
-        out[:, lo : lo + w] = np.abs(slab, out=mag_buf[: lines * w].reshape(w, lines)).T
+
+    def make_task():
+        slab_buf = np.empty(lines * width, dtype=np.complex128)
+        mag_buf = np.empty(lines * width)
+
+        def task(i):
+            lo = i * width
+            w = min(width, p - lo)
+            # column-major: slab[j] is the (p,) * (d - 1) cube of last-axis
+            # column lo + j, so every transform below runs over contiguous cubes
+            slab = slab_buf[: lines * w].reshape(w, lines)
+            slab[:] = rows[-1, lo : lo + w, None]
+            slab[:, at] = rows[:-1, lo : lo + w].T
+            cube = slab.reshape((w,) + (p,) * (d - 1))
+            for axis in range(d - 1, 0, -1):
+                np.fft.fft(cube, axis=axis, norm="forward", out=cube)
+            # |.| between contiguous buffers, as the dense path takes it
+            out[:, lo : lo + w] = np.abs(slab, out=mag_buf[: lines * w].reshape(w, lines)).T
+
+        return task
+
+    _claimed(-(-p // width), make_task)
     return out.reshape((p,) * d)
 
 

@@ -12,6 +12,7 @@ reproducibility.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -484,10 +485,19 @@ def separated_projection_bound(f: SparseFunction) -> SeparationBound:
     pivot = next(i for i, c in enumerate(row) if c)
     t_inv = pow(row[pivot], -1, p)
     shift = [c * t_inv % p for i, c in enumerate(row) if i != pivot]
-    axes = tuple(range(d - 1))
     acc = np.zeros((p,) * (d - 1))
     for s in range(p):
-        acc += np.roll(mags.take(s, axis=pivot), [-s * c % p for c in shift], axis=axes)
+        # acc += np.roll(slice s, -s * shift): one add per corner block of
+        # the roll, so each cell gets the same additions in the same order
+        src = mags[(slice(None),) * pivot + (s,)]
+        blocks = []
+        for c in shift:
+            r = s * c % p
+            blocks.append([(slice(None), slice(None))] if r == 0 else
+                          [(slice(0, p - r), slice(r, p)), (slice(p - r, p), slice(0, r))])
+        for corner in itertools.product(*blocks):
+            to, frm = zip(*corner)
+            acc[to] += src[frm]
     inner = (acc.ravel() * p ** (d - 1)).tolist()
     return SeparationBound(
         sep, norm, min(inner), sum(inner) / len(inner), tuple(inner)

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -479,3 +483,269 @@ def test_dft_below_the_switch_keeps_the_dense_budget():
             wiener_norm(f)
     with using(ToolConfig(dense_budget=11**3)):
         assert wiener_norm(f) == float(np.abs(np.fft.fftn(f.to_dense(), norm="forward")).sum())
+
+
+# ---------------------------------------------------------------------------
+# the second core: every transform's bytes at one thread and at two
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=[1, 2], ids=["1-thread", "2-threads"])
+def threads(request, monkeypatch):
+    """Transforms at 1 and 2 threads, with the size threshold so low that
+    every table of two or more lines is shared out."""
+    monkeypatch.setattr(fourier, "_THREADS", request.param)
+    monkeypatch.setattr(fourier, "THREAD_CELLS", 8)
+    return request.param
+
+
+def _serially(call, *args):
+    saved = fourier._THREADS
+    fourier._THREADS = 1
+    try:
+        return call(*args)
+    finally:
+        fourier._THREADS = saved
+
+
+@pytest.mark.parametrize(
+    "p,d,slab",
+    [(101, 1, None), (257, 2, None), (101, 2, 3 * 101), (11, 3, 4 * 121), (11, 3, 120), (7, 4, 2 * 343)],
+)
+def test_threaded_transforms_are_bit_for_bit(p, d, slab, threads, monkeypatch):
+    if slab is not None:
+        monkeypatch.setattr(fourier, "SLAB_CELLS", slab)
+    ctx, rng, supports = _switch_supports(p, d)
+    fs = []
+    for name, pts in supports.items():
+        vals = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        f = SparseFunction(ctx, dict(zip(pts, vals)))
+        fs.append(f)
+        want = np.fft.fftn(f.to_dense(), norm="forward")
+        mags = np.abs(want)
+        assert dft(f).coefficients.tobytes() == want.tobytes(), name
+        assert magnitudes(f).tobytes() == mags.tobytes(), name
+        assert wiener_norm(f) == float(mags.sum()), name
+        assert energy.t_k_spectral(f, 2) == float(((ctx.size * mags.ravel()) ** 4).sum() / ctx.size), name
+    fs *= 3  # stacks of several tables
+    assert _bits(wiener_norms(fs)) == _bits(_serially(wiener_norms, fs))
+
+
+@pytest.mark.parametrize("p,d", [(1009, 2), (11, 3), (13, 4)])
+def test_threaded_separation_bound_is_bit_for_bit(p, d, threads, monkeypatch):
+    monkeypatch.setattr(fourier, "SLAB_CELLS", 4 * p ** (d - 1))
+    ctx = GroupContext(p, d)
+    # 0 and the unit vectors: the separating row has no zero entry
+    pts = [(0,) * d] + [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    f = SparseFunction(ctx, dict(zip(pts, np.random.default_rng(p).standard_normal(len(pts)))))
+    got, want = separated_projection_bound(f), _serially(separated_projection_bound, f)
+    assert got.separating.row == want.separating.row and all(got.separating.row)
+    assert _bits(got.inner_norms) == _bits(want.inner_norms)
+    assert (got.norm, got.min_inner, got.mean_inner) == (want.norm, want.min_inner, want.mean_inner)
+
+
+@pytest.mark.parametrize(
+    "shape,axis,cells,chunks",
+    [
+        ((3, 11, 11), 2, 200, [3]),  # split along axis 1, the longest other: rows 4, 4, 3
+        ((3, 11, 11), 1, 8, [11]),  # split along axis 2: one column a chunk
+        ((3, 11, 11), 0, 150, [4]),  # ties go to the first axis: rows 3, 3, 3, 2 of axis 1
+        ((1, 101), 1, 8, [1]),  # one row: nothing to split, so the caller runs it
+        ((5, 7), 0, 8, [7]),
+        ((3, 11, 11), 2, 364, []),  # below the threshold
+    ],
+)
+def test_fft_axis_chunks(shape, axis, cells, chunks, monkeypatch):
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    monkeypatch.setattr(fourier, "THREAD_CELLS", cells)
+    claimed, run = [], fourier._claimed
+    monkeypatch.setattr(fourier, "_claimed", lambda n, make: claimed.append(n) or run(n, make))
+    rng = np.random.default_rng(len(shape))
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.fft.fft(arr, axis=axis, norm="forward")
+    fourier._fft_axis(arr, axis)
+    assert arr.tobytes() == want.tobytes()
+    assert claimed == chunks
+
+
+def _recorded_task(done, ran):
+    """make_task for `_claimed` whose task i stores i * i in done[i] and
+    the running thread's name in ran[i]."""
+
+    def make_task():
+        def task(i):
+            ran[i] = threading.current_thread().name
+            done[i] = i * i
+
+        return task
+
+    return make_task
+
+
+def test_claimed_runs_each_task_once_around_a_stalled_thread(monkeypatch):
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    n = 40
+    done, ran = [None] * n, [None] * n
+    all_done = threading.Event()
+    inner = _recorded_task(done, ran)
+
+    def make_task():
+        task = inner()
+        in_pool = threading.current_thread() is not threading.main_thread()
+
+        def slow(i):
+            task(i)
+            if sum(x is not None for x in done) == n:
+                all_done.set()
+            if in_pool:  # the pool's first task stalls until every task is done
+                assert all_done.wait(10)
+
+        return slow
+
+    fourier._claimed(n, make_task)
+    assert done == [i * i for i in range(n)]
+    caller = threading.main_thread().name
+    assert ran[:-1] == [caller] * (n - 1)  # the caller counts up from 0
+    assert ran[-1] in (caller, "zpwiener-pool")  # the pool thread, if it began, took the last and stalled
+
+
+def test_claimed_does_not_wait_for_a_pool_thread_that_has_not_begun(monkeypatch):
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    busy, release, idle = threading.Event(), threading.Event(), threading.Event()
+    released = []  # whether the job holding the pool thread saw its release
+    fourier._pool_jobs().put(lambda: busy.set() or released.append(release.wait(10)))
+    try:
+        assert busy.wait(10)
+        done, ran = [None] * 5, [None] * 5
+        fourier._claimed(5, _recorded_task(done, ran))  # its pool share queues behind
+        assert done == [0, 1, 4, 9, 16]
+        assert set(ran) == {threading.main_thread().name}
+    finally:
+        release.set()
+    fourier._pool_jobs().put(idle.set)
+    assert idle.wait(10)
+    assert released == [True]  # _claimed returned while the pool thread was held
+
+
+def test_claimed_from_several_callers_runs_each_task_once(monkeypatch):
+    # four callers share the one pool thread; a lost update of the claim
+    # counter would run a task twice or not at all
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    n, rounds = 300, 5
+    counts = {}
+
+    def caller(c):
+        for r in range(rounds):
+            hits = counts[c, r] = [0] * n
+
+            def make_task():
+                def task(i):
+                    hits[i] += 1
+                    time.sleep(0)  # lets the other threads in
+
+                return task
+
+            fourier._claimed(n, make_task)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(counts) == 4 * rounds
+    assert all(hits == [1] * n for hits in counts.values())
+
+
+def test_pool_thread_runs_on_the_cores_a_pinned_caller_may_not(monkeypatch):
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    cores = fourier._CORES
+    seen = {}
+
+    def make_task():
+        def task(i):
+            if threading.current_thread() is not threading.main_thread():
+                seen[i] = frozenset(os.sched_getaffinity(0))
+            time.sleep(0.001)  # the pool thread gets some tasks
+
+        return task
+
+    for pin in [min(cores), None]:
+        seen.clear()
+        if pin is not None:
+            os.sched_setaffinity(0, {pin})
+        try:
+            fourier._claimed(40, make_task)
+        finally:
+            os.sched_setaffinity(0, cores)
+        want = cores - {pin} or cores
+        assert seen and set(seen.values()) == {want}, pin
+
+
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_claimed_raises_a_task_error_in_the_caller(where, monkeypatch):
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    pool_began = threading.Event()
+
+    def make_task():
+        in_pool = threading.current_thread() is not threading.main_thread()
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            if in_pool:
+                pool_began.set()
+                if where == "pool":
+                    raise ValueError(f"task {i} failed")
+            elif len(ran) == 1:  # the caller's first task
+                assert pool_began.wait(10)  # both threads are in
+                if where == "caller":
+                    raise ValueError(f"task {i} failed")
+
+        return task
+
+    with pytest.raises(ValueError, match=r"task \d+ failed"):
+        fourier._claimed(50, make_task)
+    done, ran = [None] * 4, [None] * 4
+    fourier._claimed(4, _recorded_task(done, ran))  # the pool still serves
+    assert done == [0, 1, 4, 9]
+
+
+def _norm_in_child(f, conn):
+    try:
+        fresh = fourier._pool is None
+        conn.send((fresh, wiener_norm(f), hash(magnitudes(f).tobytes())))
+    finally:
+        conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    ctx = GroupContext(101, 3)
+    f = SparseFunction.indicator(ctx, _rand_points(np.random.default_rng(4), ctx, 50))
+    norm, mags = wiener_norm(f), hash(magnitudes(f).tobytes())
+    assert fourier._pool is not None  # the parent's pool thread has run
+    mp = multiprocessing.get_context("fork")
+    recv, send = mp.Pipe(duplex=False)
+    child = mp.Process(target=_norm_in_child, args=(f, send))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child hung on a threaded norm"
+        got = recv.recv()
+    finally:
+        recv.close()
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == (True, norm, mags)
+    assert child.exitcode == 0

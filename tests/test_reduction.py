@@ -9,7 +9,7 @@ import pytest
 from zpwiener import groups, reduction
 from zpwiener.config import ToolConfig, active, using
 from zpwiener.errors import BudgetError
-from zpwiener.fourier import SparseFunction, wiener_norm
+from zpwiener.fourier import SparseFunction, magnitudes, wiener_norm
 from zpwiener.groups import (
     AffineMap,
     GroupContext,
@@ -696,6 +696,40 @@ def test_separated_projection_bound_small():
         assert bound.norm >= bound.min_inner - 1e-9
         # the norm is exactly the average of the twisted projections
         assert bound.norm == pytest.approx(bound.mean_inner, abs=1e-9)
+
+
+def _rolled_inner_norms(f):
+    """The inner norms as p rolls of |fhat| slices, one `np.roll` a slice."""
+    p, d = f.ctx.p, f.ctx.d
+    row = find_separating_map(f.support, f.ctx).row
+    pivot = next(i for i, c in enumerate(row) if c)
+    shift = [c * pow(row[pivot], -1, p) % p for i, c in enumerate(row) if i != pivot]
+    mags = magnitudes(f)
+    acc = np.zeros((p,) * (d - 1))
+    for s in range(p):
+        acc += np.roll(mags.take(s, axis=pivot), [-s * c % p for c in shift], axis=tuple(range(d - 1)))
+    return (acc.ravel() * p ** (d - 1)).tolist()
+
+
+@pytest.mark.parametrize(
+    "p,d,pts",
+    [
+        (101, 2, [(0, 0), (1, 0), (0, 1)]),  # row (1, 2)
+        (1009, 2, [(0, 0), (1, 0), (0, 1), (2, 0), (0, 3)]),
+        (11, 3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # row (1, 2, 3)
+        (13, 3, [(0, 0, 0), (0, 1, 0), (0, 0, 1)]),  # pivot 1
+        (13, 4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        (17, 4, [(3, 1, 4, 1), (5, 9, 2, 6)]),  # row (0, 0, 0, 1): no shift
+    ],
+)
+def test_separated_projection_inner_norms_are_the_rolled_sums(p, d, pts):
+    ctx = GroupContext(p, d)
+    rng = np.random.default_rng(p + d)
+    f = SparseFunction(ctx, dict(zip(pts, rng.standard_normal(len(pts)) + 1j)))
+    bound = separated_projection_bound(f)
+    want = _rolled_inner_norms(f)
+    assert np.array(bound.inner_norms).tobytes() == np.array(want).tobytes()
+    assert bound.min_inner == min(want) and bound.mean_inner == sum(want) / len(want)
 
 
 @pytest.mark.parametrize("p,d", [(11, 2), (13, 2), (11, 3), (13, 3)])
