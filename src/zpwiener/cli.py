@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Commands: eval, verify, reduce, scan, dim, energy.
-Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 budget error.
+Exit codes: 0 success, 1 check failure, 2 usage, parse or file error, 3 budget error.
 All randomness flows from --seed, so identical invocations produce
 byte-identical outputs.
 """
@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import ARRAY_CHUNK, DEFAULT_CONFIG, ToolConfig, using
+from .config import ARRAY_CHUNK, DEFAULT_CONFIG, active, using
 from .energy import additive_dimension, t_k_direct, t_k_spectral
 from .errors import BudgetError, FileFormatError
 from .fileio import (
@@ -37,16 +37,16 @@ from .reduction import (
 from .verify import ap_scan, random_set_scan, run_suite
 
 
-def _config_from(args) -> ToolConfig:
-    overrides = {}
-    if getattr(args, "budget", None) is not None:
-        overrides["dense_budget"] = args.budget
-    if getattr(args, "op_budget", None) is not None:
-        overrides["op_budget"] = args.op_budget
-    if getattr(args, "tolerance", None) is not None:
-        overrides["norm_tol"] = args.tolerance
-        overrides["energy_tol"] = args.tolerance
-    return replace(DEFAULT_CONFIG, **overrides)
+# each cap flag and the ToolConfig field it sets: the field is the flag's
+# dest, the override it makes, and the knob that a budget refusal names
+_CAP_FLAGS = {"--budget": "dense_budget", "--op-budget": "op_budget"}
+
+
+def _add_caps(parser, *fields) -> None:
+    for flag, field in _CAP_FLAGS.items():
+        if field in fields:
+            parser.add_argument(flag, dest=field, type=int,
+                                help=f"sets {field} (default {getattr(DEFAULT_CONFIG, field)})")
 
 
 def _emit(records, output) -> None:
@@ -58,14 +58,14 @@ def _emit(records, output) -> None:
 
 def cmd_eval(args) -> int:
     f = read_function_file(args.input)
+    spec = dft(f) if args.spectrum else None  # else only the norm: no complex table
     if not len(f):
         print("warning: function has empty support", file=sys.stderr)
         print("wiener_norm 0.000000000000")
-        return 0
-    spec = dft(f) if args.spectrum else None  # else only the norm: no complex table
-    print(f"wiener_norm {wiener_norm(f) if spec is None else spec.l1:.12f}")
-    print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
-    if args.spectrum:
+    else:
+        print(f"wiener_norm {wiener_norm(f) if spec is None else spec.l1:.12f}")
+        print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
+    if spec is not None:
         # points() runs in lexicographic order, the C order of the table; the
         # records are made as they are written, from one chunk of it at a time
         table = spec.coefficients.ravel()
@@ -80,7 +80,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed, count=args.count)
+    config = active()
+    if args.tolerance is not None:
+        config = replace(config, norm_tol=args.tolerance, energy_tol=args.tolerance)
+    with using(config):
+        reports = run_suite(args.suite, seed=args.seed, count=args.count)
     records = [
         report_header(
             __version__,
@@ -134,16 +138,17 @@ def _reduce_dirichlet(f):
     return [record], rescaled.function
 
 
+# each mode's reduction and the caps it reads (every mode's two norms read dense_budget)
 _REDUCTIONS = {
-    "line": _reduce_line,
-    "separating-map": _reduce_separating_map,
-    "dirichlet": _reduce_dirichlet,
+    "line": (_reduce_line, ("dense_budget", "op_budget")),
+    "separating-map": (_reduce_separating_map, ("dense_budget",)),
+    "dirichlet": (_reduce_dirichlet, ("dense_budget", "op_budget")),
 }
 
 
 def cmd_reduce(args) -> int:
     f = read_function_file(args.input)
-    records, g = _REDUCTIONS[args.mode](f)
+    records, g = _REDUCTIONS[args.mode][0](f)
     before, after = wiener_norms([f, g])
     records[-1].update(norm_before=before, norm_after=after)
     if args.mode == "dirichlet":
@@ -157,8 +162,7 @@ def cmd_reduce(args) -> int:
 def cmd_scan(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
-        print("error: --sizes must list at least one integer", file=sys.stderr)
-        return 2
+        raise ValueError("--sizes must list at least one integer")
     if args.kind == "ap":
         rows = ap_scan(args.p, sizes)
     else:
@@ -178,12 +182,19 @@ def cmd_dim(args) -> int:
     return 0
 
 
+# each T_k method and the cap it reads; --method both runs the two in this order
+_ENERGY_METHODS = {"direct": (t_k_direct, "op_budget"), "spectral": (t_k_spectral, "dense_budget")}
+
+
 def cmd_energy(args) -> int:
+    methods = list(_ENERGY_METHODS) if args.method == "both" else [args.method]
+    reads = {_ENERGY_METHODS[m][1] for m in methods}
+    for flag, field in _CAP_FLAGS.items():
+        if getattr(args, field) is not None and field not in reads:
+            _parser().error(f"argument {flag}: not read by energy --method {args.method}")
     f = read_function_file(args.input)
-    if args.method in ("direct", "both"):
-        print(f"t{args.k}_direct {t_k_direct(f, args.k):.12g}")
-    if args.method in ("spectral", "both"):
-        print(f"t{args.k}_spectral {t_k_spectral(f, args.k):.12g}")
+    for m in methods:
+        print(f"t{args.k}_{m} {_ENERGY_METHODS[m][0](f, args.k):.12g}")
     return 0
 
 
@@ -194,58 +205,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # the commands that build dense tables share one --budget
-    dense = argparse.ArgumentParser(add_help=False)
-    dense.add_argument("--budget", type=int,
-                       help="max p^d for dense tables (dense_budget): transforms, "
-                            "Wiener norms, energy --method spectral or both, "
-                            "reduce line's hyperplane scans")
-    # the commands that run a search or a T_k convolution share one --op-budget
-    ops = argparse.ArgumentParser(add_help=False)
-    ops.add_argument("--op-budget", type=int,
-                     help="max work in element operations (op_budget): dim's search, "
-                          "energy --method direct or both, reduce line's hyperplane "
-                          "scans (directions x p), reduce dirichlet's core and dilation scan")
 
-    p_eval = sub.add_parser("eval", parents=[dense],
-                            help="Wiener norm and spectrum summary of a function file")
+    p_eval = sub.add_parser("eval", help="Wiener norm and spectrum summary of a function file")
     p_eval.add_argument("input")
     p_eval.add_argument("--spectrum", help="write the full spectrum to this report file")
+    _add_caps(p_eval, "dense_budget")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a named check suite (or all)")
     p_verify.add_argument("suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=50)
-    p_verify.add_argument("--tolerance", type=float)
+    p_verify.add_argument("--tolerance", type=float, help="sets norm_tol and energy_tol")
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_reduce = sub.add_parser("reduce", parents=[dense, ops],
-                              help="run a reduction on a function file")
-    p_reduce.add_argument("mode", choices=list(_REDUCTIONS))
-    p_reduce.add_argument("--input", required=True)
-    p_reduce.add_argument("--output")
+    p_reduce = sub.add_parser("reduce", help="run a reduction on a function file")
+    modes = p_reduce.add_subparsers(dest="mode", required=True)
+    for mode, (_, caps) in _REDUCTIONS.items():
+        p_mode = modes.add_parser(mode)
+        p_mode.add_argument("--input", required=True)
+        p_mode.add_argument("--output")
+        _add_caps(p_mode, *caps)
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_scan = sub.add_parser("scan", parents=[dense], help="Wiener-norm growth scan to CSV")
-    p_scan.add_argument("kind", choices=["ap", "random"])
-    p_scan.add_argument("--p", type=int, required=True)
-    p_scan.add_argument("--sizes", required=True, help="comma-separated list")
-    p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--output")
+    p_scan = sub.add_parser("scan", help="Wiener-norm growth scan to CSV")
+    kinds = p_scan.add_subparsers(dest="kind", required=True)
+    for kind in ("ap", "random"):
+        p_kind = kinds.add_parser(kind)
+        p_kind.add_argument("--p", type=int, required=True)
+        p_kind.add_argument("--sizes", required=True, help="comma-separated list")
+        if kind == "random":
+            p_kind.add_argument("--seed", type=int, default=0)
+        p_kind.add_argument("--output")
+        _add_caps(p_kind, "dense_budget")
     p_scan.set_defaults(func=cmd_scan)
 
-    p_dim = sub.add_parser("dim", parents=[ops], help="additive dimension of a file's support")
+    p_dim = sub.add_parser("dim", help="additive dimension of a file's support")
     p_dim.add_argument("--input", required=True)
     p_dim.add_argument("--mode", choices=["exact", "greedy"], default="exact")
+    _add_caps(p_dim, "op_budget")
     p_dim.set_defaults(func=cmd_dim)
 
-    p_energy = sub.add_parser("energy", parents=[dense, ops],
-                              help="T_k energy of a function file")
+    p_energy = sub.add_parser("energy", help="T_k energy of a function file")
     p_energy.add_argument("--input", required=True)
     p_energy.add_argument("--k", type=int, required=True)
-    p_energy.add_argument("--method", choices=["direct", "spectral", "both"], default="both")
+    p_energy.add_argument("--method", choices=[*_ENERGY_METHODS, "both"], default="both")
+    _add_caps(p_energy, *(cap for _, cap in _ENERGY_METHODS.values()))
     p_energy.set_defaults(func=cmd_energy)
 
     return parser
@@ -259,16 +265,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    caps = {k: v for k, v in vars(args).items() if k in _CAP_FLAGS.values() and v is not None}
     try:
-        with using(_config_from(args)):
+        with using(replace(DEFAULT_CONFIG, **caps)):
             return args.func(args)
     except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
+        # a refusal names the flag that raises its knob, where this mode offers one
+        offered = {k: f" with {flag}" for flag, k in _CAP_FLAGS.items() if k in vars(args)}
+        print(f"budget error: {exc}{offered.get(exc.knob, '')}", file=sys.stderr)
         return 3
-    except (FileFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

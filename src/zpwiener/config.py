@@ -65,7 +65,7 @@ def _check_work(work: int, what: str = "T_k convolution") -> None:
     if work > op_budget:
         raise BudgetError(
             f"{what} work {work} exceeds budget {op_budget} "
-            f"by {work - op_budget}; raise op_budget"
+            f"by {work - op_budget}; raise op_budget", knob="op_budget"
         )
 
 

@@ -2,7 +2,12 @@
 
 
 class BudgetError(RuntimeError):
-    """A dense table, enumeration, or search exceeds its configured budget."""
+    """A dense table, enumeration, or search exceeds its configured budget;
+    `knob` is the `ToolConfig` field that raises it, or None."""
+
+    def __init__(self, message: str, knob: str | None = None):
+        super().__init__(message)
+        self.knob = knob
 
 
 class FileFormatError(ValueError):

@@ -82,17 +82,6 @@ class SparseFunction:
         # each point is normalised once; the dict keeps first occurrences in order
         return cls._reduced(ctx, dict.fromkeys(map(ctx.point, points), 1.0).items())
 
-    @classmethod
-    def from_dense(
-        cls, ctx: GroupContext, arr: np.ndarray, zero_clamp: float = 0.0
-    ) -> "SparseFunction":
-        arr = np.asarray(arr)
-        if arr.shape != (ctx.p,) * ctx.d:
-            raise ValueError(f"dense array shape {arr.shape} does not match {ctx}")
-        # NaN fails `<=` too, so it is kept here and rejected by _fill.
-        idx = np.argwhere(~(np.abs(arr) <= zero_clamp))
-        return cls._reduced(ctx, zip(map(tuple, idx.tolist()), arr[tuple(idx.T)].tolist()))
-
     @property
     def entries(self):
         return MappingProxyType(self._entries)
@@ -550,7 +539,10 @@ def inverse_dft(spectrum: Spectrum) -> SparseFunction:
     ctx = spectrum.ctx
     ctx.check_dense_budget()
     arr = np.fft.ifftn(spectrum.coefficients, norm="forward")
-    return SparseFunction.from_dense(ctx, arr, zero_clamp=ZERO_CLAMP)
+    # in C order; NaN fails `<=` too, so it is kept here and rejected by _fill
+    idx = np.argwhere(~(np.abs(arr) <= ZERO_CLAMP))
+    values = arr[tuple(idx.T)].tolist()
+    return SparseFunction._reduced(ctx, zip(map(tuple, idx.tolist()), values))
 
 
 def wiener_norm(f: SparseFunction) -> float:

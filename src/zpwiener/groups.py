@@ -85,8 +85,7 @@ class GroupContext:
         if self.size > budget:
             raise BudgetError(
                 f"dense table of size p^d = {self.size} exceeds budget {budget} "
-                f"by {self.size - budget}; raise dense_budget "
-                f"(--budget on eval, reduce, scan, energy)"
+                f"by {self.size - budget}; raise dense_budget", knob="dense_budget"
             )
 
     def point(self, x) -> Point:

@@ -180,12 +180,9 @@ def _rand_instance(rng, ctx: GroupContext, size: int, value_kind: str, **extra) 
     return _instance(ctx, rows, _rand_values(rng, size, value_kind), **extra)
 
 
-def random_instance(kind: str, seed: int, **params) -> dict:
+def random_instance(kind: str, seed: int, *, p: int = 101, d: int = 1, size: int = 5) -> dict:
     """Deterministic generator for the public instance kinds."""
     rng = np.random.default_rng(seed)
-    p = params.get("p", 101)
-    d = params.get("d", 1)
-    size = params.get("size", 5)
     ctx = GroupContext(p, d)
     if kind == "indicator":
         return _rand_instance(rng, ctx, size, "indicator", kind=kind)

@@ -2,10 +2,12 @@ import argparse
 import hashlib
 import math
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,16 +230,14 @@ def test_reduce_separating_map_past_int64(tmp_path, capsys):
     pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]
     path = write_file(tmp_path, "far.txt", ctx, {x: 1.0 for x in pts})
     assert main(["reduce", "separating-map", "--input", path]) == 3
-    assert ("raise dense_budget (--budget on eval, reduce, scan, energy)"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err.endswith("; raise dense_budget with --budget\n")
 
 
 def test_budget_errors_name_their_knob():
     ctx = GroupContext(101)
     cases = [
         (ToolConfig(dense_budget=100), lambda: GroupContext(101, 2).check_dense_budget(),
-         r"budget 100 by 10101; raise dense_budget \(--budget on eval, reduce, scan, "
-         r"energy\)"),
+         "budget 100 by 10101; raise dense_budget$"),
         (ToolConfig(op_budget=10),
          lambda: t_k_direct(SparseFunction.indicator(ctx, range(20)), 3),
          "work 400 exceeds budget 10 by 390; raise op_budget"),
@@ -261,8 +261,11 @@ def test_budget_errors_name_their_knob():
     for config, call, message in cases:
         with using(config), pytest.raises(BudgetError, match=message) as exc:
             call()
-        # a message names only a knob a caller can turn, never a constant
-        assert set(re.findall(r"raise (\w+)", str(exc.value))) <= knobs
+        # a message names only a knob a caller can turn, never a constant or
+        # a flag, and the error carries that knob for the CLI to name its flag
+        assert re.findall(r"raise (\w+)$", str(exc.value)) == [exc.value.knob]
+        assert exc.value.knob in knobs
+        assert "--" not in str(exc.value)
 
 
 def test_reduce_line(tmp_path, capsys):
@@ -392,7 +395,7 @@ def test_dim_command(tmp_path, capsys):
 def test_op_budget_flag_reaches_the_searches(tmp_path, capsys, argv):
     path = write_file(tmp_path, "s.txt", GroupContext(101), {1: 1.0, 2: 1.0, 35: 1.0})
     assert main(argv + ["--input", path, "--op-budget", "1"]) == 3
-    assert capsys.readouterr().err.rstrip().endswith("raise op_budget")
+    assert capsys.readouterr().err.endswith("; raise op_budget with --op-budget\n")
     assert main(argv + ["--input", path, "--op-budget", str(1 << 24)]) == 0
     assert main(argv + ["--input", path, "--op-budget", "0"]) == 2
     assert "op_budget must be an integer >= 1, got 0" in capsys.readouterr().err
@@ -411,7 +414,7 @@ def test_dim_answers_forty_points_with_a_raised_op_budget(tmp_path, capsys):
     assert main(["dim", "--input", path, "--mode", "exact"]) == 3
     assert capsys.readouterr().err == (
         "budget error: exact dimension search work 16785267 exceeds budget 16777216 by 8051; "
-        "raise op_budget\n"
+        "raise op_budget with --op-budget\n"
     )
     assert main(["dim", "--input", path, "--mode", "exact", "--op-budget", str(1 << 25)]) == 0
     assert capsys.readouterr().out.startswith("dim 13  mode exact\n")
@@ -492,43 +495,56 @@ def test_eval_spectrum_streams_its_records(tmp_path, monkeypatch):
     assert lines[-1].startswith('{"im":') and '"xi":[126,126]' in lines[-1]
 
 
-# The caps each command's flags set, by command and mode, and the argv that
-# runs it.  A flag a command accepts but a mode never reads is listed in
-# _UNREACHED with the reason; every other one must refuse at 1.
+# Each (command, mode), the argv that runs it and the cap flags it reads.
+# A mode must offer exactly those: each refuses at 1 with exit code 3 and
+# names its field and its flag; any other cap flag is a usage error.
 _CAP_FLAGS = {"--budget": "dense_budget", "--op-budget": "op_budget"}
+_BOTH = set(_CAP_FLAGS)
 _COMMAND_MODES = {
-    ("eval", "norm"): ["eval", "{plane}"],
-    ("eval", "spectrum"): ["eval", "{plane}", "--spectrum", "out.jsonl"],
-    ("verify", "all"): ["verify", "all", "--count", "1"],
-    ("reduce", "line"): ["reduce", "line", "--input", "{square}"],
-    ("reduce", "separating-map"): ["reduce", "separating-map", "--input", "{pair}"],
-    ("reduce", "dirichlet"): ["reduce", "dirichlet", "--input", "{line}"],
-    ("scan", "ap"): ["scan", "ap", "--p", "101", "--sizes", "5"],
-    ("scan", "random"): ["scan", "random", "--p", "101", "--sizes", "5"],
-    ("dim", "exact"): ["dim", "--input", "{line}", "--mode", "exact"],
-    ("dim", "greedy"): ["dim", "--input", "{line}", "--mode", "greedy"],
-    ("energy", "direct"): ["energy", "--input", "{line}", "--k", "2", "--method", "direct"],
-    ("energy", "spectral"): ["energy", "--input", "{line}", "--k", "2", "--method", "spectral"],
-    ("energy", "both"): ["energy", "--input", "{line}", "--k", "2", "--method", "both"],
+    ("eval", "norm"): (["eval", "{plane}"], {"--budget"}),
+    ("eval", "spectrum"): (["eval", "{plane}", "--spectrum", "out.jsonl"], {"--budget"}),
+    ("verify", "all"): (["verify", "all", "--count", "1"], set()),
+    ("reduce", "line"): (["reduce", "line", "--input", "{square}"], _BOTH),
+    ("reduce", "separating-map"): (["reduce", "separating-map", "--input", "{pair}"],
+                                   {"--budget"}),
+    ("reduce", "dirichlet"): (["reduce", "dirichlet", "--input", "{line}"], _BOTH),
+    ("scan", "ap"): (["scan", "ap", "--p", "101", "--sizes", "5"], {"--budget"}),
+    ("scan", "random"): (["scan", "random", "--p", "101", "--sizes", "5"], {"--budget"}),
+    ("dim", "exact"): (["dim", "--input", "{line}", "--mode", "exact"], {"--op-budget"}),
+    ("dim", "greedy"): (["dim", "--input", "{line}", "--mode", "greedy"], {"--op-budget"}),
+    ("energy", "direct"): (["energy", "--input", "{line}", "--k", "2", "--method", "direct"],
+                           {"--op-budget"}),
+    ("energy", "spectral"): (["energy", "--input", "{line}", "--k", "2", "--method",
+                              "spectral"], {"--budget"}),
+    ("energy", "both"): (["energy", "--input", "{line}", "--k", "2", "--method", "both"], _BOTH),
 }
-_UNREACHED = {
-    ("reduce", "separating-map", "--op-budget"): "the row scan runs no op-counted search",
-    ("energy", "direct", "--budget"): "the direct T_k builds no dense table",
-    ("energy", "spectral", "--op-budget"): "the spectral T_k runs no op-counted search",
-}
+
+
+def _subparsers(parser):
+    return next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _mode_parsers():
+    """(command, mode) -> the parser that reads that mode's flags: a mode's
+    own sub-parser, else the command's parser."""
+    walked = {}
+    for name, sub in _subparsers(build_parser()).choices.items():
+        modes = _subparsers(sub)
+        if modes is not None:
+            walked.update({(name, mode): parser for mode, parser in modes.choices.items()})
+            continue
+        choices = [a.choices for a in sub._actions if a.choices]
+        for mode in choices[0] if choices else [m for c, m in _COMMAND_MODES if c == name]:
+            walked[(name, mode)] = sub
+    return walked
 
 
 def test_every_command_reaches_every_cap_it_reads(tmp_path, monkeypatch, capsys):
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
+    assert cli._CAP_FLAGS == _CAP_FLAGS
+    assert set(_CAP_FLAGS.values()) <= {field.name for field in fields(ToolConfig)}
+    parsers = _mode_parsers()
     # the table covers every command and every choice of its mode
-    for name, sub in subparsers.choices.items():
-        modes = {m for command, m in _COMMAND_MODES if command == name}
-        choices = [a.choices for a in sub._actions if a.choices]
-        assert modes, name
-        for options in choices:
-            assert set(options) == modes, name
+    assert set(parsers) == set(_COMMAND_MODES)
     monkeypatch.chdir(tmp_path)
     inputs = {
         "plane": write_file(tmp_path, "plane.txt", GroupContext(11, 2), {(1, 2): 1.0}),
@@ -539,23 +555,68 @@ def test_every_command_reaches_every_cap_it_reads(tmp_path, monkeypatch, capsys)
         "line": write_file(tmp_path, "line.txt", GroupContext(101),
                            {1: 1.0, 2: 1.0, 35: 1.0}),
     }
-    reached = set()
-    for (command, mode), template in _COMMAND_MODES.items():
+    for (command, mode), (template, reads) in _COMMAND_MODES.items():
         argv = [arg.format(**inputs) for arg in template]
-        sub = subparsers.choices[command]
-        flags = [f for a in sub._actions for f in a.option_strings if f in _CAP_FLAGS]
-        for flag in flags:
-            code = main(argv + [flag, "1"])
-            err = capsys.readouterr().err
-            if (command, mode, flag) in _UNREACHED:
-                assert code == 0, (argv, flag, err)
+        offered = {f for a in parsers[command, mode]._actions for f in a.option_strings}
+        assert reads <= offered, (command, mode)
+        for flag, field in _CAP_FLAGS.items():
+            if flag in reads:
+                assert main(argv + [flag, "1"]) == 3, (argv, flag)
+                err = capsys.readouterr().err
+                assert f"raise {field} with {flag}\n" in err, (argv, flag, err)
             else:
-                assert code == 3, (argv, flag, err)
-                assert f"raise {_CAP_FLAGS[flag]}" in err, (argv, flag, err)
-                reached.add((command, flag))
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + [flag, "1"])
+                assert exc.value.code == 2, (argv, flag)
+                assert flag in capsys.readouterr().err, (argv, flag)
         assert main(argv) == 0, argv
         capsys.readouterr()
-    # every command that takes a cap flag reaches it in some mode
-    takes = {(name, f) for name, sub in subparsers.choices.items()
-             for a in sub._actions for f in a.option_strings if f in _CAP_FLAGS}
-    assert reached == takes
+
+
+def test_scan_ap_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "ap", "--p", "101", "--sizes", "5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("zpwiener ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = build_parser().parse_args(argv)
+        assert callable(args.func), line
+
+
+def test_os_errors_on_paths_exit_2(tmp_path, capsys):
+    # a directory where a file is read or written is the caller's error, not
+    # a failed check (exit code 1), and leaves no temporary file behind
+    target = tmp_path / "out"
+    target.mkdir()
+    assert main(["eval", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+    assert main(["verify", "banach", "--count", "3", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eval_spectrum_of_an_empty_function(tmp_path, monkeypatch, capsys, d):
+    # the transform of the zero function: a header and p^d zero coefficients
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.txt").write_text(f"zpwiener-function 1\np 5 d {d}\n")
+    assert main(["eval", "empty.txt", "--spectrum", "s.jsonl"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "wiener_norm 0.000000000000\n"
+    assert err == "warning: function has empty support\n"
+    records = read_report_file("s.jsonl")
+    assert records[0]["record"] == "header"
+    assert records[0]["config"] == {"input": "empty.txt"}
+    coefficients = records[1:]
+    assert [tuple(r["xi"]) for r in coefficients] == list(GroupContext(5, d).points())
+    assert all(r["re"] == 0 and r["im"] == 0 for r in coefficients)

@@ -160,6 +160,10 @@ def test_random_instance_kinds():
     for removed in ("mystery", "product-pair", "dissociated-candidate"):
         with pytest.raises(ValueError, match="unknown instance kind"):
             random_instance(removed, 0)
+    # the defaults are p = 101, d = 1, size = 5, and a misspelt key is refused
+    assert random_instance("indicator", 1) == ind
+    with pytest.raises(TypeError, match="sise"):
+        random_instance("indicator", 1, sise=50)
 
 
 def test_monitors_produce_ratios():
