@@ -14,6 +14,8 @@ import itertools
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .config import ARRAY_CHUNK, DEFAULT_CONFIG, active, using
 from .energy import additive_dimension, t_k_direct, t_k_spectral
@@ -56,15 +58,30 @@ def _emit(records, output) -> None:
         sys.stdout.write(dump_records(records))
 
 
+def _finite(label: str, compute) -> float:
+    """compute(), refused with an OverflowError that names label unless it
+    is finite; numpy's overflow warnings are silenced, as the check covers them."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute()
+        if np.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError(f"{label} overflows float64")
+
+
 def cmd_eval(args) -> int:
     f = read_function_file(args.input)
-    spec = dft(f) if args.spectrum else None  # else only the norm: no complex table
+    spec = dft(f) if args.spectrum else None  # else only the norm, from `magnitudes`
     if not len(f):
         print("warning: function has empty support", file=sys.stderr)
         print("wiener_norm 0.000000000000")
     else:
-        print(f"wiener_norm {wiener_norm(f) if spec is None else spec.l1:.12f}")
-        print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {f.l2_norm:.12g}")
+        norm = _finite("wiener_norm", lambda: wiener_norm(f) if spec is None else spec.l1)
+        l2 = _finite("l2", lambda: f.l2_norm)
+        print(f"wiener_norm {norm:.12f}")
+        print(f"support {f.support_size}  max_abs {f.max_abs:.12g}  l2 {l2:.12g}")
     if spec is not None:
         # points() runs in lexicographic order, the C order of the table; the
         # records are made as they are written, from one chunk of it at a time
@@ -193,8 +210,10 @@ def cmd_energy(args) -> int:
         if getattr(args, field) is not None and field not in reads:
             _parser().error(f"argument {flag}: not read by energy --method {args.method}")
     f = read_function_file(args.input)
-    for m in methods:
-        print(f"t{args.k}_{m} {_ENERGY_METHODS[m][0](f, args.k):.12g}")
+    values = {m: _finite(f"t{args.k}_{m}", lambda: _ENERGY_METHODS[m][0](f, args.k))
+              for m in methods}
+    for m, value in values.items():
+        print(f"t{args.k}_{m} {value:.12g}")
     return 0
 
 
@@ -274,7 +293,7 @@ def main(argv=None) -> int:
         offered = {k: f" with {flag}" for flag, k in _CAP_FLAGS.items() if k in vars(args)}
         print(f"budget error: {exc}{offered.get(exc.knob, '')}", file=sys.stderr)
         return 3
-    except (FileFormatError, OSError, ValueError) as exc:
+    except (FileFormatError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

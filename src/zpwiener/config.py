@@ -77,8 +77,9 @@ LINE_DENSITY_CONST = 4.0    # line search requires density >= const/p
 # the temporaries do not raise a process's peak memory
 ARRAY_CHUNK = 1 << 15
 
-# complex cells in one slab of `magnitudes` (1 MiB): smaller slabs pay numpy's
-# per-call cost more often, larger ones raise a process's peak memory
+# complex cells in one slab of the |fhat| slab path and in one stack of
+# `fourier._dense_tables` (1 MiB): smaller slabs pay numpy's per-call cost
+# more often, larger ones raise a process's peak memory
 SLAB_CELLS = 1 << 16
 
 # complex cells from which a table's axis transforms are shared between two

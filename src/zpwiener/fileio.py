@@ -23,16 +23,20 @@ FORMAT_VERSION = 1
 
 
 def _atomic_write(path: str, pieces: Iterable[str]) -> None:
-    """Write the pieces of text in order, each as it comes, then rename."""
+    """Write the pieces of text in order, each as it comes, then rename; an
+    OSError names `path`, with its errno, and never the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-zpw-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-zpw-")
         with os.fdopen(fd, "w") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

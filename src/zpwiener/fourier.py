@@ -6,26 +6,24 @@ Conventions, fixed everywhere:
     f(x)     = sum_xi fhat(xi) * exp(+2*pi*i * (xi . x) / p)
     wiener_norm(f) = sum_xi |fhat(xi)|
 
-The transforms are numpy's pocketfft, at any length.  `dft` makes the calls
-`np.fft.fftn` makes, one `np.fft.fft` per axis from the last to the first,
-without its bookkeeping.  At d >= 2, when fewer than half the last-axis lines
-could hold a point (2 |supp f| < p^{d-1}), the first call transforms only the
-lines that do and fills the empty ones with the transform of a zero line:
-the same per-line work, so the table is the one `fftn` gives bit for bit,
-signed zeros included.  Every axis is transformed in place (`out=`, numpy
->= 2.0), so a transform holds one complex p^d table.  The Wiener norm,
-spectral T_k and the separation bound read only |fhat|: `magnitudes` returns
-it as a float64 table, bit for bit `np.abs` of `dft`'s, and below the switch
-builds it one slab of last-axis columns at a time, with no complex p^d table.
-Above the switch, the tables of several functions of one group are
-transformed as one stack (`_dense_tables`): pocketfft transforms each line
-on its own, so a line gets the same bits in a stack as alone, and
-`wiener_norms` pays numpy's per-call cost once a stack, not once a function.
+The transforms are numpy's pocketfft, at any length.  `dft` is `np.fft.fftn`
+bit for bit: the same calls, one `np.fft.fft` per axis from the last to the
+first, without its bookkeeping, each in place (`out=`, numpy >= 2.0), so a
+transform holds one complex p^d table.  The Wiener norm, spectral T_k and the
+separation bound read only |fhat|, and one planner, `_magnitude_stacks`,
+picks how it is computed (`magnitudes` is its row for one function).  A
+table larger than one slab whose points can fill fewer than half its
+last-axis lines takes the slab path, the only one that skips empty lines:
+it builds |fhat| one slab of last-axis columns at a time, with no complex p^d
+table.  Every other table is transformed whole, those of one group as one
+stack (`_dense_tables`): pocketfft transforms each line on its own, so a line
+gets the same bits in a stack as alone, and numpy's per-call cost is paid
+once a stack, not once a function.
 On a machine that lets the process run on two cores, large transforms share
-their work with one pool thread (`_claimed`): the slabs of `magnitudes`, and
-chunks of the lines of each axis call of the tables.  Each line is still one
-pocketfft call and each |.| is still taken cell by cell, so every byte is the
-one the calling thread alone computes.
+their work with one pool thread (`_claimed`): the slabs of the slab path,
+and chunks of the lines of each axis call of the tables.  Each line is still
+one pocketfft call and each |.| is still taken cell by cell, so every byte
+is the one the calling thread alone computes.
 The quadratic-time transform, tensorized axis by axis, is the oracle
 `dft_naive` that tests compare against; it reduces every phase exponent mod p
 before touching floating point, so angles stay in (-2*pi, 0].
@@ -339,8 +337,7 @@ def _fft_axis(arr: np.ndarray, axis: int) -> None:
 
 def _dft1d_fast(values: np.ndarray) -> np.ndarray:
     """Unnormalized transform along the last axis: X[k] = sum_n v[n] w^{kn}."""
-    # Only the acceptance ladder calls this; `dft` transforms the occupied
-    # last-axis lines itself (see _occupied_lines).
+    # Only the acceptance ladder calls this.
     return np.fft.fft(values, axis=-1)
 
 
@@ -387,21 +384,15 @@ def _occupied_lines(f: SparseFunction) -> tuple[np.ndarray, np.ndarray]:
     return rows, prefixes @ (p ** np.arange(d - 2, -1, -1, dtype=np.int64))
 
 
-def _sparse_lines(ctx: GroupContext, n: int) -> bool:
-    """Whether fewer than half the last-axis lines can hold one of n points."""
-    return 2 * n < ctx.size // ctx.p
-
-
 def _dense_tables(ctx: GroupContext, functions) -> Iterator[tuple[int, np.ndarray]]:
-    """The complex tables of `dft`'s dense path for a list of functions of
-    ctx, stacked: yields (start, stack), stack[i] the table of
-    functions[start + i].
+    """The complex tables of a list of functions of ctx, stacked: yields
+    (start, stack), stack[i] the table of functions[start + i].
 
     A stack holds at most SLAB_CELLS cells, or one function whose table is
     larger.  Its tables are filled from the entries and transformed in place
-    along axes d, ..., 1 of the stack, the calls `dft` makes on one table:
-    pocketfft transforms each line on its own, so a table's bits do not
-    depend on what it is stacked with.
+    along axes d, ..., 1 of the stack, the calls `np.fft.fftn` makes on one
+    table: pocketfft transforms each line on its own, so a table's bits do
+    not depend on what it is stacked with.
     """
     ctx.check_dense_budget()
     p, d, size = ctx.p, ctx.d, ctx.size
@@ -419,49 +410,30 @@ def _dense_tables(ctx: GroupContext, functions) -> Iterator[tuple[int, np.ndarra
         yield lo, stack
 
 
-def _dense_magnitudes(ctx: GroupContext, functions) -> Iterator[tuple[int, np.ndarray]]:
-    """|.| of each stack of `_dense_tables`, taken once a stack, as
-    (start, (n, p^d) float64 array) with rows in C order."""
-    for lo, stack in _dense_tables(ctx, functions):
-        yield lo, np.abs(stack).reshape(len(stack), -1)
-
-
 def dft(f: SparseFunction) -> Spectrum:
-    """Forward transform over all d axes: `np.fft.fftn`'s calls, the last
-    axis first, then each axis before it, all in place in one table."""
-    ctx = f.ctx
-    if not _sparse_lines(ctx, len(f)):
-        return Spectrum(ctx, next(_dense_tables(ctx, [f]))[1][0])
-    rows, at = _occupied_lines(f)
-    arr = np.empty((ctx.size // ctx.p, ctx.p), dtype=np.complex128)
-    arr[:] = rows[-1]
-    arr[at] = rows[:-1]
-    arr = arr.reshape((ctx.p,) * ctx.d)
-    for axis in range(ctx.d - 2, -1, -1):
-        _fft_axis(arr, axis)
-    return Spectrum(ctx, arr)
+    """Forward transform over all d axes, `np.fft.fftn` bit for bit: the one
+    table of `_dense_tables`."""
+    return Spectrum(f.ctx, next(_dense_tables(f.ctx, [f]))[1][0])
 
 
 def magnitudes(f: SparseFunction) -> np.ndarray:
     """|fhat| as a C-order float64 table, `np.abs(dft(f).coefficients)` bit
-    for bit.
+    for bit: the row `_magnitude_stacks` gives f."""
+    return next(_magnitude_stacks([f]))[1].reshape((f.ctx.p,) * f.ctx.d)
 
-    Below `dft`'s switch, on a table larger than one slab, no complex p^d
-    table is made: each block of `width` last-axis columns is filled from the
-    occupied lines' transforms into a slab of about SLAB_CELLS cells (half
-    that on each of two threads, see `_claimed`), stored column by column,
-    transformed in place along axes d-2 ... 0 (the per-line calls `dft`
-    makes) and only its magnitudes are kept.  Above the switch,
-    every d = 1 function included, it is the row of `_dense_magnitudes`;
-    below it, on tables of one slab or less, `np.abs(dft(f).coefficients)`.
+
+def _slab_magnitudes(f: SparseFunction) -> np.ndarray:
+    """|fhat| as a (p^{d-1}, p) float64 table, with no complex p^d table.
+
+    Each block of `width` last-axis columns is filled from the occupied
+    lines' transforms into a slab of about SLAB_CELLS cells (half that on
+    each of two threads, see `_claimed`), stored column by column,
+    transformed in place along axes d-2 ... 0 (the per-line calls `fftn`
+    makes) and only its magnitudes are kept.
     """
     ctx = f.ctx
     p, d = ctx.p, ctx.d
-    if not _sparse_lines(ctx, len(f)):  # every d = 1 function
-        return next(_dense_magnitudes(ctx, [f]))[1].reshape((p,) * d)
     lines = ctx.size // p
-    if SLAB_CELLS // lines >= p:
-        return np.abs(dft(f).coefficients)
     rows, at = _occupied_lines(f)
     width = max(1, SLAB_CELLS // _THREADS // lines)  # the threads share one slab's cells
     out = np.empty((lines, p))
@@ -487,30 +459,34 @@ def magnitudes(f: SparseFunction) -> np.ndarray:
         return task
 
     _claimed(-(-p // width), make_task)
-    return out.reshape((p,) * d)
+    return out
 
 
 def _magnitude_stacks(functions: list) -> Iterator[tuple[list[int], np.ndarray]]:
     """|fhat| of each function, as (indices, (n, p^d) float64 array) whose
-    row j is `magnitudes(functions[indices[j]])` flattened in C order, bit
-    for bit.
+    row j is `np.abs(dft(functions[indices[j]]).coefficients)` flattened in
+    C order, bit for bit; the one place that picks how |fhat| is computed.
 
     The functions are grouped by their group, in order of first appearance.
-    A group's functions above `dft`'s switch come in the stacks of
-    `_dense_magnitudes`; the rest, below the switch, one at a time from
-    `magnitudes`.  A group's dense-budget check comes before any of its
-    transforms.
+    A function whose table is larger than one slab, and whose points can
+    fill fewer than half its last-axis lines, takes the slab path
+    (`_slab_magnitudes`).  Every other one, empty d = 1 functions included,
+    comes in its group's stacks of `_dense_tables`, |.| taken once a stack;
+    a group with none makes no stack.  A group's dense-budget check comes
+    before any of its transforms.
     """
     groups: dict[GroupContext, list[int]] = {}
     for i, f in enumerate(functions):
         groups.setdefault(f.ctx, []).append(i)
     for ctx, idx in groups.items():
-        dense = [i for i in idx if not _sparse_lines(ctx, len(functions[i]))]
-        for lo, mags in _dense_magnitudes(ctx, [functions[i] for i in dense]):
-            yield dense[lo : lo + len(mags)], mags
-        for i in idx:
-            if _sparse_lines(ctx, len(functions[i])):
-                yield [i], magnitudes(functions[i]).reshape(1, -1)
+        lines = ctx.size // ctx.p
+        sliced = [i for i in idx if ctx.size > SLAB_CELLS and 2 * len(functions[i]) < lines]
+        dense = [i for i in idx if i not in sliced]
+        if dense:
+            for lo, stack in _dense_tables(ctx, [functions[i] for i in dense]):
+                yield dense[lo : lo + len(stack)], np.abs(stack).reshape(len(stack), -1)
+        for i in sliced:
+            yield [i], _slab_magnitudes(functions[i]).reshape(1, -1)
 
 
 def dft_naive(f: SparseFunction) -> Spectrum:

@@ -620,3 +620,45 @@ def test_eval_spectrum_of_an_empty_function(tmp_path, monkeypatch, capsys, d):
     coefficients = records[1:]
     assert [tuple(r["xi"]) for r in coefficients] == list(GroupContext(5, d).points())
     assert all(r["re"] == 0 and r["im"] == 0 for r in coefficients)
+
+
+@pytest.mark.parametrize("argv", [["verify", "banach", "--count", "1", "--output"],
+                                  ["eval", "f.txt", "--spectrum"]])
+def test_write_errors_name_the_given_path(tmp_path, monkeypatch, capsys, argv):
+    # the error is the one of the temporary file, named by the path asked for
+    monkeypatch.chdir(tmp_path)
+    write_file(tmp_path, "f.txt", GroupContext(5), {1: 1.0})
+    (tmp_path / "out").mkdir()
+    for target, errno in ((str(tmp_path / "missing" / "r.jsonl"), 2), ("out", 21)):
+        assert main(argv + [target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [Errno {errno}] ") and err.endswith(f": '{target}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,label",
+    [
+        (["eval", "big.txt"], "l2"),  # |1e200|^2
+        (["eval", "big.txt", "--spectrum", "s.jsonl"], "l2"),
+        (["energy", "--input", "big.txt", "--k", "1"], "t1_direct"),
+        (["energy", "--input", "big.txt", "--k", "2"], "t2_direct"),
+        (["energy", "--input", "big.txt", "--k", "2", "--method", "spectral"], "t2_spectral"),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_float_overflow_exits_2(tmp_path, monkeypatch, capsys, argv, label):
+    monkeypatch.chdir(tmp_path)
+    write_file(tmp_path, "big.txt", GroupContext(101), {0: 1e200})
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {label} overflows float64\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
+
+def test_arithmetic_bugs_are_not_usage_errors(tmp_path, monkeypatch):
+    # main maps an overflow to exit 2, but not every ArithmeticError
+    path = write_file(tmp_path, "s.txt", GroupContext(5), {0: 1.0})
+    monkeypatch.setitem(cli._ENERGY_METHODS, "direct", (lambda g, k: 1 / 0, "op_budget"))
+    with pytest.raises(ZeroDivisionError):
+        main(["energy", "--input", path, "--k", "2"])

@@ -287,8 +287,8 @@ def test_one_dim_dft_is_fftn_bit_for_bit(p):
 
 
 def _switch_supports(p, d):
-    """Supports around dft's switch: empty, one point, one full last-axis
-    line, and just below and at 2 |supp| = p^{d-1}."""
+    """Supports around the slab path's line count: empty, one point, one
+    full last-axis line, and just below and at 2 |supp| = p^{d-1}."""
     ctx = GroupContext(p, d)
     rng = np.random.default_rng(p * d)
     at = (p ** (d - 1) + 1) // 2
@@ -355,8 +355,8 @@ def test_magnitudes_is_abs_fftn_bit_for_bit(p, d, slab, monkeypatch):
 
 
 def _norm_functions(p, d, rng):
-    """Functions of Z_p^d on both sides of dft's switch: empty, one point,
-    below the switch (d >= 2), at it, and a denser one."""
+    """Functions of Z_p^d on both sides of the slab path's line count:
+    empty, one point, below it (d >= 2), at it, and a denser one."""
     ctx = GroupContext(p, d)
     at = (p ** (d - 1) + 1) // 2
     sizes = {0, 1, at, max(at, min(ctx.size // 4, 2000))} | ({at - 1} if d >= 2 else set())
@@ -410,6 +410,33 @@ def test_wiener_norms_across_slab_chunks(p, d, per, monkeypatch):
     assert calls == [7]  # one call for the group, which makes stacks of per
 
 
+def test_one_slab_of_any_support_is_stacked(monkeypatch):
+    # an empty table, a sparse one and a dense one of one group, each of one
+    # slab or less, come from one stack of _dense_tables
+    ctx = GroupContext(11, 2)
+    rng = np.random.default_rng(11)
+    fs = [SparseFunction(ctx, {}), SparseFunction.indicator(ctx, _rand_points(rng, ctx, 3)),
+          SparseFunction.indicator(ctx, _rand_points(rng, ctx, 60))]
+    want = [float(np.abs(np.fft.fftn(f.to_dense(), norm="forward")).sum()) for f in fs]
+    stacks = []
+    dense = fourier._dense_tables
+    monkeypatch.setattr(fourier, "_dense_tables",
+                        lambda c, gs: (stacks.append(len(t)) or (lo, t) for lo, t in dense(c, gs)))
+    assert _bits(wiener_norms(fs)) == _bits(want)
+    assert stacks == [3]
+
+
+@pytest.mark.parametrize("p,d", [(101, 2), (257, 2), (11, 3), (101, 3)])
+def test_dft_never_skips_empty_lines(p, d, monkeypatch):
+    # only the slab path of |fhat| transforms the occupied lines alone
+    monkeypatch.setattr(fourier, "_occupied_lines", lambda g: pytest.fail("_occupied_lines"))
+    ctx, rng, supports = _switch_supports(p, d)
+    for name in ("empty", "one", "below"):
+        f = SparseFunction.indicator(ctx, supports[name])
+        want = np.fft.fftn(f.to_dense(), norm="forward")
+        assert dft(f).coefficients.tobytes() == want.tobytes(), name
+
+
 def test_wiener_norms_refuses_as_the_first_refusing_norm():
     rng = np.random.default_rng(3)
     fs = [SparseFunction.indicator(GroupContext(p, d), _rand_points(rng, GroupContext(p, d), 3))
@@ -424,7 +451,9 @@ def test_wiener_norms_refuses_as_the_first_refusing_norm():
     assert "p^d = 101 " in str(first.value)
 
 
-def test_dft_below_the_switch_builds_no_dense_input(monkeypatch):
+def test_sparse_inputs_transform_without_to_dense(monkeypatch):
+    # the transforms fill their tables from the entries; to_dense is the
+    # tests' reference fill, kept apart
     ctx, _, supports = _switch_supports(11, 3)
     f = SparseFunction.indicator(ctx, supports["below"])
     small = SparseFunction.indicator(ctx, supports["below"][:4])  # |A| < sqrt(2p)
@@ -474,10 +503,10 @@ def test_transforms_hold_one_table_at_a_time():
     assert _peak_bytes_per_cell(lambda g: energy.t_k_spectral(g, 2), sparse) <= 17
 
 
-def test_dft_below_the_switch_keeps_the_dense_budget():
+def test_sparse_inputs_keep_the_dense_budget():
     ctx = GroupContext(11, 3)
     f = SparseFunction.indicator(ctx, [(0, 0, 1), (4, 2, 9)])
-    assert 2 * len(f) < 11**2  # the occupied-lines path
+    assert 2 * len(f) < 11**2  # two points: still a table of p^d cells
     with using(ToolConfig(dense_budget=11**3 - 1)):
         with pytest.raises(BudgetError, match="dense_budget"):
             dft(f)
