@@ -58,17 +58,19 @@ def _emit(records, output) -> None:
         sys.stdout.write(dump_records(records))
 
 
-def _finite(label: str, compute) -> float:
-    """compute(), refused with an OverflowError that names label unless it
-    is finite; numpy's overflow warnings are silenced, as the check covers them."""
+def _finite(labels: str, compute):
+    """compute(), one float for each space-separated label, refused with an
+    OverflowError that names the first label whose value is not finite;
+    numpy's overflow warnings are silenced, as the check covers them."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             value = compute()
-        if np.isfinite(value):
-            return value
     except OverflowError:
-        pass
-    raise OverflowError(f"{label} overflows float64")
+        value = np.inf
+    for label, v in zip(labels.split(), np.atleast_1d(value)):
+        if not np.isfinite(v):
+            raise OverflowError(f"{label} overflows float64")
+    return value
 
 
 def cmd_eval(args) -> int:
@@ -166,7 +168,7 @@ _REDUCTIONS = {
 def cmd_reduce(args) -> int:
     f = read_function_file(args.input)
     records, g = _REDUCTIONS[args.mode][0](f)
-    before, after = wiener_norms([f, g])
+    before, after = _finite("norm_before norm_after", lambda: wiener_norms([f, g]))
     records[-1].update(norm_before=before, norm_after=after)
     if args.mode == "dirichlet":
         print(f"q {records[-1]['q']}")

@@ -79,12 +79,8 @@ ARRAY_CHUNK = 1 << 15
 
 # complex cells in one slab of the |fhat| slab path and in one stack of
 # `fourier._dense_tables` (1 MiB): smaller slabs pay numpy's per-call cost
-# more often, larger ones raise a process's peak memory
+# more often, larger ones raise a process's peak memory.  Tables larger than a
+# slab share their axis transforms between two threads (`fourier._fft_axis`);
+# on 2 vCPUs that took 0.57-0.68 of the serial time from 3*10^4 cells, and
+# 0.8-1.14 at 10^4 cells
 SLAB_CELLS = 1 << 16
-
-# complex cells from which a table's axis transforms are shared between two
-# threads (`fourier._fft_axis`), in chunks of half as many cells.  On 2 vCPUs
-# two threads took 0.57-0.68 of the serial time from 3*10^4 cells on, but at
-# 10^4 cells 0.8 in a quiet spell and 1.06-1.14 in a busy one; 2^16 also
-# keeps every table of the benchmark's search and harness workloads serial
-THREAD_CELLS = 1 << 16

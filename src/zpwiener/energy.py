@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import ARRAY_CHUNK, _check_work, active
 from .errors import BudgetError
-from .fourier import SparseFunction, magnitudes
+from .fourier import SparseFunction, _magnitude_stacks
 from .groups import (
     _CODE_LIMIT,
     GroupContext,
@@ -245,20 +245,26 @@ def t_k_int_set(points: Iterable[int], k: int) -> float:
 
 
 def t_k_spectral(g: SparseFunction, k: int) -> float:
-    """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}."""
-    if k < 1:
+    """T_k via |G|^{2k-1} * sum_xi |ghat(xi)|^{2k}; g's row of `_t_k_spectrals`."""
+    return _t_k_spectrals([g], [k])[0]
+
+
+def _t_k_spectrals(functions: list, ks: list[int]) -> list[float]:
+    """`[t_k_spectral(g, k) for g, k in zip(functions, ks)]`, |ghat| from the
+    stacks of `_magnitude_stacks`, so the functions may live on different
+    groups; every k is checked before any transform.  |G| is folded into
+    each coefficient first: |G|^{2k-1} alone can exceed the float range when
+    the sum itself does not."""
+    if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    return _t_k_from_magnitudes(magnitudes(g).ravel(order="C"), g.ctx.size, k)
-
-
-def _t_k_from_magnitudes(mags: np.ndarray, size: int, k: int) -> float:
-    """|G|^{2k-1} * sum |ghat|^{2k} from the flat table of |ghat|, which it
-    overwrites; the last step of `t_k_spectral`."""
-    # |G| is folded into each coefficient first: |G|^{2k-1} alone can exceed
-    # the float range when the sum itself does not
-    mags *= size
-    mags **= 2 * k
-    return float(mags.sum() / size)
+    out = [0.0] * len(functions)
+    for at, mags in _magnitude_stacks(functions):
+        for i, row in zip(at, mags):
+            size = functions[i].ctx.size
+            row *= size
+            row **= 2 * ks[i]
+            out[i] = float(row.sum() / size)
+    return out
 
 
 def t_k_enumerated(g: SparseFunction, k: int) -> float:

@@ -109,22 +109,19 @@ def report_header(tool_version: str, config: dict) -> dict:
 
 
 # the canonical JSON of report records and of instance digests: sorted keys,
-# no spaces; built once, where json.dumps would build an encoder every call
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _dumps(record: dict) -> str:
-    return _CANONICAL.encode(record)
+# no spaces, and no Infinity or NaN, which are not JSON (a ValueError); built
+# once, where json.dumps would build an encoder every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dump_records(records: Iterable[dict]) -> str:
-    return "\n".join(map(_dumps, records)) + "\n"
+    return "\n".join(map(_CANONICAL.encode, records)) + "\n"
 
 
 def write_report_file(path: str, records: Iterable[dict]) -> None:
     """One line a record, as dump_records joins them, each written as it
     comes: given a generator, the records are never all held at once."""
-    _atomic_write(path, (_dumps(r) + "\n" for r in records))
+    _atomic_write(path, (_CANONICAL.encode(r) + "\n" for r in records))
 
 
 def read_report_file(path: str) -> list[dict]:

@@ -21,9 +21,9 @@ gets the same bits in a stack as alone, and numpy's per-call cost is paid
 once a stack, not once a function.
 On a machine that lets the process run on two cores, large transforms share
 their work with one pool thread (`_claimed`): the slabs of the slab path,
-and chunks of the lines of each axis call of the tables.  Each line is still
-one pocketfft call and each |.| is still taken cell by cell, so every byte
-is the one the calling thread alone computes.
+and chunks of the lines of each axis call of a table larger than one slab.
+Each line is still one pocketfft call and each |.| is still taken cell by
+cell, so every byte is the one the calling thread alone computes.
 The quadratic-time transform, tensorized axis by axis, is the oracle
 `dft_naive` that tests compare against; it reduces every phase exponent mod p
 before touching floating point, so angles stay in (-2*pi, 0].
@@ -39,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import SLAB_CELLS, THREAD_CELLS, ZERO_CLAMP
+from .config import SLAB_CELLS, ZERO_CLAMP
 from .errors import BudgetError
 from .groups import GroupContext, Point, _codes
 
@@ -231,6 +231,7 @@ class _Claims:
         self, n: int, make_task: Callable[[], Callable[[int], None]], caller_cores: frozenset
     ):
         self.make_task, self.caller_cores = make_task, caller_cores
+        self.fp_errors = np.geterr()  # the caller's np.errstate, which is per thread
         self.lo, self.hi = 0, n  # tasks lo ... hi - 1 are unclaimed
         self.lock = threading.Lock()
         self.started = self.closed = False  # the pool thread's drain
@@ -268,7 +269,8 @@ class _Claims:
             self.started = True
         try:
             _run_away_from(self.caller_cores)
-            self.drain(from_back=True)
+            with np.errstate(**self.fp_errors):
+                self.drain(from_back=True)
         finally:
             self.finished.set()
 
@@ -308,19 +310,19 @@ def _claimed(n: int, make_task: Callable[[], Callable[[int], None]]) -> None:
 
 
 def _fft_axis(arr: np.ndarray, axis: int) -> None:
-    """`np.fft.fft(arr, axis=axis, norm="forward", out=arr)`; a table of
-    THREAD_CELLS cells or more is cut along its longest other axis into
-    chunks of about THREAD_CELLS / 2 cells, which `_claimed` shares out.
+    """`np.fft.fft(arr, axis=axis, norm="forward", out=arr)`; a table larger
+    than one slab (a lone table: a stack holds at most one slab) is cut along
+    its longest other axis into chunks of about half a slab, for `_claimed`.
 
     pocketfft transforms each line on its own, so the bits do not depend on
     the chunk a line is in.
     """
-    if _THREADS < 2 or arr.size < THREAD_CELLS:
+    if _THREADS < 2 or arr.size <= SLAB_CELLS:
         np.fft.fft(arr, axis=axis, norm="forward", out=arr)
         return
     split = max((a for a in range(arr.ndim) if a != axis), key=arr.shape.__getitem__)
     length = arr.shape[split]
-    step = -(-length // min(length, max(2, 2 * arr.size // THREAD_CELLS)))
+    step = -(-length // min(length, max(2, 2 * arr.size // SLAB_CELLS)))
     lead = (slice(None),) * split
 
     def task(i):

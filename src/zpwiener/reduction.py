@@ -75,9 +75,22 @@ def _multiples_table(p: int, d: int) -> np.ndarray:
     return table
 
 
-def _scan_hyperplanes(arrs: list[np.ndarray], ctx: GroupContext) -> list[BalanceReport]:
-    """The scan of find_balanced_hyperplane, on each array of distinct points
-    of ctx in arrs.
+def _scan_hyperplanes(sets: list[tuple[GroupContext, np.ndarray]]) -> list[BalanceReport]:
+    """The scan of find_balanced_hyperplane on each (ctx, array of distinct
+    points of ctx) pair, in order: `_scan_group` on each group, in order of
+    first appearance.  A budget depends only on the group, so a refusal is
+    the one the first refusing set gives alone."""
+    groups: dict[GroupContext, list[int]] = {}
+    for i, (ctx, _) in enumerate(sets):
+        groups.setdefault(ctx, []).append(i)
+    found = {}
+    for ctx, idx in groups.items():
+        found.update(zip(idx, _scan_group(ctx, [sets[i][1] for i in idx])))
+    return [found[i] for i in range(len(sets))]
+
+
+def _scan_group(ctx: GroupContext, arrs: list[np.ndarray]) -> list[BalanceReport]:
+    """The hyperplane scan of each array of distinct points of ctx in arrs.
 
     Projection-slice: with F the transform of the indicator of A, the count
     of A on {x . eta = u} is the inverse transform over t of t -> F(t eta)
@@ -168,7 +181,7 @@ def find_balanced_hyperplane(points: Iterable, ctx: GroupContext) -> BalanceRepo
     transforms a table of p^d <= dense_budget cells and counts r p <= op_budget
     (direction, u) pairs, r = (p^d - 1)/(p - 1), with the budgets in force.
     """
-    return _scan_hyperplanes([_scan_points(points, ctx)], ctx)[0]
+    return _scan_hyperplanes([(ctx, _scan_points(points, ctx))])[0]
 
 
 @dataclass(frozen=True)
@@ -216,7 +229,7 @@ def find_balanced_line(points: Iterable, ctx: GroupContext) -> LineSearchResult:
     composed_bound = 0.0
     for dim in range(ctx.d, 1, -1):
         cur_ctx = GroupContext(p, dim)
-        report = _scan_hyperplanes([cur], cur_ctx)[0]
+        report = _scan_hyperplanes([(cur_ctx, cur)])[0]
         steps.append(report)
         composed_bound += report.bound / p ** (dim - 1)
         eta, u = report.found.eta, report.found.u

@@ -22,7 +22,7 @@ from .config import active
 from .energy import (
     ScatteredFamily,
     _indicator_t2,
-    _t_k_from_magnitudes,
+    _t_k_spectrals,
     additive_dimension,
     level_index,
     level_sets,
@@ -33,7 +33,7 @@ from .energy import (
 )
 from .errors import BudgetError
 from .fileio import _CANONICAL
-from .fourier import SparseFunction, _magnitude_stacks, dft_naive, wiener_norm, wiener_norms
+from .fourier import SparseFunction, dft_naive, wiener_norm, wiener_norms
 from .groups import GroupContext, Line, _decode, enumerate_directions
 from .reduction import _scan_hyperplanes, _scan_points, restrict_to_line
 
@@ -201,11 +201,12 @@ class CheckDef:
     """A registered check: `evaluate` takes a list of instances and returns
     their reports in order.
 
-    A list is evaluated at once: its norms come from one `wiener_norms` call,
-    its scans from one `_scan_hyperplanes` call per group, its T_2 counts
-    from `_indicator_t2`, so each transform serves a stack of instances of
-    one group.  Of the budget refusals, a list raises the one its first
-    refusing instance gives alone.
+    A list is evaluated at once: its norms, spectral T_k, scans and T_2
+    counts each come from one call (`wiener_norms`, `_t_k_spectrals`,
+    `_scan_hyperplanes`, `_indicator_t2`), which groups what it is given by
+    group, so each transform serves a stack of instances of one group.  Of
+    the budget refusals, a list raises the one its first refusing instance
+    gives alone.
     """
 
     evaluate: Callable[[list[dict]], list[VerificationReport]]
@@ -300,17 +301,12 @@ def _gen_complement(rng, count):
 
 
 def _eval_tk_identity(insts):
-    fs = [_fn_from(inst) for inst in insts]
-    direct = [t_k_direct(f, inst["k"]) for inst, f in zip(insts, fs)]
-    # t_k_spectral's last step on the rows of stacked transforms
-    spectral = [0.0] * len(fs)
-    for at, mags in _magnitude_stacks(fs):
-        for i, row in zip(at, mags):
-            spectral[i] = _t_k_from_magnitudes(row, fs[i].ctx.size, insts[i]["k"])
+    fs, ks = [_fn_from(inst) for inst in insts], [inst["k"] for inst in insts]
+    direct = [t_k_direct(f, k) for f, k in zip(fs, ks)]
     tol = active().energy_tol
     return [
         _identity("tk-identity", lhs, rhs, tol, inst)
-        for inst, lhs, rhs in zip(insts, direct, spectral)
+        for inst, lhs, rhs in zip(insts, direct, _t_k_spectrals(fs, ks))
     ]
 
 
@@ -447,21 +443,12 @@ def _gen_line_monotone(rng, count):
 
 
 def _eval_hyperplane_balance(insts):
-    # find_balanced_hyperplane on each instance, one stacked scan a group
-    groups: dict[GroupContext, list[int]] = {}
-    arrs = []
-    for i, inst in enumerate(insts):
-        ctx, pts = _points_from(inst)
-        arrs.append(_scan_points(pts, ctx))
-        groups.setdefault(ctx, []).append(i)
-    found = [None] * len(insts)
-    for ctx, idx in groups.items():
-        for i, report in zip(idx, _scan_hyperplanes([arrs[i] for i in idx], ctx)):
-            found[i] = report
+    # find_balanced_hyperplane on each instance, in one scan
+    sets = [(ctx, _scan_points(pts, ctx)) for ctx, pts in map(_points_from, insts)]
     tol = active().norm_tol
     return [
         _one_sided("hyperplane-balance", report.bound, report.deviation, tol, inst)
-        for inst, report in zip(insts, found)
+        for inst, report in zip(insts, _scan_hyperplanes(sets))
     ]
 
 
@@ -613,6 +600,13 @@ def monitor(name: str, instance: dict) -> MonitorRecord:
 # ---------------------------------------------------------------------------
 
 
+def _scan_rows(p: int, structure: str, sizes, norms) -> list[ScanRow]:
+    """The rows of sets of the given sizes and Wiener norms."""
+    logs = [math.log(size) for size in sizes]
+    return [ScanRow(p, size, structure, norm, log, norm / log if size >= 2 else None)
+            for size, norm, log in zip(sizes, norms, logs)]
+
+
 def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
     """Wiener norms of symmetric progressions A = {-n..n} mod p.
 
@@ -630,13 +624,7 @@ def ap_scan(p: int, ns: list[int], method: str = "fast") -> list[ScanRow]:
             raise ValueError(f"|A| = {2 * n + 1} violates the hypothesis |A| < p/2")
     fs = [SparseFunction.indicator(ctx, range(-n, n + 1)) for n in ns]
     norms = wiener_norms(fs) if method == "fast" else [dft_naive(f).l1 for f in fs]
-    rows = []
-    for n, norm in zip(ns, norms):
-        size = 2 * n + 1
-        log_size = math.log(size)
-        ratio = norm / log_size if size >= 2 else None
-        rows.append(ScanRow(p, size, "ap", norm, log_size, ratio))
-    return rows
+    return _scan_rows(p, "ap", [2 * n + 1 for n in ns], norms)
 
 
 def random_set_scan(p: int, sizes: list[int], seed: int = 0) -> list[ScanRow]:
@@ -647,9 +635,4 @@ def random_set_scan(p: int, sizes: list[int], seed: int = 0) -> list[ScanRow]:
             raise ValueError(f"size {size} must satisfy 1 <= size < p/2")
     rng = np.random.default_rng(seed)
     fs = [SparseFunction.indicator(ctx, _rand_points(rng, ctx, size)) for size in sizes]
-    rows = []
-    for size, norm in zip(sizes, wiener_norms(fs)):
-        log_size = math.log(size)
-        ratio = norm / log_size if size >= 2 else None
-        rows.append(ScanRow(p, size, "random", norm, log_size, ratio))
-    return rows
+    return _scan_rows(p, "random", sizes, wiener_norms(fs))

@@ -12,16 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zpwiener import cli
+from zpwiener import cli, verify
 from zpwiener.cli import build_parser, main
 from zpwiener.config import DEFAULT_CONFIG, ToolConfig, using
 from zpwiener.energy import additive_dimension, is_dissociated, t_k_direct
 from zpwiener.errors import BudgetError
 from zpwiener.fileio import (
+    dump_records,
     dump_scan_csv,
     read_function_file,
     read_report_file,
     write_function_file,
+    write_report_file,
 )
 from zpwiener.fourier import SparseFunction
 from zpwiener.groups import GroupContext, enumerate_directions
@@ -654,6 +656,34 @@ def test_float_overflow_exits_2(tmp_path, monkeypatch, capsys, argv, label):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {label} overflows float64\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
+
+@pytest.mark.parametrize(
+    "mode,ctx,points",
+    [("dirichlet", GroupContext(5), [1, 2]),
+     ("separating-map", GroupContext(101, 2), [(0, 0), (0, 1)])],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reduce_refuses_norms_that_overflow(tmp_path, monkeypatch, capsys, mode, ctx, points):
+    # 2e308 overflows in the transform: inf, or nan once inf - inf is taken
+    monkeypatch.chdir(tmp_path)
+    write_file(tmp_path, "big.txt", ctx, {x: 1e308 for x in points})
+    assert main(["reduce", mode, "--input", "big.txt", "--output", "r.jsonl"]) == 2
+    assert capsys.readouterr() == ("", "error: norm_before overflows float64\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_reports_refuse_values_that_are_not_json(tmp_path, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    records = [{"record": "check", "lhs": 1.0}, {"record": "check", "lhs": value}]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_report_file("r.jsonl", records)
+    assert list(tmp_path.iterdir()) == []  # neither the report nor its temporary
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_records(records)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        verify.digest({"p": 5, "entries": [{"x": [1], "re": value, "im": 0.0}]})
 
 
 def test_arithmetic_bugs_are_not_usage_errors(tmp_path, monkeypatch):

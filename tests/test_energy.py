@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpwiener import energy, groups
-from zpwiener.config import ARRAY_CHUNK, ToolConfig, using
+from zpwiener import energy, fourier, groups
+from zpwiener.config import ARRAY_CHUNK, SLAB_CELLS, ToolConfig, using
 from zpwiener.energy import (
     additive_dimension,
     build_scattered_family,
@@ -99,6 +99,46 @@ def test_t_k_multidim():
         direct = t_k_direct(f, k)
         assert t_k_spectral(f, k) == pytest.approx(direct, rel=1e-9)
         assert t_k_enumerated(f, k) == pytest.approx(direct, rel=1e-9)
+
+
+def _spectral_functions(rng):
+    """Functions of Z_101, Z_11^2 and Z_263^2, and empty ones of Z_101 and
+    Z_263^2; the two of Z_263^2, tables past one slab whose points fill
+    fewer than half the lines, take the slab path."""
+    fs = []
+    for ctx, n in ((GroupContext(101), 7), (GroupContext(11, 2), 30), (GroupContext(263, 2), 4),
+                   (GroupContext(101), 0), (GroupContext(263, 2), 0)):
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fs.append(SparseFunction(ctx, dict(zip(_rand_points(rng, ctx, n), vals))))
+    assert 263**2 > SLAB_CELLS
+    return fs
+
+
+def test_batched_spectral_t_k_is_t_k_spectral_bit_for_bit(monkeypatch):
+    fs = _spectral_functions(np.random.default_rng(29))
+    sliced, slab = [], fourier._slab_magnitudes
+    monkeypatch.setattr(fourier, "_slab_magnitudes", lambda f: sliced.append(f) or slab(f))
+    pairs = [(f, k) for k in (1, 2, 3) for f in fs]  # the groups interleaved
+    got = energy._t_k_spectrals([f for f, _ in pairs], [k for _, k in pairs])
+    assert len(sliced) == 6  # the two Z_263^2 functions at each k
+    want = [t_k_spectral(f, k) for f, k in pairs]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got[3] == got[4] == 0.0
+
+
+def test_batched_spectral_t_k_refuses_before_any_transform(monkeypatch):
+    fs = _spectral_functions(np.random.default_rng(30))
+    with using(ToolConfig(dense_budget=200)):  # Z_263^2 refuses, the others fit
+        with pytest.raises(BudgetError) as first:
+            for f in fs:
+                t_k_spectral(f, 2)
+        with pytest.raises(BudgetError) as batch:
+            energy._t_k_spectrals(fs, [2] * len(fs))
+    assert str(batch.value) == str(first.value)
+    assert "p^d = 69169 " in str(first.value)
+    monkeypatch.setattr(energy, "_magnitude_stacks", lambda fs: pytest.fail("transformed"))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        energy._t_k_spectrals(fs[:2], [2, 0])
 
 
 def test_enumerated_micro_oracle_matches_convolution():

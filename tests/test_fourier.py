@@ -523,10 +523,10 @@ def test_sparse_inputs_keep_the_dense_budget():
 
 @pytest.fixture(params=[1, 2], ids=["1-thread", "2-threads"])
 def threads(request, monkeypatch):
-    """Transforms at 1 and 2 threads, with the size threshold so low that
-    every table of two or more lines is shared out."""
+    """Transforms at 1 and 2 threads, with the slab so small that every
+    table of two or more lines is shared out; a test may set its own."""
     monkeypatch.setattr(fourier, "_THREADS", request.param)
-    monkeypatch.setattr(fourier, "THREAD_CELLS", 8)
+    monkeypatch.setattr(fourier, "SLAB_CELLS", 8)
     return request.param
 
 
@@ -558,7 +558,7 @@ def test_threaded_transforms_are_bit_for_bit(p, d, slab, threads, monkeypatch):
         assert magnitudes(f).tobytes() == mags.tobytes(), name
         assert wiener_norm(f) == float(mags.sum()), name
         assert energy.t_k_spectral(f, 2) == float(((ctx.size * mags.ravel()) ** 4).sum() / ctx.size), name
-    fs *= 3  # stacks of several tables
+    fs *= 3  # each function three times in one call
     assert _bits(wiener_norms(fs)) == _bits(_serially(wiener_norms, fs))
 
 
@@ -588,7 +588,7 @@ def test_threaded_separation_bound_is_bit_for_bit(p, d, threads, monkeypatch):
 )
 def test_fft_axis_chunks(shape, axis, cells, chunks, monkeypatch):
     monkeypatch.setattr(fourier, "_THREADS", 2)
-    monkeypatch.setattr(fourier, "THREAD_CELLS", cells)
+    monkeypatch.setattr(fourier, "SLAB_CELLS", cells)
     claimed, run = [], fourier._claimed
     monkeypatch.setattr(fourier, "_claimed", lambda n, make: claimed.append(n) or run(n, make))
     rng = np.random.default_rng(len(shape))
@@ -638,6 +638,33 @@ def test_claimed_runs_each_task_once_around_a_stalled_thread(monkeypatch):
     caller = threading.main_thread().name
     assert ran[:-1] == [caller] * (n - 1)  # the caller counts up from 0
     assert ran[-1] in (caller, "zpwiener-pool")  # the pool thread, if it began, took the last and stalled
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pool_tasks_handle_floating_point_errors_as_the_caller_does(monkeypatch):
+    # np.errstate is per thread: a caller that silences overflow, as
+    # cli._finite does, silences it in the pool thread's share too
+    monkeypatch.setattr(fourier, "_THREADS", 2)
+    pool_ran, ran = threading.Event(), []
+
+    def make_task():
+        in_pool = threading.current_thread() is not threading.main_thread()
+
+        def task(i):
+            try:
+                np.multiply(np.array([1e308]), 10.0)  # overflows to inf
+                ran.append(in_pool)
+            finally:
+                if in_pool:
+                    pool_ran.set()
+            if i == 0:  # the caller's first task waits for the pool thread's
+                assert pool_ran.wait(10)
+
+        return task
+
+    with np.errstate(over="ignore"):
+        fourier._claimed(4, make_task)
+    assert len(ran) == 4 and set(ran) == {False, True}  # both threads ran tasks
 
 
 def test_claimed_does_not_wait_for_a_pool_thread_that_has_not_begun(monkeypatch):

@@ -4,9 +4,9 @@ tests/golden/manifest.json maps each argv to its exit code and to the sha256
 of its stdout and of the report file it writes (null when it writes none).
 The inputs are seeded function files built in a fresh working directory, so
 report headers hold relative paths.  The cases cover every command and
-`reduce` mode, `reduce line` at d = 2, 3 and 4, both sides of `dft`'s
-sparse/dense switch, d = 1, 2 and 3, and the default
-`scripts/run_monitors.py`.
+`reduce` mode, `reduce line` at d = 2, 3 and 4, sparse and dense
+functions at d = 1, 2 and 3, both of the |fhat| paths (the dense stacks and,
+past one slab, the slab path) and the default `scripts/run_monitors.py`.
 
 Float outputs are byte-identical per numpy build and per CPU SIMD level
 (numpy picks its kernels at run time), so the manifest records the numpy
@@ -66,6 +66,9 @@ _CASES = [
     "energy --input sparse2.txt --k 3",
     "energy --input sparse3.txt --k 2 --method direct",
     "energy --input dense2.txt --k 2 --method spectral",
+    "eval slab2.txt",
+    "energy --input slab2.txt --k 2 --method spectral",
+    "reduce separating-map --input slab2.txt",
 ]
 
 
@@ -87,7 +90,7 @@ def _write_inputs() -> None:
         write_function_file(name, SparseFunction(ctx, dict(zip(pts, vals.tolist()))))
 
     write("line.txt", GroupContext(1009), 12)
-    # dft transforms only the occupied lines when 2 |supp| < p^(d-1)
+    # tables of one slab or less: sparse or dense, |fhat| comes from the stacks
     write("sparse2.txt", GroupContext(31, 2), 6)
     write("dense2.txt", GroupContext(31, 2), 40)
     write("sparse3.txt", GroupContext(11, 3), 20)
@@ -99,6 +102,9 @@ def _write_inputs() -> None:
     # the row scan needs |A|^2 < 2p
     write("pair2.txt", GroupContext(101, 2), 5)
     write("pair3.txt", GroupContext(31, 3), 3)
+    # |fhat| of a table larger than one slab whose points fill fewer than
+    # half its last-axis lines (2 |supp| < p^(d-1)) takes the slab path
+    write("slab2.txt", GroupContext(263, 2), 6)
 
 
 def _sha(data) -> str:

@@ -200,7 +200,7 @@ def test_cached_scan_table_matches_the_streamed_scan(p, d, monkeypatch):
     ctx = GroupContext(p, d)
     rng = np.random.default_rng(p * d)
     sets = [ctx.point_array(_rand_points(rng, ctx, n)) for n in (1, ctx.size // 7, ctx.size // 2)]
-    cached = [reduction._scan_hyperplanes([arr], ctx)[0] for arr in sets]
+    cached = [reduction._scan_hyperplanes([(ctx, arr)])[0] for arr in sets]
     table = reduction._multiples_table(p, d)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
@@ -210,7 +210,7 @@ def test_cached_scan_table_matches_the_streamed_scan(p, d, monkeypatch):
     monkeypatch.setattr(reduction, "_multiples_table", lambda *_: pytest.fail("table read"))
     for chunk in (1, table.size - 1):
         monkeypatch.setattr(reduction, "ARRAY_CHUNK", chunk)
-        assert [reduction._scan_hyperplanes([arr], ctx)[0] for arr in sets] == cached, chunk
+        assert [reduction._scan_hyperplanes([(ctx, arr)])[0] for arr in sets] == cached, chunk
 
 
 def _scan_one(arr, ctx):
@@ -258,13 +258,46 @@ def test_stacked_scan_matches_the_single_array_scan(p, d, monkeypatch):
     sizes = [1, 2, ctx.size // 50 + 1, ctx.size // 3, ctx.size - 1, 3, ctx.size // 2]
     sets = [ctx.point_array(_rand_points(rng, ctx, n)) for n in sizes]
     want = [_scan_one(arr, ctx) for arr in sets]
-    assert reduction._scan_hyperplanes(sets, ctx) == want
+    assert reduction._scan_hyperplanes([(ctx, arr) for arr in sets]) == want
     r = (ctx.size - 1) // (p - 1)
     # stacks of 2 and of 3 sets (the last one short), then one set a stack
     # with its directions 3 a chunk
     for chunk in (2 * p * r * 2, 2 * p * r * 3, 2 * p * 3):
         monkeypatch.setattr(reduction, "ARRAY_CHUNK", chunk)
-        assert reduction._scan_hyperplanes(sets, ctx) == want, chunk
+        assert reduction._scan_hyperplanes([(ctx, arr) for arr in sets]) == want, chunk
+
+
+def _mixed_sets(rng, groups_and_sizes):
+    return [(ctx, ctx.point_array(_rand_points(rng, ctx, n))) for ctx, n in groups_and_sizes]
+
+
+def test_scan_of_interleaved_groups_is_each_set_scanned_alone():
+    z52, z73 = GroupContext(5, 2), GroupContext(7, 3)
+    sets = _mixed_sets(np.random.default_rng(29),
+                       [(z52, 7), (z73, 100), (z52, 12), (z73, 5), (z52, 1), (z73, 342)])
+    alone = [reduction._scan_hyperplanes([s])[0] for s in sets]
+    assert alone == [_scan_one(arr, ctx) for ctx, arr in sets]
+    assert reduction._scan_hyperplanes(sets) == alone
+
+
+@pytest.mark.parametrize(
+    "config,says",
+    [(ToolConfig(dense_budget=100), "p^d = 121 "), (ToolConfig(op_budget=100), "work 132 ")],
+)
+def test_scan_of_mixed_groups_refuses_as_its_first_refusing_set(config, says):
+    # Z_5^2 fits both budgets; Z_11^2, the second set, and Z_7^3 do not
+    sets = _mixed_sets(np.random.default_rng(30), [
+        (GroupContext(5, 2), 6), (GroupContext(11, 2), 20), (GroupContext(7, 3), 30),
+        (GroupContext(5, 2), 9), (GroupContext(11, 2), 3),
+    ])
+    with using(config):
+        with pytest.raises(BudgetError) as first:
+            for s in sets:
+                reduction._scan_hyperplanes([s])
+        with pytest.raises(BudgetError) as batch:
+            reduction._scan_hyperplanes(sets)
+    assert str(batch.value) == str(first.value)
+    assert says in str(first.value)
 
 
 def test_removed_keywords_are_refused():
@@ -340,8 +373,8 @@ def test_lifted_line_lies_in_the_first_hyperplane(p, d, seed, monkeypatch):
     assert all(result.steps[0].found.contains(x) for x in result.line.points())
 
     # the scan's normals have a leading 1; any nonzero normal must lift too
-    def any_hyperplane(arrs, sub):
-        (arr,) = arrs  # the line search scans one array a step
+    def any_hyperplane(sets):
+        ((sub, arr),) = sets  # the line search scans one array a step
         eta = tuple(int(c) for c in rng.integers(0, p, sub.d))
         if not any(eta):
             eta = (1,) + eta[1:]

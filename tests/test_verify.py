@@ -4,6 +4,7 @@ import pytest
 
 from zpwiener import verify
 from zpwiener.config import ToolConfig, using
+from zpwiener.energy import t_k_spectral
 from zpwiener.errors import BudgetError
 from zpwiener.verify import (
     CHECKS,
@@ -68,6 +69,13 @@ def test_check_is_the_suite_record_of_its_instance(name):
     insts = CHECKS[name].generate(verify._suite_rng(2, name), 24)
     singles = sorted((check(name, inst) for inst in insts), key=lambda r: r.digest)
     assert singles == run_suite(name, seed=2, count=24)
+
+
+def test_tk_identity_rhs_is_t_k_spectral_bit_for_bit():
+    insts = CHECKS["tk-identity"].generate(verify._suite_rng(0, "tk-identity"), 150)
+    want = [t_k_spectral(verify._fn_from(inst), inst["k"]).hex() for inst in insts]
+    assert [check("tk-identity", inst).rhs.hex() for inst in insts] == want
+    assert [r.rhs.hex() for r in CHECKS["tk-identity"].evaluate(insts)] == want
 
 
 _BUDGETS_IN_BETWEEN = [
