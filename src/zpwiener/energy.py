@@ -642,6 +642,8 @@ def rudin_ratio(points: Iterable, ctx: GroupContext, k: int) -> float:
     Reported as data only; no absolute constant is asserted against it.
     """
     arr = ctx.point_array(points)
+    if len(arr) == 0:
+        raise ValueError("rudin_ratio needs |set| >= 1")
     cert = is_dissociated(arr, ctx)
     if not cert.dissociated:
         raise ValueError("rudin_ratio requires a dissociated set")

@@ -94,18 +94,6 @@ class ScanRow:
     ratio: Optional[float]  # None flags sizes < 2 where the ratio is undefined
 
 
-def _one_sided(name, lhs, rhs, tol_base, inst) -> VerificationReport:
-    tol = tol_base * max(1.0, abs(lhs), abs(rhs))
-    slack = lhs - rhs
-    return VerificationReport(name, lhs, rhs, slack, tol, slack >= -tol, digest(inst))
-
-
-def _identity(name, lhs, rhs, tol_base, inst) -> VerificationReport:
-    tol = tol_base * max(1.0, abs(lhs), abs(rhs))
-    slack = -abs(lhs - rhs)
-    return VerificationReport(name, lhs, rhs, slack, tol, slack >= -tol, digest(inst))
-
-
 # ---------------------------------------------------------------------------
 # instance plumbing
 # ---------------------------------------------------------------------------
@@ -198,20 +186,36 @@ def random_instance(kind: str, seed: int, *, p: int = 101, d: int = 1, size: int
 
 @dataclass(frozen=True)
 class CheckDef:
-    """A registered check: `evaluate` takes a list of instances and returns
-    their reports in order.
+    """A registered check of the claim lhs >= rhs, or lhs = rhs when
+    `identity` is set, within the `ToolConfig` tolerance named by `tol`.
 
-    A list is evaluated at once: its norms, spectral T_k, scans and T_2
-    counts each come from one call (`wiener_norms`, `_t_k_spectrals`,
-    `_scan_hyperplanes`, `_indicator_t2`), which groups what it is given by
-    group, so each transform serves a stack of instances of one group.  Of
-    the budget refusals, a list raises the one its first refusing instance
-    gives alone.
+    `sides` takes a list of instances and returns the (lhs, rhs) pair of each
+    in order; `evaluate` makes their reports.  A list is evaluated at once:
+    its norms, spectral T_k, scans and T_2 counts each come from one call
+    (`wiener_norms`, `_t_k_spectrals`, `_scan_hyperplanes`, `_indicator_t2`),
+    which groups what it is given by group, so each transform serves a stack
+    of instances of one group.  Of the budget refusals, a list raises the one
+    its first refusing instance gives alone.
     """
 
-    evaluate: Callable[[list[dict]], list[VerificationReport]]
+    name: str
+    sides: Callable[[list[dict]], list[tuple[float, float]]]
     generate: Callable[[np.random.Generator, int], list]
     doc: str
+    tol: str = "norm_tol"  # or "energy_tol"
+    identity: bool = False
+
+    def evaluate(self, insts: list[dict]) -> list[VerificationReport]:
+        pairs = self.sides(insts)
+        tol_base = getattr(active(), self.tol)  # as set when evaluate runs
+        reports = []
+        for inst, (lhs, rhs) in zip(insts, pairs):
+            tol = tol_base * max(1.0, abs(lhs), abs(rhs))
+            slack = -abs(lhs - rhs) if self.identity else lhs - rhs
+            reports.append(
+                VerificationReport(self.name, lhs, rhs, slack, tol, slack >= -tol, digest(inst))
+            )
+        return reports
 
 
 _PRIMES = (5, 7, 11, 101)
@@ -236,11 +240,7 @@ def _eval_banach(insts):
         f, g = _fn_from(inst["f"]), _fn_from(inst["g"])
         fs += (f, g, f.pointwise_mul(g))
     norms = wiener_norms(fs)
-    tol = active().norm_tol
-    return [
-        _one_sided("banach", nf * ng, nfg, tol, inst)
-        for inst, nf, ng, nfg in zip(insts, norms[::3], norms[1::3], norms[2::3])
-    ]
+    return [(nf * ng, nfg) for nf, ng, nfg in zip(norms[::3], norms[1::3], norms[2::3])]
 
 
 def _gen_banach(rng, count):
@@ -258,20 +258,12 @@ def _gen_banach(rng, count):
 
 def _eval_inversion(insts):
     fs = [_fn_from(inst) for inst in insts]
-    tol = active().norm_tol
-    return [
-        _one_sided("inversion", lhs, f.max_abs, tol, inst)
-        for inst, f, lhs in zip(insts, fs, wiener_norms(fs))
-    ]
+    return [(lhs, f.max_abs) for f, lhs in zip(fs, wiener_norms(fs))]
 
 
 def _eval_parseval_upper(insts):
     fs = [_fn_from(inst) for inst in insts]
-    tol = active().norm_tol
-    return [
-        _one_sided("parseval-upper", f.l2_norm, rhs, tol, inst)
-        for inst, f, rhs in zip(insts, fs, wiener_norms(fs))
-    ]
+    return [(f.l2_norm, rhs) for f, rhs in zip(fs, wiener_norms(fs))]
 
 
 def _eval_complement(insts):
@@ -282,11 +274,10 @@ def _eval_complement(insts):
         held = a.entries
         fs += (a, SparseFunction._reduced(ctx, ((x, 1.0) for x in ctx.points() if x not in held)))
     norms = wiener_norms(fs)
-    tol = active().norm_tol
+    # |A| counts distinct points: the indicator holds each point once
     return [
-        # |A| counts distinct points: the indicator holds each point once
-        _identity("complement-identity", lhs, comp + 2 * len(a) / a.ctx.size - 1, tol, inst)
-        for inst, a, lhs, comp in zip(insts, fs[::2], norms[::2], norms[1::2])
+        (lhs, comp + 2 * len(a) / a.ctx.size - 1)
+        for a, lhs, comp in zip(fs[::2], norms[::2], norms[1::2])
     ]
 
 
@@ -303,11 +294,7 @@ def _gen_complement(rng, count):
 def _eval_tk_identity(insts):
     fs, ks = [_fn_from(inst) for inst in insts], [inst["k"] for inst in insts]
     direct = [t_k_direct(f, k) for f, k in zip(fs, ks)]
-    tol = active().energy_tol
-    return [
-        _identity("tk-identity", lhs, rhs, tol, inst)
-        for inst, lhs, rhs in zip(insts, direct, _t_k_spectrals(fs, ks))
-    ]
+    return list(zip(direct, _t_k_spectrals(fs, ks)))
 
 
 def _gen_tk(rng, count):
@@ -318,23 +305,24 @@ def _gen_tk(rng, count):
 
 
 def _eval_energy_lower(insts):
-    """T_k(Q*f) >= |Q|^{2k} L^{4k} / (||f||_2^2 K^{2k-2}) with K the Wiener norm."""
+    """T_k(Q*f) >= |Q|^{2k} L^{4k} / (||f||_2^2 K^{2k-2}) with K the Wiener norm.
+
+    Q is the set of the reduced points of q_points: a point listed twice, as
+    given or up to a multiple of p, counts once."""
     fs = [_fn_from(inst) for inst in insts]
-    tol = active().energy_tol
-    reports = []
-    for inst, f, big_k in zip(insts, fs, wiener_norms(fs)):
+    qs = [set(map(f.ctx.point, inst["q_points"])) for inst, f in zip(insts, fs)]
+    if not all(qs):
+        raise ValueError("energy-lower needs a non-empty q_points")
+    if not all(f.support_size for f in fs):
+        raise ValueError("energy-lower needs |S| >= 1")
+    pairs = []
+    for inst, f, q, big_k in zip(insts, fs, qs, wiener_norms(fs)):
         k = inst["k"]
-        q_pts = [tuple(x) for x in inst["q_points"]]
-        g = f.restrict(q_pts)
-        level = min(abs(g[x]) for x in q_pts)
-        lhs = t_k_direct(g, k)
-        rhs = (
-            len(q_pts) ** (2 * k)
-            * level ** (4 * k)
-            / (f.l2_norm**2 * big_k ** (2 * k - 2))
-        )
-        reports.append(_one_sided("energy-lower", lhs, rhs, tol, inst))
-    return reports
+        g = f.restrict(q)
+        level = min(abs(g[x]) for x in q)
+        rhs = len(q) ** (2 * k) * level ** (4 * k) / (f.l2_norm**2 * big_k ** (2 * k - 2))
+        pairs.append((t_k_direct(g, k), rhs))
+    return pairs
 
 
 def _gen_energy_lower(rng, count):
@@ -369,16 +357,11 @@ def _eval_superadditivity(insts):
         sets += [(f.ctx, pts) for pts in [f.support, *parts]]
         levels.append(len(parts))
     t2 = iter(_indicator_t2(sets))
-    tol = active().energy_tol
-    return [
-        _one_sided("superadditivity-T2", next(t2), sum(next(t2) for _ in range(n)), tol, inst)
-        for inst, n in zip(insts, levels)
-    ]
+    return [(next(t2), sum(next(t2) for _ in range(n))) for n in levels]
 
 
 def _eval_scattered(insts):
-    tol = active().energy_tol
-    reports = []
+    pairs = []
     for inst in insts:
         fam = ScatteredFamily(
             inst["m"],
@@ -388,9 +371,8 @@ def _eval_scattered(insts):
         )
         k = inst["k"]
         lhs = float(scattered_energy_bound(k, fam.shell_count, fam.shell_size))
-        rhs = t_k_int_set(fam.points, k)
-        reports.append(_one_sided("scattered-upper", lhs, rhs, tol, inst))
-    return reports
+        pairs.append((lhs, t_k_int_set(fam.points, k)))
+    return pairs
 
 
 def _gen_scattered(rng, count):
@@ -421,11 +403,7 @@ def _eval_line_monotone(insts):
         line = Line(f.ctx, tuple(inst["line"]["b"]), tuple(inst["line"]["c"]))
         fs += (f, restrict_to_line(f, line))
     norms = wiener_norms(fs)
-    tol = active().norm_tol
-    return [
-        _one_sided("line-monotone", lhs, rhs, tol, inst)
-        for inst, lhs, rhs in zip(insts, norms[::2], norms[1::2])
-    ]
+    return list(zip(norms[::2], norms[1::2]))
 
 
 def _gen_line_monotone(rng, count):
@@ -445,11 +423,7 @@ def _gen_line_monotone(rng, count):
 def _eval_hyperplane_balance(insts):
     # find_balanced_hyperplane on each instance, in one scan
     sets = [(ctx, _scan_points(pts, ctx)) for ctx, pts in map(_points_from, insts)]
-    tol = active().norm_tol
-    return [
-        _one_sided("hyperplane-balance", report.bound, report.deviation, tol, inst)
-        for inst, report in zip(insts, _scan_hyperplanes(sets))
-    ]
+    return [(report.bound, report.deviation) for report in _scan_hyperplanes(sets)]
 
 
 def _gen_hyperplane_balance(rng, count):
@@ -463,48 +437,27 @@ def _gen_hyperplane_balance(rng, count):
     return out
 
 
-CHECKS: dict[str, CheckDef] = {
-    "banach": CheckDef(_eval_banach, _gen_banach, "norm(f)*norm(g) >= norm(f*g)"),
-    "inversion": CheckDef(
-        _eval_inversion, _gen_functions("gaussian"), "wiener norm >= max |f|"
-    ),
-    "parseval-upper": CheckDef(
-        _eval_parseval_upper, _gen_functions("gaussian"), "l2 norm >= wiener norm"
-    ),
-    "complement-identity": CheckDef(
-        _eval_complement,
-        _gen_complement,
-        "norm(A) = norm(complement) + 2|A|/p - 1",
-    ),
-    "tk-identity": CheckDef(
-        _eval_tk_identity, _gen_tk, "T_k(g) = |G|^{2k-1} sum |ghat|^{2k}"
-    ),
-    "energy-lower": CheckDef(
-        _eval_energy_lower,
-        _gen_energy_lower,
-        "T_k(Q*f) >= |Q|^{2k} L^{4k} / (||f||_2^2 K^{2k-2})",
-    ),
-    "superadditivity-T2": CheckDef(
-        _eval_superadditivity,
-        _gen_functions("geq1"),
-        "T_2(S) >= sum_j T_2(S_j) over level sets",
-    ),
-    "scattered-upper": CheckDef(
-        _eval_scattered,
-        _gen_scattered,
-        "T_k(Q) <= 2^{8k} k^k I^k N^{2k-1} for shell families",
-    ),
-    "line-monotone": CheckDef(
-        _eval_line_monotone,
-        _gen_line_monotone,
-        "wiener norm >= wiener norm of any line restriction",
-    ),
-    "hyperplane-balance": CheckDef(
-        _eval_hyperplane_balance,
-        _gen_hyperplane_balance,
-        "exhaustive search deviation <= sqrt(density) p^{(d-1)/2}",
-    ),
-}
+CHECKS: dict[str, CheckDef] = {c.name: c for c in (
+    CheckDef("banach", _eval_banach, _gen_banach, "norm(f)*norm(g) >= norm(f*g)"),
+    CheckDef("inversion", _eval_inversion, _gen_functions("gaussian"),
+             "wiener norm >= max |f|"),
+    CheckDef("parseval-upper", _eval_parseval_upper, _gen_functions("gaussian"),
+             "l2 norm >= wiener norm"),
+    CheckDef("complement-identity", _eval_complement, _gen_complement,
+             "norm(A) = norm(complement) + 2|A|/p - 1", identity=True),
+    CheckDef("tk-identity", _eval_tk_identity, _gen_tk,
+             "T_k(g) = |G|^{2k-1} sum |ghat|^{2k}", tol="energy_tol", identity=True),
+    CheckDef("energy-lower", _eval_energy_lower, _gen_energy_lower,
+             "T_k(Q*f) >= |Q|^{2k} L^{4k} / (||f||_2^2 K^{2k-2})", tol="energy_tol"),
+    CheckDef("superadditivity-T2", _eval_superadditivity, _gen_functions("geq1"),
+             "T_2(S) >= sum_j T_2(S_j) over level sets", tol="energy_tol"),
+    CheckDef("scattered-upper", _eval_scattered, _gen_scattered,
+             "T_k(Q) <= 2^{8k} k^k I^k N^{2k-1} for shell families", tol="energy_tol"),
+    CheckDef("line-monotone", _eval_line_monotone, _gen_line_monotone,
+             "wiener norm >= wiener norm of any line restriction"),
+    CheckDef("hyperplane-balance", _eval_hyperplane_balance, _gen_hyperplane_balance,
+             "exhaustive search deviation <= sqrt(density) p^{(d-1)/2}"),
+)}
 
 
 def check(name: str, instance: dict) -> VerificationReport:
@@ -540,48 +493,43 @@ def run_suite(name: str = "all", seed: int = 0, count: int = 50) -> list[Verific
 def _mon_dim_bound(inst):
     """dim(supp f) relative to K^2 (1 + log(||f||_2 / K))."""
     f = _fn_from(inst)
+    if f.support_size < 1:
+        raise ValueError("dim-bound ratio needs |S| >= 1")
     big_k = wiener_norm(f)
     try:
         mode, (dim, _) = "exact", additive_dimension(f.support, f.ctx, mode="exact")
     except BudgetError:  # past the exact search's op_budget, the greedy lower bound
         mode, (dim, _) = "greedy", additive_dimension(f.support, f.ctx, mode="greedy")
     denom = big_k**2 * (1 + math.log(max(f.l2_norm / big_k, 1.0)))
-    return MonitorRecord(
-        "dim-bound", dim / denom, {"dim": dim, "mode": mode, "K": big_k}, digest(inst)
-    )
+    return dim / denom, {"dim": dim, "mode": mode, "K": big_k}
 
 
 def _mon_rudin(inst):
     ctx, pts = _points_from(inst)
     k = inst["k"]
-    return MonitorRecord(
-        "rudin", rudin_ratio(pts, ctx, k), {"k": k, "size": len(pts)}, digest(inst)
-    )
+    return rudin_ratio(pts, ctx, k), {"k": k, "size": len(pts)}
 
 
 def _mon_log_support(inst):
     f = _fn_from(inst)
     if f.support_size < 2:
         raise ValueError("log-support ratio needs |S| >= 2")
-    return MonitorRecord(
-        "log-support",
-        wiener_norm(f) / math.log(f.support_size),
-        {"size": f.support_size},
-        digest(inst),
-    )
+    return wiener_norm(f) / math.log(f.support_size), {"size": f.support_size}
 
 
 def _mon_t2_lower(inst):
     """T_2(S) * M * K^2 / |S|^3, the scale-free form of the T_2 lower bound."""
     f = _fn_from(inst)
+    if f.support_size < 1:
+        raise ValueError("t2-lower ratio needs |S| >= 1")
     support_ind = SparseFunction.indicator(f.ctx, f.support)
     t2 = t_k_direct(support_ind, 2)
     big_k = wiener_norm(f)
-    ratio = t2 * f.max_abs * big_k**2 / f.support_size**3
-    return MonitorRecord("t2-lower", ratio, {"T2": t2, "K": big_k}, digest(inst))
+    return t2 * f.max_abs * big_k**2 / f.support_size**3, {"T2": t2, "K": big_k}
 
 
-MONITORS: dict[str, Callable] = {
+# each returns (ratio, details); `monitor` names and digests the record
+MONITORS: dict[str, Callable[[dict], tuple[float, dict]]] = {
     "dim-bound": _mon_dim_bound,
     "rudin": _mon_rudin,
     "log-support": _mon_log_support,
@@ -592,7 +540,8 @@ MONITORS: dict[str, Callable] = {
 def monitor(name: str, instance: dict) -> MonitorRecord:
     if name not in MONITORS:
         raise ValueError(f"unknown monitor {name!r}; known: {sorted(MONITORS)}")
-    return MONITORS[name](instance)
+    ratio, details = MONITORS[name](instance)
+    return MonitorRecord(name, ratio, details, digest(instance))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,34 @@ def test_energy_lower_two_point_example():
     assert report.lhs == pytest.approx(6.0)
     assert report.rhs == pytest.approx(4.774575, abs=1e-5)
     assert report.passed
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["as-given", "shifted-by-p"])
+def test_energy_lower_counts_each_point_of_q_once(shift):
+    # Q is the set of its reduced points: a point listed again, as given or
+    # up to a multiple of p, leaves both sides as they are
+    inst = CHECKS["energy-lower"].generate(verify._suite_rng(0, "energy-lower"), 1)[0]
+    (x,) = inst["q_points"][0]
+    want = check("energy-lower", inst)
+    q_again = [*inst["q_points"], [x + shift * inst["p"]]]
+    again = check("energy-lower", {**inst, "q_points": q_again})
+    assert (again.lhs, again.rhs, again.passed) == (want.lhs, want.rhs, want.passed)
+
+
+@pytest.mark.parametrize(
+    "run, name, inst, match",
+    [
+        (monitor, "dim-bound", fn_instance(101, []), r"dim-bound ratio needs \|S\| >= 1"),
+        (monitor, "t2-lower", fn_instance(101, []), r"t2-lower ratio needs \|S\| >= 1"),
+        (monitor, "rudin", {"p": 101, "d": 1, "points": [], "k": 2}, r"needs \|set\| >= 1"),
+        (check, "energy-lower", fn_instance(5, [(0, 1.0)], k=2, q_points=[]), "non-empty q_points"),
+        (check, "energy-lower", fn_instance(5, [], k=2, q_points=[[0]]), r"needs \|S\| >= 1"),
+    ],
+    ids=["dim-bound", "t2-lower", "rudin", "energy-lower-q", "energy-lower-f"],
+)
+def test_empty_inputs_are_refused_by_their_hypothesis(run, name, inst, match):
+    with pytest.raises(ValueError, match=match):
+        run(name, inst)
 
 
 def test_complement_identity_example():
@@ -111,6 +140,12 @@ def test_a_batch_refuses_as_its_first_refusing_instance(name):
     assert refused >= (0 if name == "scattered-upper" else 1)
 
 
+def test_readme_names_every_check_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = " ".join(readme.split("Named check suites: ", 1)[1].split(".", 1)[0].split())
+    assert listed.split(", ") == sorted(CHECKS)
+
+
 def test_unknown_names_raise():
     with pytest.raises(ValueError):
         check("bogus", {})
@@ -177,17 +212,21 @@ def test_random_instance_kinds():
 def test_monitors_produce_ratios():
     rec = monitor("rudin", {"p": 101, "d": 1, "points": [[1], [2]], "k": 2})
     assert rec.ratio == pytest.approx(math.sqrt(6) / 4)
+    assert rec.name == "rudin"
 
     uni = random_instance("unimodular-function", 5, p=101, size=6)
     rec2 = monitor("dim-bound", uni)
     assert rec2.ratio > 0
     assert rec2.details["mode"] == "exact"
+    assert rec2.name == "dim-bound"
 
     rec3 = monitor("log-support", uni)
     assert rec3.ratio > 0
+    assert rec3.name == "log-support"
 
     rec4 = monitor("t2-lower", fn_instance(11, [(1, 1.0), (2, 2.0), (4, 1.0)]))
     assert rec4.ratio > 0
+    assert rec4.name == "t2-lower"
 
 
 def test_dim_bound_monitor_reads_the_op_budget():
