@@ -8,38 +8,10 @@ have, since the Rudin rows need one of each requested size.
 """
 
 import argparse
-import csv
 import sys
 
-import numpy as np
-
-from zpwiener.energy import _grow_sums, _signed_sum_member
-from zpwiener.groups import GroupContext
+from zpwiener.fileio import dump_csv, write_csv
 from zpwiener.verify import monitor, random_instance
-
-
-def dissociated_instance(seed: int, p: int, size: int) -> dict:
-    """Grow a dissociated candidate greedily, up to size points; the walk
-    warns on stderr when it stops short."""
-    ctx = GroupContext(p)
-    rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    # the chosen set is dissociated, so it stays so with x iff x is not one of
-    # its signed sums; those are kept sorted as the set grows
-    sums = zero = np.zeros(1, dtype=np.int64)
-    for x in rng.permutation(np.arange(1, p)).tolist():
-        if len(chosen) == size:
-            break
-        if not _signed_sum_member(ctx, sums, zero, np.array([x]))[0]:
-            chosen.append(x)
-            sums = _grow_sums(ctx, sums, np.array([x, p - x]))
-    if len(chosen) < size:
-        print(
-            f"warning: the greedy walk found a dissociated set of {len(chosen)} points "
-            f"in Z_{p}, short of the {size} requested (seed {seed})",
-            file=sys.stderr,
-        )
-    return {"p": p, "d": 1, "points": [[x] for x in sorted(chosen)]}
 
 
 def main() -> None:
@@ -66,19 +38,27 @@ def main() -> None:
         rows.append(("log-support", size, monitor("log-support", uni).ratio))
         geq1 = random_instance("indicator", seed, p=args.p, size=size)
         rows.append(("t2-lower", size, monitor("t2-lower", geq1).ratio))
-        lam = dissociated_instance(seed, args.p, size)
+        lam = random_instance("dissociated", seed, p=args.p, size=size)
+        if len(lam["points"]) < size:
+            print(
+                f"warning: the greedy walk found a dissociated set of {len(lam['points'])} "
+                f"points in Z_{args.p}, short of the {size} requested (seed {seed})",
+                file=sys.stderr,
+            )
         for k in (2, 3):
             ratio = monitor("rudin", {**lam, "k": k}).ratio
             rows.append((f"rudin-k{k}", len(lam["points"]), ratio))
 
-    handle = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
-    writer = csv.writer(handle)
-    writer.writerow(["monitor", "size", "ratio"])
-    for name, size, ratio in rows:
-        writer.writerow([name, size, f"{ratio:.8f}"])
-    if handle is not sys.stdout:
-        handle.close()
-        print(f"wrote {len(rows)} rows to {args.output}")
+    header = ["monitor", "size", "ratio"]
+    cells = [[name, size, f"{ratio:.8f}"] for name, size, ratio in rows]
+    if args.output == "-":
+        sys.stdout.write(dump_csv(header, cells))
+        return
+    try:
+        write_csv(args.output, header, cells)
+    except OSError as exc:  # names the path, as zpwiener's file errors do
+        parser.exit(2, f"error: {exc}\n")
+    print(f"wrote {len(rows)} rows to {args.output}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Line-oriented file formats: function files, JSON-lines report files, and
-CSV scan tables.  All writes go through a temp file plus rename so partial
-output never lands at the target path.
+CSV tables (the scan and monitor tables).  All writes go through a temp file
+plus rename so partial output never lands at the target path.
 """
 
 from __future__ import annotations
@@ -138,27 +138,33 @@ def read_report_file(path: str) -> list[dict]:
     return records
 
 
-SCAN_HEADER = ["p", "size", "structure", "wiener_norm", "log_size", "ratio"]
-
-
-def dump_scan_csv(rows) -> str:
-    """CSV table of scan rows; undefined ratios render as empty cells."""
+def dump_csv(header: list[str], rows: Iterable) -> str:
+    """A CSV table: the header, then one line of cells a row, each ended by
+    a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCAN_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.p,
-                row.size,
-                row.structure,
-                f"{row.wiener_norm:.17g}",
-                f"{row.log_size:.17g}",
-                "" if row.ratio is None else f"{row.ratio:.17g}",
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
+def write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    _atomic_write(path, [dump_csv(header, rows)])
+
+
+SCAN_HEADER = ["p", "size", "structure", "wiener_norm", "log_size", "ratio"]
+
+
+def _scan_cells(row) -> list:
+    """The cells of a scan row; an undefined ratio is an empty cell."""
+    ratio = "" if row.ratio is None else f"{row.ratio:.17g}"
+    return [row.p, row.size, row.structure, f"{row.wiener_norm:.17g}", f"{row.log_size:.17g}",
+            ratio]
+
+
+def dump_scan_csv(rows) -> str:
+    return dump_csv(SCAN_HEADER, map(_scan_cells, rows))
+
+
 def write_scan_csv(path: str, rows) -> None:
-    _atomic_write(path, [dump_scan_csv(rows)])
+    write_csv(path, SCAN_HEADER, map(_scan_cells, rows))

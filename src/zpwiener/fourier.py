@@ -23,7 +23,11 @@ On a machine that lets the process run on two cores, large transforms share
 their work with one pool thread (`_claimed`): the slabs of the slab path,
 and chunks of the lines of each axis call of a table larger than one slab.
 Each line is still one pocketfft call and each |.| is still taken cell by
-cell, so every byte is the one the calling thread alone computes.
+cell, so every byte is the one the calling thread alone computes.  The pool
+thread is the one worker of a `concurrent.futures.ThreadPoolExecutor` made
+on the first large transform.  The interpreter joins it at exit; while the
+interpreter shuts down, the caller runs every task itself; a forked child
+makes its own.
 The quadratic-time transform, tensorized axis by axis, is the oracle
 `dft_naive` that tests compare against; it reduces every phase exponent mod p
 before touching floating point, so angles stay in (-2*pi, 0].
@@ -171,27 +175,23 @@ class Spectrum:
 _CORES = frozenset(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else frozenset()
 _THREADS = min(2, len(_CORES) or os.cpu_count() or 1)
 
-_pool = None  # the job queue the pool thread serves, made on first use
+_pool = None  # the pool thread's one-worker executor, made on first use
 _pool_lock = threading.Lock()
 _pool_cores = None  # the cores the pool thread last restricted itself to
 
 
-def _pool_jobs():
-    """The queue of the process's pool thread, started on first use."""
+def _executor():
+    """The executor of the process's pool thread, made on first use.  Once
+    the interpreter has begun to shut down, making it raises RuntimeError,
+    as submitting to it does."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            from queue import SimpleQueue  # imported here: most runs never thread
+            # imported here: most runs never thread
+            from concurrent.futures import ThreadPoolExecutor
 
-            jobs = SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="zpwiener-pool", daemon=True).start()
-            _pool = jobs
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="zpwiener-pool")
         return _pool
-
-
-def _serve(jobs) -> None:
-    while True:
-        jobs.get()()
 
 
 def _forget_pool() -> None:
@@ -224,57 +224,6 @@ def _run_away_from(caller_cores: frozenset) -> None:
         _pool_cores = cores
 
 
-class _Claims:
-    """Tasks 0 ... n-1, each run once by whichever thread claims it first."""
-
-    def __init__(
-        self, n: int, make_task: Callable[[], Callable[[int], None]], caller_cores: frozenset
-    ):
-        self.make_task, self.caller_cores = make_task, caller_cores
-        self.fp_errors = np.geterr()  # the caller's np.errstate, which is per thread
-        self.lo, self.hi = 0, n  # tasks lo ... hi - 1 are unclaimed
-        self.lock = threading.Lock()
-        self.started = self.closed = False  # the pool thread's drain
-        self.finished = threading.Event()
-        self.error: BaseException | None = None
-
-    def drain(self, from_back: bool = False) -> None:
-        """Claim and run tasks until none is left, the lowest unclaimed one
-        each time (the highest `from_back`); an error stops every thread and
-        is raised by the caller."""
-        try:
-            task = self.make_task()
-            while True:
-                with self.lock:
-                    if self.lo >= self.hi:
-                        return
-                    if from_back:
-                        self.hi -= 1
-                        i = self.hi
-                    else:
-                        i = self.lo
-                        self.lo += 1
-                task(i)
-        except BaseException as exc:
-            with self.lock:
-                self.lo = self.hi
-                if self.error is None:
-                    self.error = exc
-
-    def pool_drain(self) -> None:
-        """The pool thread's share: nothing once the caller has closed it."""
-        with self.lock:
-            if self.closed:
-                return
-            self.started = True
-        try:
-            _run_away_from(self.caller_cores)
-            with np.errstate(**self.fp_errors):
-                self.drain(from_back=True)
-        finally:
-            self.finished.set()
-
-
 def _claimed(n: int, make_task: Callable[[], Callable[[int], None]]) -> None:
     """Run task(i) for i = 0 ... n-1 on the calling thread and, given two
     cores, the pool thread.
@@ -285,28 +234,60 @@ def _claimed(n: int, make_task: Callable[[], Callable[[int], None]]) -> None:
     pool thread down from n-1: the two write far-apart parts of an output,
     not the same cache lines (on Z_61^3 norms that took 0.63 of the serial
     time down to 0.58).  The pool thread runs on the cores the caller may
-    not, if there are any (`_run_away_from`).  When the caller runs out of
-    tasks before the pool thread has begun, the pool's share is cancelled,
-    not awaited.  The first error of any task is raised here once both
-    threads have stopped.  Tasks must not read the config in force
-    (`active()` is per thread): the caller makes every budget check before
-    this.
+    not, if there are any (`_run_away_from`), under the caller's
+    `np.errstate`.  When the caller runs out of tasks before the pool thread
+    has begun, the pool's share is cancelled, not awaited; while the
+    interpreter shuts down, the caller runs every task.  The first error of
+    any task is raised here once both threads have stopped.  Tasks must not
+    read the config in force (`active()` is per thread): the caller makes
+    every budget check before this.
     """
     if _THREADS < 2 or n < 2:
         task = make_task()
         for i in range(n):
             task(i)
         return
-    claims = _Claims(n, make_task, frozenset(os.sched_getaffinity(0)) if _CORES else _CORES)
-    _pool_jobs().put(claims.pool_drain)
-    claims.drain()
-    with claims.lock:
-        claims.closed = True
-        started = claims.started
-    if started:
-        claims.finished.wait()
-    if claims.error is not None:
-        raise claims.error
+    caller_cores = frozenset(os.sched_getaffinity(0)) if _CORES else _CORES
+    fp_errors = np.geterr()  # the caller's np.errstate, which is per thread
+    lo, hi = 0, n  # tasks lo ... hi - 1 are unclaimed
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain(from_back: bool) -> None:
+        # an error stops both threads: no task is claimed after it
+        nonlocal lo, hi
+        try:
+            task = make_task()
+            while True:
+                with lock:
+                    if lo >= hi:
+                        return
+                    if from_back:
+                        hi -= 1
+                        i = hi
+                    else:
+                        i = lo
+                        lo += 1
+                task(i)
+        except BaseException as exc:
+            with lock:
+                lo = hi
+                errors.append(exc)
+
+    def pool_share() -> None:
+        _run_away_from(caller_cores)
+        with np.errstate(**fp_errors):
+            drain(from_back=True)
+
+    try:
+        share = _executor().submit(pool_share)
+    except RuntimeError:  # no new threads or jobs during interpreter shutdown
+        share = None
+    drain(from_back=False)
+    if share is not None and not share.cancel():
+        share.result()
+    if errors:
+        raise errors[0]
 
 
 def _fft_axis(arr: np.ndarray, axis: int) -> None:

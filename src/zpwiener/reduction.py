@@ -453,6 +453,8 @@ def find_separating_map(points: Iterable, ctx: GroupContext) -> SeparatingMap:
 
 def pushforward(f: SparseFunction, tmap: AffineMap) -> SparseFunction:
     """h(x) = f(tmap^{-1} x); support maps forward, Wiener norm is preserved."""
+    if tmap.ctx != f.ctx:
+        raise ValueError("map and function live on different groups")
     if not tmap.is_invertible():
         raise ValueError("pushforward requires an invertible map")
     return SparseFunction(f.ctx, {tmap(x): v for x, v in f.entries.items()})

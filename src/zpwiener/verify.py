@@ -21,7 +21,9 @@ import numpy as np
 from .config import active
 from .energy import (
     ScatteredFamily,
+    _grow_sums,
     _indicator_t2,
+    _signed_sum_member,
     _t_k_spectrals,
     additive_dimension,
     level_index,
@@ -168,14 +170,39 @@ def _rand_instance(rng, ctx: GroupContext, size: int, value_kind: str, **extra) 
     return _instance(ctx, rows, _rand_values(rng, size, value_kind), **extra)
 
 
+def _dissociated_rows(rng, ctx: GroupContext, size: int) -> list[list[int]]:
+    """A dissociated set of Z_p grown greedily along a random order of the
+    nonzero residues, sorted, as rows; it stops at size points, or short of
+    them when no residue is left to add."""
+    chosen: list[int] = []
+    # the chosen set is dissociated, so it stays so with x iff x is not one of
+    # its signed sums; those are kept sorted as the set grows
+    sums = zero = np.zeros(1, dtype=np.int64)
+    for x in rng.permutation(np.arange(1, ctx.p)).tolist():
+        if len(chosen) == size:
+            break
+        if not _signed_sum_member(ctx, sums, zero, np.array([x]))[0]:
+            chosen.append(x)
+            sums = _grow_sums(ctx, sums, np.array([x, ctx.p - x]))
+    return [[x] for x in sorted(chosen)]
+
+
 def random_instance(kind: str, seed: int, *, p: int = 101, d: int = 1, size: int = 5) -> dict:
-    """Deterministic generator for the public instance kinds."""
-    rng = np.random.default_rng(seed)
+    """Deterministic generator for the public instance kinds.  A
+    "dissociated" instance (d = 1 only) is a set of points, not a function,
+    and may hold fewer than size points (`_dissociated_rows`)."""
     ctx = GroupContext(p, d)
+    if not 0 <= size <= ctx.size:
+        raise ValueError(f"size {size} is not in [0, {ctx.size}]: Z_{p}^{d} has {ctx.size} points")
+    rng = np.random.default_rng(seed)
     if kind == "indicator":
         return _rand_instance(rng, ctx, size, "indicator", kind=kind)
     if kind == "unimodular-function":
         return _rand_instance(rng, ctx, size, "unimodular", kind=kind)
+    if kind == "dissociated":
+        if d != 1:
+            raise ValueError(f"dissociated instances need d = 1, not d = {d}")
+        return {"p": p, "d": 1, "points": _dissociated_rows(rng, ctx, size), "kind": kind}
     raise ValueError(f"unknown instance kind {kind!r}")
 
 

@@ -1,9 +1,11 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,7 +639,7 @@ def test_claimed_runs_each_task_once_around_a_stalled_thread(monkeypatch):
     assert done == [i * i for i in range(n)]
     caller = threading.main_thread().name
     assert ran[:-1] == [caller] * (n - 1)  # the caller counts up from 0
-    assert ran[-1] in (caller, "zpwiener-pool")  # the pool thread, if it began, took the last and stalled
+    assert ran[-1] in (caller, "zpwiener-pool_0")  # the pool thread, if it began, took the last and stalled
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -671,7 +673,7 @@ def test_claimed_does_not_wait_for_a_pool_thread_that_has_not_begun(monkeypatch)
     monkeypatch.setattr(fourier, "_THREADS", 2)
     busy, release, idle = threading.Event(), threading.Event(), threading.Event()
     released = []  # whether the job holding the pool thread saw its release
-    fourier._pool_jobs().put(lambda: busy.set() or released.append(release.wait(10)))
+    fourier._executor().submit(lambda: busy.set() or released.append(release.wait(10)))
     try:
         assert busy.wait(10)
         done, ran = [None] * 5, [None] * 5
@@ -680,7 +682,7 @@ def test_claimed_does_not_wait_for_a_pool_thread_that_has_not_begun(monkeypatch)
         assert set(ran) == {threading.main_thread().name}
     finally:
         release.set()
-    fourier._pool_jobs().put(idle.set)
+    fourier._executor().submit(idle.set)
     assert idle.wait(10)
     assert released == [True]  # _claimed returned while the pool thread was held
 
@@ -807,3 +809,54 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
             child.join()
     assert got == (True, norm, mags)
     assert child.exitcode == 0
+
+
+# a child process with a threaded Z_101^3 norm to compute; its points are the
+# first 50 of `_rand_points` at seed 4, as in the fork test
+_CHILD = """
+import atexit, threading
+import numpy as np
+from zpwiener import fourier
+from zpwiener.fourier import SparseFunction, wiener_norm
+from zpwiener.groups import GroupContext
+from zpwiener.verify import _rand_points
+fourier._THREADS = 2
+ctx = GroupContext(101, 3)
+f = SparseFunction.indicator(ctx, _rand_points(np.random.default_rng(4), ctx, 50))
+"""
+
+
+def _run_child(code):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _CHILD + code], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_process_with_a_pool_thread_exits_normally():
+    # the pool thread is not a daemon: the interpreter joins it at exit
+    proc = _run_child(
+        "print(repr(wiener_norm(f)))\n"
+        "pool = [t for t in threading.enumerate() if t.name == 'zpwiener-pool_0']\n"
+        "print(len(pool), pool[0].daemon)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "1 False"
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["first-norm", "pool-made-before"])
+def test_threaded_norm_in_an_atexit_handler_runs_on_the_caller(before, monkeypatch):
+    # during shutdown the executor takes no work, and a new one cannot be
+    # made: the caller runs every task, to the serial norm's bits
+    monkeypatch.setattr(fourier, "_THREADS", 1)
+    ctx = GroupContext(101, 3)
+    f = SparseFunction.indicator(ctx, _rand_points(np.random.default_rng(4), ctx, 50))
+    serial = wiener_norm(f)
+    proc = _run_child(
+        ("wiener_norm(f)\n" if before else "")
+        + "atexit.register(lambda: print(repr(wiener_norm(f))))\n"
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == f"{serial!r}\n"

@@ -716,6 +716,15 @@ def test_pushforward_properties():
     assert wiener_norm(hg) == pytest.approx(wiener_norm(g), abs=1e-9)
 
 
+
+def test_pushforward_refuses_a_map_of_another_group():
+    from zpwiener.groups import AffineMap
+
+    f = SparseFunction(GroupContext(7), {1: 1.0, 2: 2.0})
+    for tmap in (AffineMap(GroupContext(11), ((10,),)), AffineMap(GroupContext(7, 2), ((1, 0), (0, 1)))):
+        with pytest.raises(ValueError, match="map and function live on different groups"):
+            pushforward(f, tmap)
+
 def test_separated_projection_bound_small():
     for p in (11, 13):
         ctx = GroupContext(p, 2)

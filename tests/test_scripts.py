@@ -69,6 +69,24 @@ def test_run_monitors_warns_when_the_walk_stops_short():
     assert [(row[0], int(row[1])) for row in rows[3:]] == [("rudin-k2", 8), ("rudin-k3", 8)]
 
 
+
+def test_run_monitors_output_file_is_the_stdout_table(tmp_path):
+    out = tmp_path / "monitors.csv"
+    proc = run_script("run_monitors.py", "--p", "101", "--sizes", "4", "--output", str(out))
+    assert proc.stdout == f"wrote 5 rows to {out}\n"
+    table = run_script("run_monitors.py", "--p", "101", "--sizes", "4").stdout
+    assert out.read_bytes() == table.encode()  # \n line ends, as fileio writes every CSV
+    assert [p.name for p in tmp_path.iterdir()] == ["monitors.csv"]
+
+
+def test_run_monitors_names_an_unwritable_output(tmp_path):
+    target = str(tmp_path / "missing" / "x.csv")
+    args = ("--p", "101", "--sizes", "4", "--output", target)
+    proc = run_script("run_monitors.py", *args, returncode=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and target in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
 def test_calibrate_ap_band_prints_sizes_range_and_band():
     lines = run_script("calibrate_ap_band.py", "--p", "101", "--ns", "1,2,5").stdout.splitlines()
     assert lines[0] == "p = 101 (quadratic oracle)"

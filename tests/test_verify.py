@@ -209,6 +209,30 @@ def test_random_instance_kinds():
         random_instance("indicator", 1, sise=50)
 
 
+
+def test_random_instance_refuses_a_size_it_cannot_draw():
+    for size in (8, -1):  # Z_7 has 7 points
+        with pytest.raises(ValueError, match=rf"size {size} is not in \[0, 7\]"):
+            random_instance("indicator", 0, p=7, size=size)
+    with pytest.raises(ValueError, match=r"size 50 is not in \[0, 49\]"):
+        random_instance("unimodular-function", 0, p=7, d=2, size=50)
+    assert random_instance("indicator", 0, p=7, size=7)["entries"][-1]["x"] == [6]
+    assert random_instance("indicator", 0, p=7, size=0)["entries"] == []
+
+
+def test_dissociated_instances_are_dissociated():
+    from zpwiener.energy import is_dissociated
+    from zpwiener.groups import GroupContext
+
+    lam = random_instance("dissociated", 3, p=1009, size=6)
+    assert lam == random_instance("dissociated", 3, p=1009, size=6)
+    assert len(lam["points"]) == 6 and lam["points"] == sorted(lam["points"])
+    assert is_dissociated([tuple(x) for x in lam["points"]], GroupContext(1009)).dissociated
+    # past floor(log2 p) points no dissociated set exists: the walk stops short
+    assert len(random_instance("dissociated", 3, p=101, size=9)["points"]) <= 6
+    with pytest.raises(ValueError, match="d = 1"):
+        random_instance("dissociated", 0, p=7, d=2, size=2)
+
 def test_monitors_produce_ratios():
     rec = monitor("rudin", {"p": 101, "d": 1, "points": [[1], [2]], "k": 2})
     assert rec.ratio == pytest.approx(math.sqrt(6) / 4)
